@@ -10,13 +10,12 @@
 //
 // Three measurements, the first two in deterministic virtual time
 // (LatencyEnv over MockClock, SSD model):
-//   1. Cold-cache MultiGet in 16-key batches, batched_io on vs off — the
-//      acceptance gate is >= 1.5x.
+//   1. Cold-cache MultiGet in 16-key batches against a Get loop over the
+//      same keys — the acceptance gate is >= 1.5x.
 //   2. Cold full scan, readahead on vs off, plus a warm-cache scan pair
 //      (wall time) to show readahead costs ~nothing once blocks are cached.
 //   3. Real-file backend matrix: the same 16-read batches through
-//      PosixEnvWithBackend serial / threadpool / io_uring (when available),
-//      in wall time.
+//      PosixEnvWithBackend serial / io_uring (when available), in wall time.
 //
 // Run with --smoke for a seconds-scale CI sanity pass (same code paths).
 
@@ -83,13 +82,14 @@ struct MultiGetResult {
   uint64_t io_batch_reads = 0;
 };
 
-MultiGetResult RunMultiGet(const Scale& scale, bool batched) {
+/// Looks up the cold-cache batches through MultiGet, or through a Get loop
+/// over the same keys: one blocking device read per block, the baseline.
+MultiGetResult RunLookups(const Scale& scale, bool multiget) {
   LatencyStack stack;
   stack.OpenAndLoad(scale);
   stack.ReopenCold();
 
   ReadOptions ro;
-  ro.batched_io = batched;
   ro.fill_cache = false;  // Keep every batch cold: this is the device story.
   Random rnd(0xa6);
   MultiGetResult r;
@@ -100,6 +100,13 @@ MultiGetResult RunMultiGet(const Scale& scale, bool batched) {
     for (size_t k = 0; k < kBatchKeys; ++k) {
       key_storage.push_back(
           WorkloadGenerator::FormatKey(rnd.Uniform(scale.keys)));
+    }
+    if (!multiget) {
+      std::string value;
+      for (const std::string& key : key_storage) {
+        BenchCheck(stack.db->Get(ro, key, &value), "Get");
+      }
+      continue;
     }
     std::vector<Slice> keys(key_storage.begin(), key_storage.end());
     std::vector<Status> statuses = stack.db->MultiGet(ro, keys, &values);
@@ -117,26 +124,25 @@ void RunMultiGetExperiment(const Scale& scale) {
   std::printf("\ncold-cache MultiGet, %llu batches x %zu keys "
               "(virtual SSD time)\n",
               static_cast<unsigned long long>(scale.batches), kBatchKeys);
-  MultiGetResult serial = RunMultiGet(scale, /*batched=*/false);
-  MultiGetResult batched = RunMultiGet(scale, /*batched=*/true);
+  MultiGetResult get_loop = RunLookups(scale, /*multiget=*/false);
+  MultiGetResult multiget = RunLookups(scale, /*multiget=*/true);
 
-  const double speedup = static_cast<double>(serial.virtual_micros) /
-                         static_cast<double>(batched.virtual_micros > 0
-                                                 ? batched.virtual_micros
+  const double speedup = static_cast<double>(get_loop.virtual_micros) /
+                         static_cast<double>(multiget.virtual_micros > 0
+                                                 ? multiget.virtual_micros
                                                  : 1);
   PrintHeader({"mode", "virtual ms", "us/batch", "io_batches",
                "reads/batch"});
-  PrintRow({"serial (batched_io=off)", Fmt(serial.virtual_micros / 1000.0, 1),
-            Fmt(static_cast<double>(serial.virtual_micros) / scale.batches, 1),
-            FmtInt(serial.io_batches), "-"});
-  PrintRow({"batched (batched_io=on)",
-            Fmt(batched.virtual_micros / 1000.0, 1),
-            Fmt(static_cast<double>(batched.virtual_micros) / scale.batches,
+  PrintRow({"Get loop", Fmt(get_loop.virtual_micros / 1000.0, 1),
+            Fmt(static_cast<double>(get_loop.virtual_micros) / scale.batches, 1),
+            FmtInt(get_loop.io_batches), "-"});
+  PrintRow({"MultiGet", Fmt(multiget.virtual_micros / 1000.0, 1),
+            Fmt(static_cast<double>(multiget.virtual_micros) / scale.batches,
                 1),
-            FmtInt(batched.io_batches),
-            Fmt(batched.io_batches > 0
-                    ? static_cast<double>(batched.io_batch_reads) /
-                          static_cast<double>(batched.io_batches)
+            FmtInt(multiget.io_batches),
+            Fmt(multiget.io_batches > 0
+                    ? static_cast<double>(multiget.io_batch_reads) /
+                          static_cast<double>(multiget.io_batches)
                     : 0.0,
                 1)});
   std::printf("MultiGet speedup: %.2fx %s\n", speedup,
@@ -244,7 +250,6 @@ void RunBackendMatrix(const Scale& scale) {
     BatchIoBackend backend;
     const char* name;
   } kBackends[] = {{BatchIoBackend::kSerial, "serial"},
-                   {BatchIoBackend::kThreadPool, "threadpool"},
                    {BatchIoBackend::kIoUring, "io_uring"}};
   for (const auto& entry : kBackends) {
     Env* env = PosixEnvWithBackend(entry.backend);

@@ -232,8 +232,7 @@ Status ShardedDB::Initialize() {
   // Process-wide resources: one block cache, one (dir-scoped) table cache,
   // one compaction rate budget, one background pool for all shards.
   if (options_.block_cache_capacity > 0) {
-    block_cache_ = std::make_unique<LruCache>(options_.block_cache_capacity,
-                                              options_.block_cache_shards);
+    block_cache_ = std::make_unique<LruCache>(options_.block_cache_capacity);
   }
   table_cache_ = std::make_unique<TableCache>(&options_, &internal_comparator_,
                                               block_cache_.get(), &stats_);

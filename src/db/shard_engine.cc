@@ -1310,7 +1310,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
     /// Readers that may hold this key, in probe order (level-major, run
     /// order within a level) — filled in phase B, drained in phase C.
     std::vector<TableReader*> probes;
-    /// Phase C (batched) cursor into `probes`.
+    /// Phase C cursor into `probes`.
     size_t next_probe = 0;
     explicit KeyState(const Slice& key, SequenceNumber seq)
         : lkey(key, seq) {}
@@ -1391,7 +1391,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
     }
   }
 
-  // Phase C (batched, the ReadOptions::batched_io default): rounds of one
+  // Phase C (wavefront): rounds of one
   // Env::MultiRead submission each. Every unresolved key locates — via its
   // current probe target's pinned index — the one data block that may hold
   // it; cache hits resolve immediately, the misses are deduped by
@@ -1400,7 +1400,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   // joins the next round, so a key never reads a deeper file until the
   // shallower one definitively missed — exactly Get's newest-wins walk,
   // with the per-round device trips collapsed from k to 1.
-  if (options.batched_io && remaining > 0) {
+  if (remaining > 0) {
     struct PendingProbe {
       size_t key;         // Index into states/statuses.
       size_t read_index;  // Index into the round's unique reads.
@@ -1556,45 +1556,6 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
         }
       }
       active = std::move(next_active);
-    }
-    return statuses;
-  }
-
-  // Phase C (serial, batched_io off — the A/B baseline of experiment A6):
-  // data-block reads, deferred until all filtering is done. Each
-  // key walks its probe list shallow-to-deep and stops at the first file
-  // holding any visible entry (InternalGet seeks to the newest entry <=
-  // snapshot within the file, so per-file resolution matches Get).
-  for (size_t i = 0; i < n; ++i) {
-    if (states[i].done) {
-      continue;
-    }
-    bool resolved = false;
-    for (TableReader* reader : states[i].probes) {
-      stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
-      bool found;
-      std::string entry_key;
-      std::string raw;
-      Status s = reader->InternalGet(options, states[i].lkey.internal_key(),
-                                     &found, &entry_key, &raw);
-      if (!s.ok()) {
-        statuses[i] = s;
-        resolved = true;
-        break;
-      }
-      if (!found) {
-        if (reader->has_filter()) {
-          stats_->filter_false_positives.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-        continue;
-      }
-      resolve_entry(i, ExtractValueType(entry_key), raw);
-      resolved = true;
-      break;
-    }
-    if (!resolved) {
-      statuses[i] = Status::NotFound("key not found");
     }
   }
   return statuses;

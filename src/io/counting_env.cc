@@ -4,35 +4,33 @@ namespace lsmlab {
 
 namespace {
 
-class CountingSequentialFile final : public SequentialFile {
+class CountingSequentialFile final : public SequentialFileWrapper {
  public:
   CountingSequentialFile(std::unique_ptr<SequentialFile> base,
                          CountingEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : SequentialFileWrapper(std::move(base)), env_(env) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
-    Status s = base_->Read(n, result, scratch);
+    Status s = SequentialFileWrapper::Read(n, result, scratch);
     if (s.ok()) {
       env_->RecordRead(result->size());
     }
     return s;
   }
-  Status Skip(uint64_t n) override { return base_->Skip(n); }
 
  private:
-  std::unique_ptr<SequentialFile> base_;
   CountingEnv* const env_;
 };
 
-class CountingRandomAccessFile final : public RandomAccessFile {
+class CountingRandomAccessFile final : public RandomAccessFileWrapper {
  public:
   CountingRandomAccessFile(std::unique_ptr<RandomAccessFile> base,
                            CountingEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : RandomAccessFileWrapper(std::move(base)), env_(env) {}
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    Status s = base_->Read(offset, n, result, scratch);
+    Status s = RandomAccessFileWrapper::Read(offset, n, result, scratch);
     if (s.ok()) {
       env_->RecordRead(result->size());
     }
@@ -40,53 +38,42 @@ class CountingRandomAccessFile final : public RandomAccessFile {
   }
 
   void MultiRead(ReadRequest* reqs, size_t n) const override {
-    base_->MultiRead(reqs, n);
-    for (size_t i = 0; i < n; ++i) {
-      if (reqs[i].status.ok()) {
-        env_->RecordRead(reqs[i].result.size());
-      }
-    }
-    env_->RecordBatch();
+    RandomAccessFileWrapper::MultiRead(reqs, n);
+    env_->RecordBatch(reqs, n);
   }
 
-  RandomAccessFile* target() const { return base_.get(); }
-
  private:
-  std::unique_ptr<RandomAccessFile> base_;
   CountingEnv* const env_;
 };
 
-class CountingWritableFile final : public WritableFile {
+class CountingWritableFile final : public WritableFileWrapper {
  public:
   CountingWritableFile(std::unique_ptr<WritableFile> base, CountingEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : WritableFileWrapper(std::move(base)), env_(env) {}
 
   Status Append(const Slice& data) override {
-    Status s = base_->Append(data);
+    Status s = WritableFileWrapper::Append(data);
     if (s.ok()) {
       env_->RecordWrite(data.size());
     }
     return s;
   }
-  Status Close() override { return base_->Close(); }
-  Status Flush() override { return base_->Flush(); }
   Status Sync() override {
     env_->RecordSync();
-    return base_->Sync();
+    return WritableFileWrapper::Sync();
   }
 
  private:
-  std::unique_ptr<WritableFile> base_;
   CountingEnv* const env_;
 };
 
-class CountingRandomRWFile final : public RandomRWFile {
+class CountingRandomRWFile final : public RandomRWFileWrapper {
  public:
   CountingRandomRWFile(std::unique_ptr<RandomRWFile> base, CountingEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : RandomRWFileWrapper(std::move(base)), env_(env) {}
 
   Status Write(uint64_t offset, const Slice& data) override {
-    Status s = base_->Write(offset, data);
+    Status s = RandomRWFileWrapper::Write(offset, data);
     if (s.ok()) {
       env_->RecordWrite(data.size());
     }
@@ -95,7 +82,7 @@ class CountingRandomRWFile final : public RandomRWFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    Status s = base_->Read(offset, n, result, scratch);
+    Status s = RandomRWFileWrapper::Read(offset, n, result, scratch);
     if (s.ok()) {
       env_->RecordRead(result->size());
     }
@@ -104,11 +91,10 @@ class CountingRandomRWFile final : public RandomRWFile {
 
   Status Sync() override {
     env_->RecordSync();
-    return base_->Sync();
+    return RandomRWFileWrapper::Sync();
   }
 
  private:
-  std::unique_ptr<RandomRWFile> base_;
   CountingEnv* const env_;
 };
 
@@ -116,74 +102,48 @@ class CountingRandomRWFile final : public RandomRWFile {
 
 Status CountingEnv::NewRandomRWFile(const std::string& fname,
                                     std::unique_ptr<RandomRWFile>* result) {
-  std::unique_ptr<RandomRWFile> base_file;
-  Status s = base_->NewRandomRWFile(fname, &base_file);
+  Status s = EnvWrapper::NewRandomRWFile(fname, result);
   if (s.ok()) {
-    *result =
-        std::make_unique<CountingRandomRWFile>(std::move(base_file), this);
+    *result = std::make_unique<CountingRandomRWFile>(std::move(*result), this);
   }
   return s;
 }
 
 Status CountingEnv::NewSequentialFile(
     const std::string& fname, std::unique_ptr<SequentialFile>* result) {
-  std::unique_ptr<SequentialFile> base_file;
-  Status s = base_->NewSequentialFile(fname, &base_file);
+  Status s = EnvWrapper::NewSequentialFile(fname, result);
   if (s.ok()) {
     *result =
-        std::make_unique<CountingSequentialFile>(std::move(base_file), this);
+        std::make_unique<CountingSequentialFile>(std::move(*result), this);
   }
   return s;
 }
 
 Status CountingEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  std::unique_ptr<RandomAccessFile> base_file;
-  Status s = base_->NewRandomAccessFile(fname, &base_file);
+  Status s = EnvWrapper::NewRandomAccessFile(fname, result);
   if (s.ok()) {
     *result =
-        std::make_unique<CountingRandomAccessFile>(std::move(base_file), this);
+        std::make_unique<CountingRandomAccessFile>(std::move(*result), this);
   }
   return s;
 }
 
 Status CountingEnv::NewWritableFile(const std::string& fname,
                                     std::unique_ptr<WritableFile>* result) {
-  std::unique_ptr<WritableFile> base_file;
-  Status s = base_->NewWritableFile(fname, &base_file);
+  Status s = EnvWrapper::NewWritableFile(fname, result);
   if (s.ok()) {
     files_created_.fetch_add(1, std::memory_order_relaxed);
-    *result =
-        std::make_unique<CountingWritableFile>(std::move(base_file), this);
+    *result = std::make_unique<CountingWritableFile>(std::move(*result), this);
   }
   return s;
 }
 
 void CountingEnv::MultiRead(ReadRequest* reqs, size_t n) {
-  // Swap each request's file for the wrapped target so the base env sees
-  // one cross-file batch. A request on a foreign file (not opened through
-  // this env) falls back to the default per-file grouping, where the
-  // file-level wrappers do the counting instead.
-  std::vector<ReadRequest> shadow(reqs, reqs + n);
-  for (size_t i = 0; i < n; ++i) {
-    auto* wrapped = dynamic_cast<CountingRandomAccessFile*>(reqs[i].file);
-    if (wrapped == nullptr) {
-      // The per-file groups reach CountingRandomAccessFile::MultiRead,
-      // which does the counting (including RecordBatch per group).
-      Env::MultiRead(reqs, n);
-      return;
-    }
-    shadow[i].file = wrapped->target();
+  // On the fallback path the file-level wrappers did the counting.
+  if (UnwrapMultiRead<CountingRandomAccessFile>(reqs, n)) {
+    RecordBatch(reqs, n);
   }
-  base_->MultiRead(shadow.data(), n);
-  for (size_t i = 0; i < n; ++i) {
-    reqs[i].result = shadow[i].result;
-    reqs[i].status = shadow[i].status;
-    if (reqs[i].status.ok()) {
-      RecordRead(reqs[i].result.size());
-    }
-  }
-  RecordBatch();
 }
 
 IoStats CountingEnv::GetStats() const {

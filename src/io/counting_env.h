@@ -34,10 +34,10 @@ struct IoStats {
 };
 
 /// Env decorator that tallies every I/O passing through it. Thread-safe.
-class CountingEnv final : public Env {
+class CountingEnv final : public EnvWrapper {
  public:
   /// Does not take ownership of `base`.
-  explicit CountingEnv(Env* base) : base_(base) {}
+  explicit CountingEnv(Env* base) : EnvWrapper(base) {}
 
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override;
@@ -48,39 +48,16 @@ class CountingEnv final : public Env {
                          std::unique_ptr<WritableFile>* result) override;
   Status NewRandomRWFile(const std::string& fname,
                          std::unique_ptr<RandomRWFile>* result) override;
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
   Status RemoveFile(const std::string& fname) override {
-    Status s = base_->RemoveFile(fname);
+    Status s = EnvWrapper::RemoveFile(fname);
     if (s.ok()) {
       files_removed_.fetch_add(1, std::memory_order_relaxed);
     }
     return s;
   }
-  Status CreateDir(const std::string& dirname) override {
-    return base_->CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return base_->RemoveDir(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return base_->RenameFile(src, target);
-  }
-  Status LinkFile(const std::string& src, const std::string& target) override {
-    return base_->LinkFile(src, target);
-  }
-  /// Unwraps this env's own file wrappers so the whole cross-file batch
-  /// reaches the base env as one submission; each request is still tallied
-  /// in read_ops/bytes_read exactly as a serial loop would.
+  /// Forwards the whole cross-file batch to the base env as one
+  /// submission; each request is still tallied in read_ops/bytes_read
+  /// exactly as a serial loop would.
   void MultiRead(ReadRequest* reqs, size_t n) override;
 
   IoStats GetStats() const;
@@ -96,12 +73,18 @@ class CountingEnv final : public Env {
     write_ops_.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordSync() { syncs_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordBatch() {
+  /// One completed MultiRead submission: every successful request tallies
+  /// as a read, the submission as one batch.
+  void RecordBatch(const ReadRequest* reqs, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (reqs[i].status.ok()) {
+        RecordRead(reqs[i].result.size());
+      }
+    }
     multiread_batches_.fetch_add(1, std::memory_order_relaxed);
   }
 
  private:
-  Env* const base_;
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> read_ops_{0};

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/slice.h"
@@ -90,7 +91,8 @@ class WritableFile {
 
 /// Env abstracts the storage substrate. Production code uses the POSIX Env;
 /// tests use MemEnv; measurement wraps either in CountingEnv, and device
-/// emulation wraps in LatencyEnv. All methods are thread-safe.
+/// emulation wraps in LatencyEnv (both EnvWrapper decorators, below). All
+/// methods are thread-safe.
 class Env {
  public:
   virtual ~Env() = default;
@@ -141,29 +143,180 @@ class Env {
 
 /// Which mechanism the POSIX env uses to execute MultiRead batches.
 enum class BatchIoBackend {
-  /// One blocking pread per request, in order (the measurement baseline).
+  /// One blocking pread per request, in order. The portable fallback.
   kSerial,
-  /// Requests fan out over a small dedicated I/O thread pool; the calling
-  /// thread executes one itself. Portable to any kernel.
-  kThreadPool,
   /// One io_uring submission (single io_uring_enter) for the whole batch.
   /// Linux-only; requires LSMLAB_IO_URING at build time and a kernel that
   /// accepts io_uring_setup at run time.
   kIoUring,
 };
 
-/// The POSIX substrate with a pinned batch backend, for tests, benches, and
-/// the CI backend matrix. Returns a process-wide singleton (do not delete),
-/// or nullptr for kIoUring when unavailable (compiled out, or the kernel /
-/// container seccomp profile refuses io_uring_setup — probed once).
-/// Env::Default() prefers io_uring and falls back to the thread pool;
-/// the LSMLAB_IO_BACKEND environment variable (serial|threadpool|uring)
-/// overrides the choice for a whole process.
+/// The POSIX substrate with a pinned batch backend, for tests and benches.
+/// Returns a process-wide singleton (do not delete), or nullptr for
+/// kIoUring when unavailable (compiled out, or the kernel / container
+/// seccomp profile refuses io_uring_setup — probed once).
+/// Env::Default() is the io_uring env where available, else the serial one.
 Env* PosixEnvWithBackend(BatchIoBackend backend);
 
 /// True when the io_uring backend is compiled in and the kernel accepts
 /// io_uring_setup (ENOSYS/EPERM fallback detection; result is cached).
 bool IoUringAvailable();
+
+// ---------------------------------------------------------------------------
+// Forwarding bases for Env decorators (DESIGN.md, "Decorator forwarding").
+// Each forwards every call to the object it wraps, so a decorator overrides
+// only the calls it observes.
+// ---------------------------------------------------------------------------
+
+class SequentialFileWrapper : public SequentialFile {
+ public:
+  explicit SequentialFileWrapper(std::unique_ptr<SequentialFile> target)
+      : target_(std::move(target)) {}
+
+  Status Read(size_t n, Slice* result, char* scratch) override {
+    return target_->Read(n, result, scratch);
+  }
+  Status Skip(uint64_t n) override { return target_->Skip(n); }
+
+ private:
+  const std::unique_ptr<SequentialFile> target_;
+};
+
+class RandomAccessFileWrapper : public RandomAccessFile {
+ public:
+  explicit RandomAccessFileWrapper(std::unique_ptr<RandomAccessFile> target)
+      : target_(std::move(target)) {}
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    return target_->Read(offset, n, result, scratch);
+  }
+  void MultiRead(ReadRequest* reqs, size_t n) const override {
+    target_->MultiRead(reqs, n);
+  }
+
+  RandomAccessFile* target() const { return target_.get(); }
+
+ private:
+  const std::unique_ptr<RandomAccessFile> target_;
+};
+
+class WritableFileWrapper : public WritableFile {
+ public:
+  explicit WritableFileWrapper(std::unique_ptr<WritableFile> target)
+      : target_(std::move(target)) {}
+
+  Status Append(const Slice& data) override { return target_->Append(data); }
+  Status Close() override { return target_->Close(); }
+  Status Flush() override { return target_->Flush(); }
+  Status Sync() override { return target_->Sync(); }
+
+ private:
+  const std::unique_ptr<WritableFile> target_;
+};
+
+class RandomRWFileWrapper : public RandomRWFile {
+ public:
+  explicit RandomRWFileWrapper(std::unique_ptr<RandomRWFile> target)
+      : target_(std::move(target)) {}
+
+  Status Write(uint64_t offset, const Slice& data) override {
+    return target_->Write(offset, data);
+  }
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    return target_->Read(offset, n, result, scratch);
+  }
+  Status Sync() override { return target_->Sync(); }
+
+ private:
+  const std::unique_ptr<RandomRWFile> target_;
+};
+
+class EnvWrapper : public Env {
+ public:
+  /// Does not take ownership of `target`.
+  explicit EnvWrapper(Env* target) : target_(target) {}
+
+  Env* target() const { return target_; }
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return target_->NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return target_->NewRandomAccessFile(fname, result);
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return target_->NewWritableFile(fname, result);
+  }
+  Status NewRandomRWFile(const std::string& fname,
+                         std::unique_ptr<RandomRWFile>* result) override {
+    return target_->NewRandomRWFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return target_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return target_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return target_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return target_->CreateDir(dirname);
+  }
+  Status RemoveDir(const std::string& dirname) override {
+    return target_->RemoveDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return target_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src, const std::string& dst) override {
+    return target_->RenameFile(src, dst);
+  }
+  Status LinkFile(const std::string& src, const std::string& dst) override {
+    return target_->LinkFile(src, dst);
+  }
+  void MultiRead(ReadRequest* reqs, size_t n) override {
+    target_->MultiRead(reqs, n);
+  }
+
+ protected:
+  /// The cross-file batch path of a decorator whose random-access files
+  /// are `File`s (a RandomAccessFileWrapper subclass): swaps each request's
+  /// file for the file it wraps, hands the whole batch to the target env
+  /// as ONE MultiRead, and returns true. If a request names a file this env
+  /// did not open, the batch goes through Env::MultiRead instead — its
+  /// per-file groups reach each `File`'s own MultiRead override, which does
+  /// the decorator's bookkeeping — and the helper returns false, so the
+  /// caller must skip its batch-level bookkeeping.
+  template <typename File>
+  bool UnwrapMultiRead(ReadRequest* reqs, size_t n) {
+    std::vector<ReadRequest> batch(reqs, reqs + n);
+    for (ReadRequest& req : batch) {
+      const auto* file = dynamic_cast<const File*>(req.file);
+      if (file == nullptr) {
+        Env::MultiRead(reqs, n);
+        return false;
+      }
+      req.file = file->target();
+    }
+    target_->MultiRead(batch.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      reqs[i].result = batch[i].result;
+      reqs[i].status = batch[i].status;
+    }
+    return true;
+  }
+
+ private:
+  Env* const target_;
+};
 
 /// Reads the entire named file into `*data`.
 Status ReadFileToString(Env* env, const std::string& fname, std::string* data);

@@ -16,12 +16,15 @@ Status InactiveError() {
 /// Write-through writable file: appends reach the base file immediately
 /// (the DB reads its own unsynced output), but the env records how much of
 /// the file is covered by a successful Sync() so DropUnsyncedData can
-/// rewind to the durable prefix.
-class FaultWritableFile final : public WritableFile {
+/// rewind to the durable prefix. Close() never implies durability, so it
+/// forwards untracked: unsynced bytes stay droppable.
+class FaultWritableFile final : public WritableFileWrapper {
  public:
   FaultWritableFile(std::string fname, std::unique_ptr<WritableFile> inner,
                     FaultInjectionEnv* env)
-      : fname_(std::move(fname)), inner_(std::move(inner)), env_(env) {}
+      : WritableFileWrapper(std::move(inner)),
+        fname_(std::move(fname)),
+        env_(env) {}
 
   Status Append(const Slice& data) override {
     if (!env_->filesystem_active()) {
@@ -34,19 +37,12 @@ class FaultWritableFile final : public WritableFile {
     if (env_->MaybeInjectFault(fname_, kFaultOpAppend, &injected)) {
       return injected;
     }
-    Status s = inner_->Append(data);
+    Status s = WritableFileWrapper::Append(data);
     if (s.ok()) {
       env_->OnAppend(fname_, data.size());
     }
     return s;
   }
-
-  Status Close() override {
-    // Closing never implies durability: unsynced bytes stay droppable.
-    return inner_->Close();
-  }
-
-  Status Flush() override { return inner_->Flush(); }
 
   Status Sync() override {
     if (!env_->filesystem_active()) {
@@ -59,7 +55,7 @@ class FaultWritableFile final : public WritableFile {
     if (env_->MaybeInjectFault(fname_, kFaultOpSync, &injected)) {
       return injected;
     }
-    Status s = inner_->Sync();
+    Status s = WritableFileWrapper::Sync();
     if (s.ok()) {
       env_->OnSync(fname_);
     }
@@ -68,7 +64,6 @@ class FaultWritableFile final : public WritableFile {
 
  private:
   const std::string fname_;
-  std::unique_ptr<WritableFile> inner_;
   FaultInjectionEnv* const env_;
 };
 
@@ -85,38 +80,77 @@ void CorruptReadResult(Slice* result, char* scratch) {
   *result = Slice(scratch, result->size());
 }
 
-class FaultSequentialFile final : public SequentialFile {
+/// Batched reads keep serial fault semantics by phase separation: all
+/// injected-error checks run in request order BEFORE the batch is
+/// dispatched, and all corruption checks run in request order over the
+/// successful reads AFTER it completes. Error rules (flip_bit == false)
+/// and corruption rules (flip_bit == true) have disjoint matched-op
+/// counters, so each rule still fires on exactly the op index a serial
+/// Read loop would. `fname(i)` names request i's file; `read` executes the
+/// requests that drew no injected error as one batch.
+template <typename FnameFn, typename ReadFn>
+void MultiReadWithFaults(FaultInjectionEnv* env, ReadRequest* reqs, size_t n,
+                         FnameFn fname, ReadFn read) {
+  std::vector<ReadRequest> pass;
+  std::vector<size_t> pass_idx;
+  pass.reserve(n);
+  pass_idx.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Status injected;
+    if (env->MaybeInjectFault(fname(i), kFaultOpRead, &injected)) {
+      reqs[i].result = Slice();
+      reqs[i].status = injected;
+      continue;
+    }
+    pass.push_back(reqs[i]);
+    pass_idx.push_back(i);
+  }
+  if (!pass.empty()) {
+    read(pass.data(), pass.size());
+  }
+  for (size_t k = 0; k < pass.size(); ++k) {
+    ReadRequest& req = reqs[pass_idx[k]];
+    req.result = pass[k].result;
+    req.status = pass[k].status;
+    if (req.status.ok() && env->MaybeCorruptRead(fname(pass_idx[k]))) {
+      CorruptReadResult(&req.result, req.scratch);
+    }
+  }
+}
+
+class FaultSequentialFile final : public SequentialFileWrapper {
  public:
   FaultSequentialFile(std::string fname, std::unique_ptr<SequentialFile> inner,
                       FaultInjectionEnv* env)
-      : fname_(std::move(fname)), inner_(std::move(inner)), env_(env) {}
+      : SequentialFileWrapper(std::move(inner)),
+        fname_(std::move(fname)),
+        env_(env) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
     Status injected;
     if (env_->MaybeInjectFault(fname_, kFaultOpRead, &injected)) {
       return injected;
     }
-    Status s = inner_->Read(n, result, scratch);
+    Status s = SequentialFileWrapper::Read(n, result, scratch);
     if (s.ok() && env_->MaybeCorruptRead(fname_)) {
       CorruptReadResult(result, scratch);
     }
     return s;
   }
 
-  Status Skip(uint64_t n) override { return inner_->Skip(n); }
-
  private:
   const std::string fname_;
-  std::unique_ptr<SequentialFile> inner_;
   FaultInjectionEnv* const env_;
 };
 
-class FaultRandomAccessFile final : public RandomAccessFile {
+class FaultRandomAccessFile final : public RandomAccessFileWrapper {
  public:
   FaultRandomAccessFile(std::string fname,
                         std::unique_ptr<RandomAccessFile> inner,
                         FaultInjectionEnv* env)
-      : fname_(std::move(fname)), inner_(std::move(inner)), env_(env) {}
+      : RandomAccessFileWrapper(std::move(inner)),
+        fname_(std::move(fname)),
+        env_(env) {}
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
@@ -124,61 +158,32 @@ class FaultRandomAccessFile final : public RandomAccessFile {
     if (env_->MaybeInjectFault(fname_, kFaultOpRead, &injected)) {
       return injected;
     }
-    Status s = inner_->Read(offset, n, result, scratch);
+    Status s = RandomAccessFileWrapper::Read(offset, n, result, scratch);
     if (s.ok() && env_->MaybeCorruptRead(fname_)) {
       CorruptReadResult(result, scratch);
     }
     return s;
   }
 
-  // Batched reads keep serial fault semantics by phase separation: all
-  // injected-error checks run in request order BEFORE the batch is
-  // dispatched, and all corruption checks run in request order over the
-  // successful reads AFTER it completes. Error rules (flip_bit == false)
-  // and corruption rules (flip_bit == true) have disjoint matched-op
-  // counters, so each rule still fires on exactly the op index a serial
-  // Read loop would.
   void MultiRead(ReadRequest* reqs, size_t n) const override {
-    std::vector<ReadRequest> pass;
-    std::vector<size_t> pass_idx;
-    pass.reserve(n);
-    pass_idx.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Status injected;
-      if (env_->MaybeInjectFault(fname_, kFaultOpRead, &injected)) {
-        reqs[i].result = Slice();
-        reqs[i].status = injected;
-        continue;
-      }
-      pass.push_back(reqs[i]);
-      pass_idx.push_back(i);
-    }
-    if (!pass.empty()) {
-      inner_->MultiRead(pass.data(), pass.size());
-    }
-    for (size_t k = 0; k < pass.size(); ++k) {
-      ReadRequest& req = reqs[pass_idx[k]];
-      req.result = pass[k].result;
-      req.status = pass[k].status;
-      if (req.status.ok() && env_->MaybeCorruptRead(fname_)) {
-        CorruptReadResult(&req.result, req.scratch);
-      }
-    }
+    MultiReadWithFaults(
+        env_, reqs, n, [this](size_t) -> const std::string& { return fname_; },
+        [this](ReadRequest* pass, size_t m) {
+          RandomAccessFileWrapper::MultiRead(pass, m);
+        });
   }
 
-  RandomAccessFile* target() const { return inner_.get(); }
   const std::string& fname() const { return fname_; }
 
  private:
   const std::string fname_;
-  std::unique_ptr<RandomAccessFile> inner_;
   FaultInjectionEnv* const env_;
 };
 
 }  // namespace
 
 FaultInjectionEnv::FaultInjectionEnv(Env* base, uint64_t seed)
-    : base_(base), rng_(seed) {}
+    : EnvWrapper(base), rng_(seed) {}
 
 bool IsNoSpaceError(const Status& s) {
   return s.IsIOError() &&
@@ -304,26 +309,22 @@ void FaultInjectionEnv::OnSync(const std::string& fname) {
 
 Status FaultInjectionEnv::NewSequentialFile(
     const std::string& fname, std::unique_ptr<SequentialFile>* result) {
-  std::unique_ptr<SequentialFile> inner;
-  Status s = base_->NewSequentialFile(fname, &inner);
-  if (!s.ok()) {
-    return s;
+  Status s = EnvWrapper::NewSequentialFile(fname, result);
+  if (s.ok()) {
+    *result =
+        std::make_unique<FaultSequentialFile>(fname, std::move(*result), this);
   }
-  *result = std::make_unique<FaultSequentialFile>(fname, std::move(inner),
-                                                  this);
-  return Status::OK();
+  return s;
 }
 
 Status FaultInjectionEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  std::unique_ptr<RandomAccessFile> inner;
-  Status s = base_->NewRandomAccessFile(fname, &inner);
-  if (!s.ok()) {
-    return s;
+  Status s = EnvWrapper::NewRandomAccessFile(fname, result);
+  if (s.ok()) {
+    *result = std::make_unique<FaultRandomAccessFile>(fname,
+                                                      std::move(*result), this);
   }
-  *result = std::make_unique<FaultRandomAccessFile>(fname, std::move(inner),
-                                                    this);
-  return Status::OK();
+  return s;
 }
 
 Status FaultInjectionEnv::NewWritableFile(
@@ -335,8 +336,7 @@ Status FaultInjectionEnv::NewWritableFile(
   if (MaybeInjectFault(fname, kFaultOpOpen, &injected)) {
     return injected;
   }
-  std::unique_ptr<WritableFile> inner;
-  Status s = base_->NewWritableFile(fname, &inner);
+  Status s = EnvWrapper::NewWritableFile(fname, result);
   if (!s.ok()) {
     return s;
   }
@@ -345,7 +345,8 @@ Status FaultInjectionEnv::NewWritableFile(
     MutexLock lock(&mu_);
     files_[fname] = FileState{};
   }
-  *result = std::make_unique<FaultWritableFile>(fname, std::move(inner), this);
+  *result =
+      std::make_unique<FaultWritableFile>(fname, std::move(*result), this);
   return Status::OK();
 }
 
@@ -360,51 +361,28 @@ Status FaultInjectionEnv::NewRandomRWFile(
   if (MaybeInjectFault(fname, kFaultOpOpen, &injected)) {
     return injected;
   }
-  return base_->NewRandomRWFile(fname, result);
+  return EnvWrapper::NewRandomRWFile(fname, result);
 }
 
 void FaultInjectionEnv::MultiRead(ReadRequest* reqs, size_t n) {
+  std::vector<const FaultRandomAccessFile*> files(n);
   for (size_t i = 0; i < n; ++i) {
-    if (dynamic_cast<FaultRandomAccessFile*>(reqs[i].file) == nullptr) {
+    files[i] = dynamic_cast<const FaultRandomAccessFile*>(reqs[i].file);
+    if (files[i] == nullptr) {
       // Foreign file in the batch: per-file groups reach the file-level
-      // wrapper override, which keeps serial semantics within each group.
+      // override, which keeps serial semantics within each group.
       Env::MultiRead(reqs, n);
       return;
     }
   }
-  // Same two-phase split as the file-level override (see
-  // FaultRandomAccessFile::MultiRead), here across files: checks follow
-  // request order even when the batch interleaves files, which the default
-  // group-by-file dispatch would reorder.
-  std::vector<ReadRequest> pass;
-  std::vector<size_t> pass_idx;
-  pass.reserve(n);
-  pass_idx.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto* file = static_cast<FaultRandomAccessFile*>(reqs[i].file);
-    Status injected;
-    if (MaybeInjectFault(file->fname(), kFaultOpRead, &injected)) {
-      reqs[i].result = Slice();
-      reqs[i].status = injected;
-      continue;
-    }
-    ReadRequest shadow = reqs[i];
-    shadow.file = file->target();
-    pass.push_back(shadow);
-    pass_idx.push_back(i);
-  }
-  if (!pass.empty()) {
-    base_->MultiRead(pass.data(), pass.size());
-  }
-  for (size_t k = 0; k < pass.size(); ++k) {
-    ReadRequest& req = reqs[pass_idx[k]];
-    auto* file = static_cast<FaultRandomAccessFile*>(req.file);
-    req.result = pass[k].result;
-    req.status = pass[k].status;
-    if (req.status.ok() && MaybeCorruptRead(file->fname())) {
-      CorruptReadResult(&req.result, req.scratch);
-    }
-  }
+  // Checks follow request order even when the batch interleaves files,
+  // which the per-file grouping of Env::MultiRead would reorder.
+  MultiReadWithFaults(
+      this, reqs, n,
+      [&files](size_t i) -> const std::string& { return files[i]->fname(); },
+      [this](ReadRequest* pass, size_t m) {
+        UnwrapMultiRead<FaultRandomAccessFile>(pass, m);
+      });
 }
 
 Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
@@ -415,7 +393,7 @@ Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
   if (MaybeInjectFault(fname, kFaultOpRemove, &injected)) {
     return injected;
   }
-  Status s = base_->RemoveFile(fname);
+  Status s = EnvWrapper::RemoveFile(fname);
   if (s.ok()) {
     MutexLock lock(&mu_);
     files_.erase(fname);
@@ -427,14 +405,14 @@ Status FaultInjectionEnv::CreateDir(const std::string& dirname) {
   if (!filesystem_active()) {
     return InactiveError();
   }
-  return base_->CreateDir(dirname);
+  return EnvWrapper::CreateDir(dirname);
 }
 
 Status FaultInjectionEnv::RemoveDir(const std::string& dirname) {
   if (!filesystem_active()) {
     return InactiveError();
   }
-  return base_->RemoveDir(dirname);
+  return EnvWrapper::RemoveDir(dirname);
 }
 
 Status FaultInjectionEnv::RenameFile(const std::string& src,
@@ -446,7 +424,7 @@ Status FaultInjectionEnv::RenameFile(const std::string& src,
   if (MaybeInjectFault(src, kFaultOpRename, &injected)) {
     return injected;
   }
-  Status s = base_->RenameFile(src, target);
+  Status s = EnvWrapper::RenameFile(src, target);
   if (s.ok()) {
     MutexLock lock(&mu_);
     auto it = files_.find(src);
@@ -467,7 +445,7 @@ Status FaultInjectionEnv::LinkFile(const std::string& src,
   if (MaybeInjectFault(src, kFaultOpLink, &injected)) {
     return injected;
   }
-  Status s = base_->LinkFile(src, target);
+  Status s = EnvWrapper::LinkFile(src, target);
   if (s.ok()) {
     MutexLock lock(&mu_);
     auto it = files_.find(src);
@@ -495,7 +473,7 @@ Status FaultInjectionEnv::DropUnsyncedData(uint64_t torn_tail_one_in) {
       continue;  // Fully durable.
     }
     std::string contents;
-    Status s = ReadFileToString(base_, fname, &contents);
+    Status s = ReadFileToString(target(), fname, &contents);
     if (s.IsNotFound()) {
       it = files_.erase(it);  // Already gone (renamed-over or removed).
       continue;
@@ -523,14 +501,14 @@ Status FaultInjectionEnv::DropUnsyncedData(uint64_t torn_tail_one_in) {
     if (keep.empty()) {
       // Never synced: after a crash the file (its directory entry was never
       // fsynced either) is simply gone.
-      s = base_->RemoveFile(fname);
+      s = target()->RemoveFile(fname);
       if (!s.ok() && !s.IsNotFound()) {
         return s;
       }
       it = files_.erase(it);
       continue;
     }
-    s = WriteStringToFile(base_, keep, fname);
+    s = WriteStringToFile(target(), keep, fname);
     if (!s.ok()) {
       return s;
     }

@@ -91,7 +91,7 @@ bool IsNoSpaceError(const Status& s);
 /// each file back to its synced prefix — never-synced files disappear
 /// entirely — optionally leaving a deterministic torn tail. Thread-safe;
 /// does not take ownership of `base`.
-class FaultInjectionEnv final : public Env {
+class FaultInjectionEnv final : public EnvWrapper {
  public:
   explicit FaultInjectionEnv(Env* base, uint64_t seed = 0xfeedfacedeadbeefull);
 
@@ -140,19 +140,9 @@ class FaultInjectionEnv final : public Env {
                          std::unique_ptr<WritableFile>* result) override;
   Status NewRandomRWFile(const std::string& fname,
                          std::unique_ptr<RandomRWFile>* result) override;
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
   Status RemoveFile(const std::string& fname) override;
   Status CreateDir(const std::string& dirname) override;
   Status RemoveDir(const std::string& dirname) override;
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
   Status RenameFile(const std::string& src, const std::string& target) override;
   /// Forwards the link and copies the source's synced-prefix bookkeeping to
   /// the target: a linked file is exactly as durable as its source, so a
@@ -162,8 +152,8 @@ class FaultInjectionEnv final : public Env {
   /// injected-error rule check runs in request order before dispatch, every
   /// flip_bit check in request order after completion, so scripted
   /// at_op_index rules fire on the same per-rule op index as a serial Read
-  /// loop over the same requests. Unwraps this env's own file wrappers so
-  /// the base env sees one cross-file batch.
+  /// loop over the same requests. The base env sees the surviving requests
+  /// as one cross-file batch.
   void MultiRead(ReadRequest* reqs, size_t n) override;
 
   // Internal taps used by the wrapper file classes (public for them only).
@@ -193,7 +183,6 @@ class FaultInjectionEnv final : public Env {
   static uint32_t FileKindOf(const std::string& fname);
   bool RuleFires(RuleState* rs) REQUIRES(mu_);
 
-  Env* const base_;
   std::atomic<bool> filesystem_active_{true};
   std::atomic<bool> fail_writes_{false};
   std::atomic<uint64_t> injected_faults_{0};

@@ -4,35 +4,33 @@ namespace lsmlab {
 
 namespace {
 
-class LatencySequentialFile final : public SequentialFile {
+class LatencySequentialFile final : public SequentialFileWrapper {
  public:
   LatencySequentialFile(std::unique_ptr<SequentialFile> base,
                         const LatencyEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : SequentialFileWrapper(std::move(base)), env_(env) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
-    Status s = base_->Read(n, result, scratch);
+    Status s = SequentialFileWrapper::Read(n, result, scratch);
     if (s.ok()) {
       env_->ChargeIo(result->size());
     }
     return s;
   }
-  Status Skip(uint64_t n) override { return base_->Skip(n); }
 
  private:
-  std::unique_ptr<SequentialFile> base_;
   const LatencyEnv* const env_;
 };
 
-class LatencyRandomAccessFile final : public RandomAccessFile {
+class LatencyRandomAccessFile final : public RandomAccessFileWrapper {
  public:
   LatencyRandomAccessFile(std::unique_ptr<RandomAccessFile> base,
                           const LatencyEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : RandomAccessFileWrapper(std::move(base)), env_(env) {}
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    Status s = base_->Read(offset, n, result, scratch);
+    Status s = RandomAccessFileWrapper::Read(offset, n, result, scratch);
     if (s.ok()) {
       env_->ChargeIo(result->size());
     }
@@ -40,40 +38,29 @@ class LatencyRandomAccessFile final : public RandomAccessFile {
   }
 
   void MultiRead(ReadRequest* reqs, size_t n) const override {
-    base_->MultiRead(reqs, n);
-    uint64_t total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (reqs[i].status.ok()) {
-        total += reqs[i].result.size();
-      }
-    }
-    env_->ChargeIo(total);  // One op charge for the whole batch (NCQ).
+    RandomAccessFileWrapper::MultiRead(reqs, n);
+    env_->ChargeBatch(reqs, n);
   }
 
-  RandomAccessFile* target() const { return base_.get(); }
-
  private:
-  std::unique_ptr<RandomAccessFile> base_;
   const LatencyEnv* const env_;
 };
 
-class LatencyWritableFile final : public WritableFile {
+class LatencyWritableFile final : public WritableFileWrapper {
  public:
   LatencyWritableFile(std::unique_ptr<WritableFile> base,
                       const LatencyEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : WritableFileWrapper(std::move(base)), env_(env) {}
 
   Status Append(const Slice& data) override {
-    Status s = base_->Append(data);
+    Status s = WritableFileWrapper::Append(data);
     if (s.ok()) {
       env_->ChargeIo(data.size());
     }
     return s;
   }
-  Status Close() override { return base_->Close(); }
-  Status Flush() override { return base_->Flush(); }
   Status Sync() override {
-    Status s = base_->Sync();
+    Status s = WritableFileWrapper::Sync();
     if (s.ok()) {
       // An fsync costs one device round trip regardless of bytes; this is
       // what group commit amortizes across writers.
@@ -83,18 +70,17 @@ class LatencyWritableFile final : public WritableFile {
   }
 
  private:
-  std::unique_ptr<WritableFile> base_;
   const LatencyEnv* const env_;
 };
 
-class LatencyRandomRWFile final : public RandomRWFile {
+class LatencyRandomRWFile final : public RandomRWFileWrapper {
  public:
   LatencyRandomRWFile(std::unique_ptr<RandomRWFile> base,
                       const LatencyEnv* env)
-      : base_(std::move(base)), env_(env) {}
+      : RandomRWFileWrapper(std::move(base)), env_(env) {}
 
   Status Write(uint64_t offset, const Slice& data) override {
-    Status s = base_->Write(offset, data);
+    Status s = RandomRWFileWrapper::Write(offset, data);
     if (s.ok()) {
       env_->ChargeIo(data.size());
     }
@@ -103,17 +89,22 @@ class LatencyRandomRWFile final : public RandomRWFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    Status s = base_->Read(offset, n, result, scratch);
+    Status s = RandomRWFileWrapper::Read(offset, n, result, scratch);
     if (s.ok()) {
       env_->ChargeIo(result->size());
     }
     return s;
   }
 
-  Status Sync() override { return base_->Sync(); }
+  Status Sync() override {
+    Status s = RandomRWFileWrapper::Sync();
+    if (s.ok()) {
+      env_->ChargeIo(0);  // One device round trip, as for WritableFile.
+    }
+    return s;
+  }
 
  private:
-  std::unique_ptr<RandomRWFile> base_;
   const LatencyEnv* const env_;
 };
 
@@ -121,37 +112,18 @@ class LatencyRandomRWFile final : public RandomRWFile {
 
 Status LatencyEnv::NewRandomRWFile(const std::string& fname,
                                    std::unique_ptr<RandomRWFile>* result) {
-  std::unique_ptr<RandomRWFile> base_file;
-  Status s = base_->NewRandomRWFile(fname, &base_file);
+  Status s = EnvWrapper::NewRandomRWFile(fname, result);
   if (s.ok()) {
-    *result =
-        std::make_unique<LatencyRandomRWFile>(std::move(base_file), this);
+    *result = std::make_unique<LatencyRandomRWFile>(std::move(*result), this);
   }
   return s;
 }
 
 void LatencyEnv::MultiRead(ReadRequest* reqs, size_t n) {
-  std::vector<ReadRequest> shadow(reqs, reqs + n);
-  for (size_t i = 0; i < n; ++i) {
-    auto* wrapped = dynamic_cast<LatencyRandomAccessFile*>(reqs[i].file);
-    if (wrapped == nullptr) {
-      // Foreign file in the batch: the per-file groups reach
-      // LatencyRandomAccessFile::MultiRead, which charges per group.
-      Env::MultiRead(reqs, n);
-      return;
-    }
-    shadow[i].file = wrapped->target();
+  // On the fallback path the file-level wrappers charged per file group.
+  if (UnwrapMultiRead<LatencyRandomAccessFile>(reqs, n)) {
+    ChargeBatch(reqs, n);
   }
-  base_->MultiRead(shadow.data(), n);
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    reqs[i].result = shadow[i].result;
-    reqs[i].status = shadow[i].status;
-    if (reqs[i].status.ok()) {
-      total += reqs[i].result.size();
-    }
-  }
-  ChargeIo(total);  // One op charge for the whole cross-file batch (NCQ).
 }
 
 void LatencyEnv::ChargeIo(uint64_t bytes) const {
@@ -162,35 +134,40 @@ void LatencyEnv::ChargeIo(uint64_t bytes) const {
   clock_->SleepForMicros(model_.per_op_latency_micros + transfer_micros);
 }
 
+void LatencyEnv::ChargeBatch(const ReadRequest* reqs, size_t n) const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (reqs[i].status.ok()) {
+      total += reqs[i].result.size();
+    }
+  }
+  ChargeIo(total);
+}
+
 Status LatencyEnv::NewSequentialFile(
     const std::string& fname, std::unique_ptr<SequentialFile>* result) {
-  std::unique_ptr<SequentialFile> base_file;
-  Status s = base_->NewSequentialFile(fname, &base_file);
+  Status s = EnvWrapper::NewSequentialFile(fname, result);
   if (s.ok()) {
-    *result =
-        std::make_unique<LatencySequentialFile>(std::move(base_file), this);
+    *result = std::make_unique<LatencySequentialFile>(std::move(*result), this);
   }
   return s;
 }
 
 Status LatencyEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  std::unique_ptr<RandomAccessFile> base_file;
-  Status s = base_->NewRandomAccessFile(fname, &base_file);
+  Status s = EnvWrapper::NewRandomAccessFile(fname, result);
   if (s.ok()) {
     *result =
-        std::make_unique<LatencyRandomAccessFile>(std::move(base_file), this);
+        std::make_unique<LatencyRandomAccessFile>(std::move(*result), this);
   }
   return s;
 }
 
 Status LatencyEnv::NewWritableFile(const std::string& fname,
                                    std::unique_ptr<WritableFile>* result) {
-  std::unique_ptr<WritableFile> base_file;
-  Status s = base_->NewWritableFile(fname, &base_file);
+  Status s = EnvWrapper::NewWritableFile(fname, result);
   if (s.ok()) {
-    *result =
-        std::make_unique<LatencyWritableFile>(std::move(base_file), this);
+    *result = std::make_unique<LatencyWritableFile>(std::move(*result), this);
   }
   return s;
 }

@@ -26,11 +26,11 @@ struct DeviceModel {
 /// Env decorator that charges DeviceModel time for every read/write by
 /// sleeping on the provided Clock. Combine with MockClock for deterministic
 /// virtual-time experiments, or SystemClock for wall-clock emulation.
-class LatencyEnv final : public Env {
+class LatencyEnv final : public EnvWrapper {
  public:
   /// Does not take ownership of `base` or `clock`.
   LatencyEnv(Env* base, DeviceModel model, Clock* clock)
-      : base_(base), model_(model), clock_(clock) {}
+      : EnvWrapper(base), model_(model), clock_(clock) {}
 
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override;
@@ -41,43 +41,18 @@ class LatencyEnv final : public Env {
                          std::unique_ptr<WritableFile>* result) override;
   Status NewRandomRWFile(const std::string& fname,
                          std::unique_ptr<RandomRWFile>* result) override;
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return base_->RemoveFile(fname);
-  }
-  Status CreateDir(const std::string& dirname) override {
-    return base_->CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return base_->RemoveDir(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return base_->RenameFile(src, target);
-  }
-  Status LinkFile(const std::string& src, const std::string& target) override {
-    return base_->LinkFile(src, target);  // Metadata op: no transfer charge.
-  }
   /// Charges the batch like a queued device (NCQ): ONE per-op latency for
   /// the whole submission plus transfer time for the total bytes — the cost
-  /// model behind the batched-MultiGet speedup measured in A6. Unwraps this
-  /// env's own file wrappers so the base env sees one cross-file batch.
+  /// model behind the batched-MultiGet speedup measured in A6. The base env
+  /// sees the whole cross-file batch as one submission.
   void MultiRead(ReadRequest* reqs, size_t n) override;
 
   // Internal: charges `bytes` of transfer plus one op of fixed latency.
   void ChargeIo(uint64_t bytes) const;
+  /// One op for a completed batch plus transfer for its successful bytes.
+  void ChargeBatch(const ReadRequest* reqs, size_t n) const;
 
  private:
-  Env* const base_;
   const DeviceModel model_;
   Clock* const clock_;
 };

@@ -95,6 +95,7 @@ class MemRandomRWFile final : public RandomRWFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
+    LSMLAB_CHECK_IO_UNDER_LOCK("Read", "mem random-rw file");
     if (offset >= content_->size()) {
       *result = Slice(scratch, 0);
       return Status::OK();
@@ -106,7 +107,10 @@ class MemRandomRWFile final : public RandomRWFile {
     return Status::OK();
   }
 
-  Status Sync() override { return Status::OK(); }
+  Status Sync() override {
+    LSMLAB_CHECK_IO_UNDER_LOCK("Sync", "mem random-rw file");
+    return Status::OK();
+  }
 
  private:
   const std::shared_ptr<std::string> content_;

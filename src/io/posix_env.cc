@@ -5,14 +5,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "io/env.h"
 #include "io/uring_io.h"
 #include "util/lock_rank.h"
-#include "util/mutex.h"
-#include "util/thread_pool.h"
 
 namespace lsmlab {
 
@@ -90,44 +87,8 @@ void ExecuteOne(const BoundRead& op) {
   op.req->status = Status::OK();
 }
 
-/// Dedicated I/O pool for the thread-pool backend. Separate from the DB's
-/// flush/compaction pool: batch reads must not queue behind a compaction
-/// (and the DB pool must not queue behind reads).
-ThreadPool* IoPool() {
-  static ThreadPool* pool = new ThreadPool(4);
-  return pool;
-}
-
-void ThreadPoolBatch(BoundRead* ops, size_t n) {
-  if (n == 1) {
-    ExecuteOne(ops[0]);
-    return;
-  }
-  Mutex mu{LockRank::kIoLatch, "posix_env.batch_latch"};
-  CondVar cv;
-  size_t pending = n - 1;
-  ThreadPool* pool = IoPool();
-  for (size_t i = 1; i < n; ++i) {
-    pool->Schedule(
-        [&mu, &cv, &pending, op = ops[i]] {
-          ExecuteOne(op);
-          MutexLock lock(&mu);
-          if (--pending == 0) {
-            cv.Signal();
-          }
-        },
-        ThreadPool::Priority::kHigh);
-  }
-  // The calling thread contributes a read instead of idling on the latch.
-  ExecuteOne(ops[0]);
-  MutexLock lock(&mu);
-  while (pending > 0) {
-    cv.Wait(mu);
-  }
-}
-
 /// One io_uring submission for the whole batch. Returns false when no ring
-/// is available on this thread (caller falls back to the thread pool).
+/// is available on this thread (caller falls back to the serial loop).
 bool UringBatch(BoundRead* ops, size_t n) {
   // One ring per thread: rings are single-threaded by design and a
   // thread_local avoids locking around the submission queue.
@@ -165,20 +126,12 @@ void DispatchBatch(BatchIoBackend backend, BoundRead* ops, size_t n) {
   if (n == 0) {
     return;
   }
-  switch (backend) {
-    case BatchIoBackend::kIoUring:
-      if (UringBatch(ops, n)) {
-        return;
-      }
-      [[fallthrough]];  // Ring unavailable on this thread: portable path.
-    case BatchIoBackend::kThreadPool:
-      ThreadPoolBatch(ops, n);
-      return;
-    case BatchIoBackend::kSerial:
-      for (size_t i = 0; i < n; ++i) {
-        ExecuteOne(ops[i]);
-      }
-      return;
+  if (backend == BatchIoBackend::kIoUring && UringBatch(ops, n)) {
+    return;
+  }
+  // Serial backend, or no ring on this thread: the portable path.
+  for (size_t i = 0; i < n; ++i) {
+    ExecuteOne(ops[i]);
   }
 }
 
@@ -299,6 +252,7 @@ class PosixRandomRWFile final : public RandomRWFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
+    LSMLAB_CHECK_IO_UNDER_LOCK("Read", fname_.c_str());
     ::ssize_t r = ::pread(fd_, scratch, n, static_cast<off_t>(offset));
     if (r < 0) {
       return PosixError(fname_, errno);
@@ -447,6 +401,7 @@ class PosixEnv final : public Env {
   }
 
   void MultiRead(ReadRequest* reqs, size_t n) override {
+    LSMLAB_CHECK_IO_UNDER_LOCK("MultiRead", "batch");
     // Cross-file batches go down as one backend submission. Files not
     // opened through this env (no fd to extract) execute individually via
     // their own MultiRead.
@@ -477,43 +432,14 @@ bool IoUringAvailable() { return UringQueue::KernelSupported(); }
 
 Env* PosixEnvWithBackend(BatchIoBackend backend) {
   static PosixEnv* serial = new PosixEnv(BatchIoBackend::kSerial);
-  static PosixEnv* thread_pool = new PosixEnv(BatchIoBackend::kThreadPool);
   static PosixEnv* uring =
       IoUringAvailable() ? new PosixEnv(BatchIoBackend::kIoUring) : nullptr;
-  switch (backend) {
-    case BatchIoBackend::kSerial:
-      return serial;
-    case BatchIoBackend::kThreadPool:
-      return thread_pool;
-    case BatchIoBackend::kIoUring:
-      return uring;
-  }
-  return serial;
+  return backend == BatchIoBackend::kIoUring ? uring : serial;
 }
 
 Env* Env::Default() {
-  static Env* env = [] {
-    const char* choice = std::getenv("LSMLAB_IO_BACKEND");
-    if (choice != nullptr) {
-      std::string v = choice;
-      if (v == "serial") {
-        return PosixEnvWithBackend(BatchIoBackend::kSerial);
-      }
-      if (v == "threadpool") {
-        return PosixEnvWithBackend(BatchIoBackend::kThreadPool);
-      }
-      if (v == "uring") {
-        Env* e = PosixEnvWithBackend(BatchIoBackend::kIoUring);
-        if (e != nullptr) {
-          return e;
-        }
-        // Requested but unavailable: fall through to the default order.
-      }
-    }
-    Env* e = PosixEnvWithBackend(BatchIoBackend::kIoUring);
-    return e != nullptr ? e
-                        : PosixEnvWithBackend(BatchIoBackend::kThreadPool);
-  }();
+  static Env* env = PosixEnvWithBackend(
+      IoUringAvailable() ? BatchIoBackend::kIoUring : BatchIoBackend::kSerial);
   return env;
 }
 

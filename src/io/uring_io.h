@@ -25,7 +25,7 @@ class UringQueue {
  public:
   /// Probes io_uring_setup once per process; false under ENOSYS (old
   /// kernel), EPERM (container seccomp), or a compiled-out build — callers
-  /// then use the portable thread-pool fanout instead.
+  /// then use the portable serial pread loop instead.
   static bool KernelSupported();
 
   /// Creates a ring with `entries` submission slots (rounded up by the

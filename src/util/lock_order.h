@@ -35,7 +35,7 @@ namespace lsmlab {
 ///               ├─ ThreadPool::mu_                      (kThreadPool)
 ///               └─ Statistics histogram locks           (kStatistics)
 ///                    └─ Env-wrapper locks               (kIoWrapperEnv)
-///                         └─ Env-internal locks         (kIoEnv, kIoLatch)
+///                         └─ Env-internal locks         (kIoEnv)
 ///                         └─ Logger locks               (kLogger)
 ///
 /// Cross-shard note: the 2PC commit path holds commit_mu_ while visiting
@@ -108,8 +108,6 @@ enum class LockRank : uint16_t {
   kIoWrapperEnv = 690,
   /// Env-internal state locks: MemEnv file table, POSIX env internals.
   kIoEnv = 700,
-  /// Completion latches inside batched-I/O backends (posix_env.cc).
-  kIoLatch = 710,
   /// Logger serialization (fprintf interleaving).
   kLogger = 720,
 
@@ -130,7 +128,6 @@ constexpr bool RankForbidsIo(LockRank rank) {
     case LockRank::kVlog:      // Value-log appends serialize on this lock.
     case LockRank::kIoWrapperEnv:
     case LockRank::kIoEnv:
-    case LockRank::kIoLatch:
     case LockRank::kLogger:
     case LockRank::kTest:
       return false;

@@ -46,17 +46,6 @@ Status Options::Validate() const {
   if (max_subcompactions < 1) {
     return Status::InvalidArgument("max_subcompactions must be >= 1");
   }
-  if (block_cache_shards < 0 ||
-      (block_cache_shards & (block_cache_shards - 1)) != 0) {
-    // Power-of-two so the cache can mask instead of mod; 0 means "auto".
-    return Status::InvalidArgument(
-        "block_cache_shards must be 0 (auto) or a power of two");
-  }
-  if (kv_separation &&
-      (vlog_gc_trigger_ratio <= 0.0 || vlog_gc_trigger_ratio > 1.0)) {
-    return Status::InvalidArgument(
-        "vlog_gc_trigger_ratio must be in (0, 1]");
-  }
   if (max_background_error_retries < 0) {
     return Status::InvalidArgument(
         "max_background_error_retries must be >= 0");

@@ -99,13 +99,6 @@ enum class WalRecoveryMode {
   kPointInTimeRecovery,
 };
 
-/// Statistics-selection constants for DB::GetProperty-style inspection.
-struct WriteStallCause {
-  static constexpr const char* kNone = "none";
-  static constexpr const char* kMemtableLimit = "memtable-limit";
-  static constexpr const char* kL0Stall = "l0-stall";
-};
-
 /// Options is the knob board of lsmlab: every first-order design decision
 /// called out by the tutorial is an independent field here.
 struct Options {
@@ -191,10 +184,6 @@ struct Options {
   int block_restart_interval = 16;
   /// Capacity in bytes of the shared block cache; 0 disables caching.
   size_t block_cache_capacity = 8 << 20;
-  /// Lock stripes of the block cache. Must be a power of two (mask-indexed);
-  /// 0 picks a default scaled to std::thread::hardware_concurrency, so
-  /// concurrent readers rarely contend on one shard mutex.
-  int block_cache_shards = 0;
   /// Re-warm block cache with the output of a compaction (Leaper-inspired).
   bool cache_rewarm_after_compaction = false;
   /// Verify block checksums whenever a table file is read (index, filter,
@@ -259,8 +248,6 @@ struct Options {
   /// log; the LSM keeps (key -> log pointer).
   bool kv_separation = false;
   size_t kv_separation_threshold = 128;
-  /// Garbage ratio of the value log that triggers value-log GC.
-  double vlog_gc_trigger_ratio = 0.5;
 
   /// Validates cross-field consistency (e.g. stall thresholds ordered).
   Status Validate() const;
@@ -277,11 +264,6 @@ struct ReadOptions {
   bool fill_cache = true;
   /// If nonzero, read at this sequence number (snapshot read).
   uint64_t snapshot_seqno = 0;
-  /// MultiGet only: collect the batch's candidate data-block reads after
-  /// the memtable+filter pass into one Env::MultiRead submission instead of
-  /// per-key serial reads (DESIGN.md, "Batched I/O"). Off restores the
-  /// serial walk — the A/B baseline of experiment A6.
-  bool batched_io = true;
   /// Iterators only: ceiling of the per-iterator readahead window. Data
   /// blocks are fetched through a buffer that doubles from one block up to
   /// this many bytes while the scan stays sequential. 0 disables readahead

@@ -530,14 +530,16 @@ void VersionSet::AddLiveFiles(std::set<uint64_t>* live) const {
   };
   add_version(*current_);
   // Sweep older versions, pruning the ones nobody references anymore.
-  auto out = referenced_versions_.begin();
-  for (auto& weak : referenced_versions_) {
-    if (auto v = weak.lock()) {
-      add_version(*v);
-      *out++ = std::move(weak);
-    }
-  }
-  referenced_versions_.erase(out, referenced_versions_.end());
+  // erase_if never move-assigns an entry onto itself, which would empty a
+  // libstdc++ weak_ptr and drop a still-held version from the next sweep.
+  std::erase_if(referenced_versions_,
+                [&](const std::weak_ptr<const Version>& weak) {
+                  std::shared_ptr<const Version> v = weak.lock();
+                  if (v != nullptr) {
+                    add_version(*v);
+                  }
+                  return v == nullptr;
+                });
 }
 
 }  // namespace lsmlab

@@ -359,6 +359,28 @@ TEST_F(PickerTest, PlanKeyRangeIsInputOverlapHull) {
   EXPECT_EQ("z", largest);
 }
 
+TEST_F(PickerTest, HeldVersionStaysLiveAcrossSweeps) {
+  // A reader pins the version holding file 10; a compaction then replaces
+  // file 10 with file 11. Every GC sweep must keep file 10 while the pin
+  // lasts, not just the first.
+  std::shared_ptr<const Version> held =
+      MakeVersion({{0, MakeFile(10, "a", "m")}});
+  VersionEdit edit;
+  edit.RemoveFile(0, 10);
+  edit.AddFile(1, MakeFile(11, "a", "m"));
+  ASSERT_TRUE(versions_->LogAndApply(&edit).ok());
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    std::set<uint64_t> live;
+    versions_->AddLiveFiles(&live);
+    EXPECT_EQ(1u, live.count(10)) << "sweep " << sweep;
+    EXPECT_EQ(1u, live.count(11)) << "sweep " << sweep;
+  }
+  held.reset();
+  std::set<uint64_t> live;
+  versions_->AddLiveFiles(&live);
+  EXPECT_EQ(0u, live.count(10));
+}
+
 // ---------------------------------------------------------------------------
 // Subcompaction splitting: a sharded merge must produce the same logical
 // contents as an unsharded one.

@@ -292,9 +292,7 @@ void RunIteration(uint64_t seed, int iter) {
   }
   std::vector<Slice> keys(key_storage.begin(), key_storage.end());
   std::vector<std::string> values;
-  ReadOptions batched;
-  batched.batched_io = true;
-  std::vector<Status> statuses = db->MultiGet(batched, keys, &values);
+  std::vector<Status> statuses = db->MultiGet(ReadOptions(), keys, &values);
   for (size_t k = 0; k < keys.size(); ++k) {
     auto it = model.find(key_storage[k]);
     if (it == model.end()) {

@@ -239,6 +239,21 @@ TEST(LatencyEnvTest, ChargesVirtualTime) {
   EXPECT_GE(clock.NowMicros(), 2200u);
 }
 
+TEST(LatencyEnvTest, RandomRWSyncChargesOneOp) {
+  MemEnv base;
+  MockClock clock;
+  DeviceModel model;
+  model.per_op_latency_micros = 100;
+  LatencyEnv env(&base, model, &clock);
+  std::unique_ptr<RandomRWFile> file;
+  ASSERT_TRUE(env.NewRandomRWFile("/pages", &file).ok());
+
+  // An in-place page fsync is one device round trip, like WritableFile's.
+  const uint64_t before = clock.NowMicros();
+  ASSERT_TRUE(file->Sync().ok());
+  EXPECT_EQ(before + 100, clock.NowMicros());
+}
+
 TEST(LatencyEnvTest, DevicePresetsDiffer) {
   EXPECT_GT(DeviceModel::Hdd().per_op_latency_micros,
             DeviceModel::Ssd().per_op_latency_micros);
@@ -685,8 +700,7 @@ TEST(PosixBackendTest, AllBackendsAgreeOnBatchResults) {
   // land near/past EOF to cover short reads on every backend.
   constexpr size_t kReqs = 70;
   for (BatchIoBackend backend :
-       {BatchIoBackend::kSerial, BatchIoBackend::kThreadPool,
-        BatchIoBackend::kIoUring}) {
+       {BatchIoBackend::kSerial, BatchIoBackend::kIoUring}) {
     Env* env = PosixEnvWithBackend(backend);
     if (env == nullptr) {
       ASSERT_EQ(BatchIoBackend::kIoUring, backend);
@@ -721,8 +735,15 @@ TEST(PosixBackendTest, AllBackendsAgreeOnBatchResults) {
 }
 
 TEST(CountingEnvTest, MultiReadCountsRequestsAndBatches) {
+  // E1's stack: counters over an emulated device over memory, so every
+  // batch crosses two decorator layers.
   MemEnv base;
-  CountingEnv env(&base);
+  MockClock clock;
+  DeviceModel model;
+  model.per_op_latency_micros = 100;
+  model.bandwidth_bytes_per_sec = 1000000;  // 1 MB/s -> 1 us per byte.
+  LatencyEnv latency(&base, model, &clock);
+  CountingEnv env(&latency);
   ASSERT_TRUE(WriteStringToFile(&base, "aaaabbbbcccc", "/f1").ok());
   ASSERT_TRUE(WriteStringToFile(&base, "ddddeeeeffff", "/f2").ok());
 
@@ -741,13 +762,16 @@ TEST(CountingEnvTest, MultiReadCountsRequestsAndBatches) {
     reqs[i].len = 4;
     reqs[i].scratch = bufs[i];
   }
+  uint64_t before = clock.NowMicros();
   file1->MultiRead(reqs, 3);
   IoStats stats = env.GetStats();
   EXPECT_EQ(3u, stats.read_ops);
   EXPECT_EQ(12u, stats.bytes_read);
   EXPECT_EQ(1u, stats.multiread_batches);
+  EXPECT_EQ(before + 100 + 12, clock.NowMicros());  // One op charge.
 
-  // Env-level cross-file batch: still one submission.
+  // Env-level interleaved cross-file batch: still one submission and one
+  // op charge through both layers.
   env.ResetStats();
   ReadRequest cross[4];
   RandomAccessFile* files[] = {file1.get(), file2.get(), file1.get(),
@@ -758,14 +782,16 @@ TEST(CountingEnvTest, MultiReadCountsRequestsAndBatches) {
     cross[i].len = 4;
     cross[i].scratch = bufs[i];
   }
+  before = clock.NowMicros();
   env.MultiRead(cross, 4);
   stats = env.GetStats();
   EXPECT_EQ(4u, stats.read_ops);
   EXPECT_EQ(16u, stats.bytes_read);
   EXPECT_EQ(1u, stats.multiread_batches);
-  for (const auto& req : cross) {
-    ASSERT_TRUE(req.status.ok());
-    EXPECT_EQ(4u, req.result.size());
+  EXPECT_EQ(before + 100 + 16, clock.NowMicros());
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cross[i].status.ok());
+    EXPECT_EQ(i % 2 == 0 ? "bbbb" : "eeee", cross[i].result.ToString());
   }
 }
 

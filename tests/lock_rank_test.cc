@@ -9,6 +9,7 @@
 // non-Release build; see LSMLAB_LOCK_RANK in CMakeLists.txt).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <map>
 #include <memory>
@@ -18,7 +19,6 @@
 #include "db/db.h"
 #include "db/write_batch.h"
 #include "io/env.h"
-#include "io/lock_checking_env.h"
 #include "io/mem_env.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
@@ -126,10 +126,9 @@ TEST(LockRankDeathTest, TryLockOutOfOrderDoesNotAbort) {
 TEST(LockRankDeathTest, FsyncUnderEngineMuAborts) {
   ASSERT_DEATH(
       {
-        // The scripted LockCheckingEnv case from ISSUE 8: an fsync while a
-        // lock ranked like ShardEngine::mu_ is held must be caught.
-        MemEnv base;
-        LockCheckingEnv env(&base);
+        // An fsync while a lock ranked like ShardEngine::mu_ is held must be
+        // caught.
+        MemEnv env;
         std::unique_ptr<WritableFile> file;
         ASSERT_TRUE(env.NewWritableFile("/wal", &file).ok());
         ASSERT_TRUE(file->Append("payload").ok());
@@ -156,9 +155,49 @@ TEST(LockRankDeathTest, ReadUnderLeafLockAborts) {
       "I/O under lock: Read");
 }
 
+TEST(LockRankDeathTest, RandomRWSyncUnderEngineMuAborts) {
+  ASSERT_DEATH(
+      {
+        // The B+-tree baseline's page-file fsync is I/O like any other.
+        MemEnv env;
+        std::unique_ptr<RandomRWFile> file;
+        ASSERT_TRUE(env.NewRandomRWFile("/pages", &file).ok());
+        ASSERT_TRUE(file->Write(0, "page").ok());
+        Mutex engine_mu(LockRank::kEngineMu, "death.io_engine_mu");
+        engine_mu.Lock();
+        (void)file->Sync();  // Aborts before returning.
+      },
+      "I/O under lock: Sync");
+}
+
+TEST(LockRankDeathTest, PosixEnvMultiReadUnderLeafLockAborts) {
+  // MultiGet submits through the env-level MultiRead, which never reaches
+  // the file-level check, so the env must run the check itself.
+  Env* env = Env::Default();
+  const std::string fname = ::testing::TempDir() + "lsmlab_lock_rank_" +
+                            std::to_string(::getpid());
+  ASSERT_TRUE(WriteStringToFile(env, "contents", fname).ok());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
+  EXPECT_DEATH(  // EXPECT, not ASSERT: the cleanup below must still run.
+      {
+        char scratch[8];
+        ReadRequest req;
+        req.file = file.get();
+        req.len = sizeof(scratch);
+        req.scratch = scratch;
+        Mutex stripe(LockRank::kBlockCacheShard, "death.io_cache_stripe");
+        stripe.Lock();
+        env->MultiRead(&req, 1);
+      },
+      "I/O under lock: MultiRead");
+  file.reset();
+  // Best-effort cleanup of the scratch file.
+  (void)env->RemoveFile(fname);
+}
+
 TEST(LockRankTest, IoAllowedSectionSuppressesDetector) {
-  MemEnv base;
-  LockCheckingEnv env(&base);
+  MemEnv env;
   std::unique_ptr<WritableFile> file;
   ASSERT_TRUE(env.NewWritableFile("/manifest", &file).ok());
   Mutex vs_mu(LockRank::kVersionSet, "test.version_set_mu");
