@@ -37,6 +37,13 @@ Runs over src/ (and any extra paths given) and enforces:
       string-literal rationale — the escape hatch documents *why* I/O
       under that lock is the design, or it teaches nothing.
 
+  stats-ticker-outside-registry
+      db/statistics.h declares no std::atomic data member (nor a Ticker /
+      LevelTicker one) outside the LSMLAB_STATISTICS_TICKERS list.
+      Statistics::Reset() and the ToString() dump are generated from that
+      list, so a counter declared beside it would silently be neither
+      reset nor dumped.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -67,6 +74,15 @@ MEMBER_EXEMPT_RE = re.compile(
     r"using\b|enum\b|struct\b|class\b|friend\b|typedef\b)")
 
 VOID_CAST_RE = re.compile(r"^\s*\(void\)")
+
+STATS_HEADER = os.path.join("db", "statistics.h")
+# A declaration whose type (an atomic, an array of atomics, or one of the
+# registry's aliases) starts the line; `&`, `*` or `(` on the line mark a
+# reference, pointer or function instead of a data member.
+STATS_ATOMIC_DECL_RE = re.compile(
+    r"^\s*(?:(?:mutable|static|inline)\s+)*"
+    r"(?:std::atomic\s*<|std::array\s*<\s*std::atomic\s*<|"
+    r"(?:Level)?Ticker\s+\w)")
 IO_SECTION_RE = re.compile(r"IoAllowedSection\s+\w+\s*[({]\s*(.*)")
 
 
@@ -155,6 +171,14 @@ def lint_file(path, rel, findings):
                     (rel, lineno, "unguarded-member-after-mutex",
                      f"member adjacent to Mutex {mutex_block_guard} lacks "
                      "GUARDED_BY (or a trailing rationale comment)"))
+
+        # --- stats-ticker-outside-registry ---------------------------------
+        if (rel == STATS_HEADER and STATS_ATOMIC_DECL_RE.match(code)
+                and not any(c in code for c in "&*(")):
+            findings.append(
+                (rel, lineno, "stats-ticker-outside-registry",
+                 "atomic member declared outside LSMLAB_STATISTICS_TICKERS "
+                 "— Reset() and ToString() would skip it"))
 
         # --- unexplained-void-cast ----------------------------------------
         if VOID_CAST_RE.match(code):

@@ -6,7 +6,6 @@
 #include "db/db.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
 #include "db/filename.h"
@@ -16,7 +15,6 @@
 #include "util/clock.h"
 #include "util/coding.h"
 #include "util/comparator.h"
-#include "util/histogram.h"
 
 namespace lsmlab {
 
@@ -817,110 +815,23 @@ Status ShardedDB::VerifyChecksums() {
 // ---------------------------------------------------------------------------
 
 std::string ShardedDB::LevelsDebugString() const {
-  if (num_shards_ == 1) {
-    return shards_[0]->LevelsDebugString();
-  }
-  std::string out;
+  std::string out = "db: shards=" + std::to_string(num_shards_) +
+                    " sorted_runs=" + std::to_string(TotalSortedRuns()) +
+                    " sst_bytes=" + std::to_string(TotalSstBytes()) + "\n";
   for (int k = 0; k < num_shards_; ++k) {
-    out += "shard " + std::to_string(k) + ":\n";
-    out += shards_[static_cast<size_t>(k)]->LevelsDebugString();
+    const size_t i = static_cast<size_t>(k);
+    const std::string lo = k == 0 ? "-inf" : "\"" + split_keys_[i - 1] + "\"";
+    const std::string hi =
+        k == num_shards_ - 1 ? "+inf" : "\"" + split_keys_[i] + "\"";
+    out += "shard " + std::to_string(k) + " [" + lo + ", " + hi + "):\n";
+    out += shards_[i]->DebugShardSection();
   }
   return out;
 }
 
 std::string ShardedDB::DebugLevelSummary() const {
-  if (num_shards_ == 1) {
-    // Byte-for-byte the historical single-engine output.
-    return shards_[0]->DebugLevelSummary();
-  }
-  std::string out;
-  char buf[256];
-  uint64_t total_bytes = 0;
-  int total_runs = 0;
-  for (const auto& shard : shards_) {
-    total_bytes += shard->TotalSstBytes();
-    total_runs += shard->TotalSortedRuns();
-  }
-  std::snprintf(buf, sizeof(buf),
-                "sharded db: %d shards, %d sorted runs, %llu sst bytes\n",
-                num_shards_, total_runs,
-                static_cast<unsigned long long>(total_bytes));
-  out += buf;
-  for (int k = 0; k < num_shards_; ++k) {
-    const std::string lo =
-        k == 0 ? "-inf"
-               : "\"" + split_keys_[static_cast<size_t>(k - 1)] + "\"";
-    const std::string hi =
-        k == num_shards_ - 1
-            ? "+inf"
-            : "\"" + split_keys_[static_cast<size_t>(k)] + "\"";
-    std::snprintf(buf, sizeof(buf), "shard %d [%s, %s):\n", k, lo.c_str(),
-                  hi.c_str());
-    out += buf;
-    out += shards_[static_cast<size_t>(k)]->DebugShardSection();
-  }
-  // The process-wide statistics block, exactly once: the Statistics object
-  // is shared by every shard, so printing it per shard would double-count.
-  std::snprintf(
-      buf, sizeof(buf),
-      "read path: views published=%llu, table cache hits=%llu misses=%llu, "
-      "multiget batches=%llu (%llu keys)\n",
-      static_cast<unsigned long long>(stats_.read_views_published.load()),
-      static_cast<unsigned long long>(stats_.table_cache_hits.load()),
-      static_cast<unsigned long long>(stats_.table_cache_misses.load()),
-      static_cast<unsigned long long>(stats_.multiget_batches.load()),
-      static_cast<unsigned long long>(stats_.multiget_keys.load()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "batched io: batches=%llu reads=%llu bytes=%llu, "
-      "readahead hits=%llu misses=%llu\n",
-      static_cast<unsigned long long>(stats_.io_batches.load()),
-      static_cast<unsigned long long>(stats_.io_batch_reads.load()),
-      static_cast<unsigned long long>(stats_.io_batch_bytes.load()),
-      static_cast<unsigned long long>(stats_.readahead_hits.load()),
-      static_cast<unsigned long long>(stats_.readahead_misses.load()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "learned index: hits=%llu fallbacks=%llu, index bytes loaded=%llu\n",
-      static_cast<unsigned long long>(stats_.learned_index_hits.load()),
-      static_cast<unsigned long long>(stats_.learned_index_fallbacks.load()),
-      static_cast<unsigned long long>(stats_.index_bytes_loaded.load()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "cross-shard: batches=%llu prepares=%llu commits=%llu aborts=%llu\n",
-      static_cast<unsigned long long>(stats_.cross_shard_batches.load()),
-      static_cast<unsigned long long>(stats_.shard_prepares.load()),
-      static_cast<unsigned long long>(stats_.shard_commits.load()),
-      static_cast<unsigned long long>(stats_.shard_aborts.load()));
-  out += buf;
-  Histogram durations = stats_.CompactionDurations();
-  if (durations.num() > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "job duration micros: n=%llu avg=%.0f p95=%.0f max=%.0f\n",
-                  static_cast<unsigned long long>(durations.num()),
-                  durations.Average(), durations.Percentile(95.0),
-                  durations.max());
-    out += buf;
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      "bg errors: soft=%llu hard=%llu retries=%llu retry_success=%llu "
-      "resume_calls=%llu\n",
-      static_cast<unsigned long long>(stats_.bg_error_soft.load()),
-      static_cast<unsigned long long>(stats_.bg_error_hard.load()),
-      static_cast<unsigned long long>(stats_.bg_retries.load()),
-      static_cast<unsigned long long>(stats_.bg_retry_success.load()),
-      static_cast<unsigned long long>(stats_.resume_calls.load()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf), "scrub: bytes_verified=%llu corruptions=%llu\n",
-      static_cast<unsigned long long>(stats_.scrub_bytes_verified.load()),
-      static_cast<unsigned long long>(stats_.scrub_corruptions.load()));
-  out += buf;
-  return out;
+  // Every shard shares stats_, so it prints once, after all the sections.
+  return LevelsDebugString() + stats_.ToString();
 }
 
 int ShardedDB::TotalSortedRuns() const {

@@ -160,14 +160,13 @@ class ShardedDB {
   /// Shard 0's value-log manager (tests and experiments run kv separation
   /// single-shard).
   VlogManager* vlog() { return shards_[0]->vlog(); }
-  /// Current tree shape, one line per non-empty level (per shard at N > 1).
+  /// Tree dump: a header (shards, sorted runs, SST bytes), then per shard
+  /// its key range, non-empty levels with their index-kind census, running
+  /// compaction jobs, and current and first background error.
   std::string LevelsDebugString() const;
-  /// Multi-line dump of per-level shape and compaction counters plus the
-  /// currently running background jobs; for tests and benches. At N = 1
-  /// this is the historical single-engine output verbatim; at N > 1 it is
-  /// an aggregate header, one tree section per shard, and the process-wide
-  /// statistics block exactly once (shared Statistics must not be printed
-  /// per shard — that would double-count).
+  /// LevelsDebugString() followed by Statistics::ToString(), printed once:
+  /// the shards share one Statistics, so a per-shard copy would
+  /// double-count. For tests, benches and operators.
   std::string DebugLevelSummary() const;
   /// Total sorted runs across all shards (a point lookup probes only its
   /// own shard's runs).

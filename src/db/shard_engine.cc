@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 #include "db/filename.h"
 #include "db/internal_iterators.h"
@@ -1080,7 +1079,6 @@ void ShardEngine::PublishReadView() {
   view->mem = mem_;
   view->imms.assign(imms_.rbegin(), imms_.rend());  // Newest first.
   view->version = versions_->current();
-  view->published_sequence = versions_->last_sequence();
   {
     MutexLock lock(&read_view_mu_);
     read_view_ = std::move(view);
@@ -1802,167 +1800,30 @@ SequenceNumber ShardEngine::OldestSnapshot() const {
 // Introspection
 // ---------------------------------------------------------------------------
 
-std::string ShardEngine::LevelsDebugString() const {
+std::string ShardEngine::DebugShardSection() const {
   MutexLock lock(&mu_);
-  return versions_->current()->DebugString();
-}
-
-std::string ShardEngine::DebugLevelSummary() const {
-  MutexLock lock(&mu_);
-  std::shared_ptr<const Version> v = versions_->current();
-  std::string out;
-  char buf[256];
-  for (int level = 0; level < v->num_levels(); ++level) {
-    const auto& files = v->files(level);
-    uint64_t bytes = 0;
-    for (const auto& f : files) {
-      bytes += f.file_size;
-    }
-    size_t slot = static_cast<size_t>(
-        std::min(level, Statistics::kMaxStatsLevels - 1));
-    int learned = 0, fence = 0, unopened = 0;
-    v->CountIndexKinds(level, &learned, &fence, &unopened);
-    std::snprintf(
-        buf, sizeof(buf),
-        "L%d%s: %zu files, %llu bytes | compactions=%llu read=%llu "
-        "written=%llu | idx learned=%d fence=%d unopened=%d\n",
-        level, v->IsTieredLevel(level) ? " (tiered)" : "", files.size(),
-        static_cast<unsigned long long>(bytes),
-        static_cast<unsigned long long>(stats_->compactions_at_level[slot]),
-        static_cast<unsigned long long>(
-            stats_->compaction_bytes_read_at_level[slot]),
-        static_cast<unsigned long long>(
-            stats_->compaction_bytes_written_at_level[slot]),
-        learned, fence, unopened);
-    out += buf;
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      "running=%d (max observed %llu), subcompaction shards=%llu\n",
-      compactions_running_,
-      static_cast<unsigned long long>(stats_->max_compactions_running),
-      static_cast<unsigned long long>(stats_->subcompactions));
-  out += buf;
+  std::string out = versions_->current()->DebugString();
+  out += "running jobs: " + std::to_string(compactions_running_) + "\n";
   for (const auto& rc : running_compactions_) {
     const CompactionPlan& plan = rc.job->plan();
-    std::snprintf(buf, sizeof(buf), "  job %llu: L%d->L%d, %zu input file(s)\n",
-                  static_cast<unsigned long long>(rc.job_id), plan.input_level,
-                  plan.output_level, plan.inputs.size());
-    out += buf;
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      "read path: views published=%llu, table cache hits=%llu misses=%llu, "
-      "multiget batches=%llu (%llu keys)\n",
-      static_cast<unsigned long long>(stats_->read_views_published.load()),
-      static_cast<unsigned long long>(stats_->table_cache_hits.load()),
-      static_cast<unsigned long long>(stats_->table_cache_misses.load()),
-      static_cast<unsigned long long>(stats_->multiget_batches.load()),
-      static_cast<unsigned long long>(stats_->multiget_keys.load()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "batched io: batches=%llu reads=%llu bytes=%llu, "
-      "readahead hits=%llu misses=%llu\n",
-      static_cast<unsigned long long>(stats_->io_batches.load()),
-      static_cast<unsigned long long>(stats_->io_batch_reads.load()),
-      static_cast<unsigned long long>(stats_->io_batch_bytes.load()),
-      static_cast<unsigned long long>(stats_->readahead_hits.load()),
-      static_cast<unsigned long long>(stats_->readahead_misses.load()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "learned index: hits=%llu fallbacks=%llu, index bytes loaded=%llu\n",
-      static_cast<unsigned long long>(stats_->learned_index_hits.load()),
-      static_cast<unsigned long long>(stats_->learned_index_fallbacks.load()),
-      static_cast<unsigned long long>(stats_->index_bytes_loaded.load()));
-  out += buf;
-  Histogram durations = stats_->CompactionDurations();
-  if (durations.num() > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "job duration micros: n=%llu avg=%.0f p95=%.0f max=%.0f\n",
-                  static_cast<unsigned long long>(durations.num()),
-                  durations.Average(), durations.Percentile(95.0),
-                  durations.max());
-    out += buf;
+    out += "  job " + std::to_string(rc.job_id) + ": L" +
+           std::to_string(plan.input_level) + "->L" +
+           std::to_string(plan.output_level) + ", " +
+           std::to_string(plan.inputs.size()) + " input file(s)\n";
   }
   if (!error_state_.ok()) {
-    std::snprintf(buf, sizeof(buf), "background error: [%s/%s] %s\n",
-                  ErrorSeverityName(error_state_.severity),
-                  ErrorSourceName(error_state_.source),
-                  error_state_.status.ToString().c_str());
-    out += buf;
+    out += std::string("background error: [") +
+           ErrorSeverityName(error_state_.severity) + "/" +
+           ErrorSourceName(error_state_.source) + "] " +
+           error_state_.status.ToString() + "\n";
   }
   if (!error_state_.first_status.ok()) {
     // First-error provenance: retries and promotions may overwrite the
     // current status, but the original cause is what an operator debugs.
-    std::snprintf(buf, sizeof(buf),
-                  "first background error: [%s] %s at t=%llu us\n",
-                  ErrorSourceName(error_state_.first_source),
-                  error_state_.first_status.ToString().c_str(),
-                  static_cast<unsigned long long>(
-                      error_state_.first_error_micros));
-    out += buf;
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      "bg errors: soft=%llu hard=%llu retries=%llu retry_success=%llu "
-      "resume_calls=%llu\n",
-      static_cast<unsigned long long>(stats_->bg_error_soft.load()),
-      static_cast<unsigned long long>(stats_->bg_error_hard.load()),
-      static_cast<unsigned long long>(stats_->bg_retries.load()),
-      static_cast<unsigned long long>(stats_->bg_retry_success.load()),
-      static_cast<unsigned long long>(stats_->resume_calls.load()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf), "scrub: bytes_verified=%llu corruptions=%llu\n",
-      static_cast<unsigned long long>(stats_->scrub_bytes_verified.load()),
-      static_cast<unsigned long long>(stats_->scrub_corruptions.load()));
-  out += buf;
-  return out;
-}
-
-std::string ShardEngine::DebugShardSection() const {
-  MutexLock lock(&mu_);
-  std::shared_ptr<const Version> v = versions_->current();
-  std::string out;
-  char buf[256];
-  for (int level = 0; level < v->num_levels(); ++level) {
-    const auto& files = v->files(level);
-    uint64_t bytes = 0;
-    for (const auto& f : files) {
-      bytes += f.file_size;
-    }
-    if (files.empty()) {
-      continue;  // Per-shard sections list only populated levels.
-    }
-    int learned = 0, fence = 0, unopened = 0;
-    v->CountIndexKinds(level, &learned, &fence, &unopened);
-    std::snprintf(buf, sizeof(buf),
-                  "  L%d%s: %zu files, %llu bytes | idx learned=%d fence=%d "
-                  "unopened=%d\n",
-                  level, v->IsTieredLevel(level) ? " (tiered)" : "",
-                  files.size(), static_cast<unsigned long long>(bytes),
-                  learned, fence, unopened);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "  running compactions=%d\n",
-                compactions_running_);
-  out += buf;
-  for (const auto& rc : running_compactions_) {
-    const CompactionPlan& plan = rc.job->plan();
-    std::snprintf(buf, sizeof(buf),
-                  "    job %llu: L%d->L%d, %zu input file(s)\n",
-                  static_cast<unsigned long long>(rc.job_id), plan.input_level,
-                  plan.output_level, plan.inputs.size());
-    out += buf;
-  }
-  if (!error_state_.ok()) {
-    std::snprintf(buf, sizeof(buf), "  background error: [%s/%s] %s\n",
-                  ErrorSeverityName(error_state_.severity),
-                  ErrorSourceName(error_state_.source),
-                  error_state_.status.ToString().c_str());
-    out += buf;
+    out += std::string("first background error: [") +
+           ErrorSourceName(error_state_.first_source) + "] " +
+           error_state_.first_status.ToString() + " at t=" +
+           std::to_string(error_state_.first_error_micros) + " us\n";
   }
   return out;
 }

@@ -34,10 +34,11 @@ namespace lsmlab {
 
 /// An immutable snapshot of everything a point lookup or iterator needs:
 /// the active memtable, the immutable memtables (newest first — probe
-/// order), the current Version, and the newest sequence published when the
-/// view was built. Reference-counted and swapped behind a dedicated
-/// pointer-sized leaf lock, so readers acquire a consistent view with one
-/// shared_ptr copy instead of locking the DB mutex and copying vectors.
+/// order) and the current Version. Readers take their snapshot sequence
+/// from the live counter, never from the view. Reference-counted and
+/// swapped behind a dedicated pointer-sized leaf lock, so readers acquire a
+/// consistent view with one shared_ptr copy instead of locking the DB mutex
+/// and copying vectors.
 /// (A std::atomic<shared_ptr> would read nicer but is a hidden spinlock in
 /// libstdc++ whose relaxed unlock trips ThreadSanitizer; an explicit leaf
 /// mutex costs the same two atomic ops and is model-clean.) The shared_ptrs
@@ -49,10 +50,6 @@ struct ReadView {
   /// Immutable memtables, newest first.
   std::vector<std::shared_ptr<MemTable>> imms;
   std::shared_ptr<const Version> version;
-  /// VersionSet::last_sequence() observed at publication. Readers must NOT
-  /// use this as their snapshot (it is stale the moment a later write
-  /// commits); they re-load the live counter. Kept for diagnostics.
-  SequenceNumber published_sequence = 0;
 };
 
 /// Process-wide resources a ShardEngine borrows from its owning facade
@@ -247,16 +244,10 @@ class ShardEngine {
 
   // --- Introspection --------------------------------------------------------
   VlogManager* vlog() { return vlog_.get(); }
-  /// Current tree shape, one line per non-empty level.
-  std::string LevelsDebugString() const;
-  /// Multi-line dump of per-level shape and compaction counters plus the
-  /// currently running background jobs; for tests and benches. Includes
-  /// the process-wide statistics block — byte-identical to the historical
-  /// single-engine output, so the facade delegates to it verbatim at N=1.
-  std::string DebugLevelSummary() const;
-  /// The per-shard portion of DebugLevelSummary (tree shape and running
-  /// jobs, no process-wide statistics); the facade stitches one per shard
-  /// under a single shared-statistics block at N>1.
+  /// This shard's part of the facade's dump: its non-empty levels
+  /// (Version::DebugString), running compaction jobs, and current and
+  /// first background error. The shared Statistics are the facade's to
+  /// print, once for all shards.
   std::string DebugShardSection() const;
   /// Number of sorted runs a point lookup may probe.
   int TotalSortedRuns() const;

@@ -13,185 +13,190 @@
 
 namespace lsmlab {
 
+/// The ticker registry: every counter Statistics keeps, declared once and
+/// in member order. TICKER(name) is one Ticker; LEVEL_TICKER(name) is a
+/// LevelTicker, one Ticker per compaction output level (clamped to
+/// kMaxStatsLevels - 1). The members and the ForEachTicker() /
+/// ForEachLevelTicker() visitors expand this list, and Reset() and
+/// ToString() walk the visitors, so a ticker added here is reset and dumped
+/// with no further edits.
+#define LSMLAB_STATISTICS_TICKERS(TICKER, LEVEL_TICKER)                       \
+  /* Read path. */                                                            \
+  TICKER(point_lookups)                                                       \
+  TICKER(point_lookup_found)                                                  \
+  TICKER(runs_probed) /* Sorted runs actually read. */                        \
+  TICKER(runs_skipped_by_filter)                                              \
+  TICKER(filter_checks)                                                       \
+  TICKER(filter_false_positives)                                              \
+  TICKER(range_scans)                                                         \
+  /* Table-reader resolutions served without opening the file (a pinned       \
+     per-version handle or the sharded reader map already held it) vs.        \
+     resolutions that had to open and parse the table footer. */              \
+  TICKER(table_cache_hits)                                                    \
+  TICKER(table_cache_misses)                                                  \
+  /* ReadView republications (membership changes of {mem, imms, version});    \
+     steady-state reads acquire the current view without touching them. */    \
+  TICKER(read_views_published)                                                \
+  /* MultiGet batches and the keys they carried; keys / batches is the mean   \
+     batch size. */                                                           \
+  TICKER(multiget_batches)                                                    \
+  TICKER(multiget_keys)                                                       \
+  /* Batched I/O (DESIGN.md, "Batched I/O"): MultiRead submissions issued     \
+     by the read path, the block reads they carried (reads / batches is the   \
+     mean submission depth), and the bytes those reads returned. */           \
+  TICKER(io_batches)                                                          \
+  TICKER(io_batch_reads)                                                      \
+  TICKER(io_batch_bytes)                                                      \
+  /* Iterator readahead: data-block reads served from the prefetch buffer     \
+     vs. reads that had to go to the device. */                               \
+  TICKER(readahead_hits)                                                      \
+  TICKER(readahead_misses)                                                    \
+  /* Learned per-table indexes (DESIGN.md, "Pluggable per-table indexes"):    \
+     lookups the model certified from digests alone vs. lookups that hit a    \
+     digest tie and fell back to the binary-searched fence block. A           \
+     mispredicting model shows up here, not as silent slowdown. */            \
+  TICKER(learned_index_hits)                                                  \
+  TICKER(learned_index_fallbacks)                                             \
+  /* Index bytes pinned in memory by table opens plus lazy fence-block        \
+     loads; learned tables pin the (much smaller) model block up front and    \
+     the fence block only on first fallback. */                               \
+  TICKER(index_bytes_loaded)                                                  \
+  /* Write path. `writes` counts operations; `write_groups` counts leader     \
+     commits, so writes / write_groups is the mean group-commit batch         \
+     size. */                                                                 \
+  TICKER(writes)                                                              \
+  TICKER(write_groups)                                                        \
+  TICKER(wal_syncs)                                                           \
+  TICKER(wal_bytes_written)                                                   \
+  TICKER(write_stall_micros)                                                  \
+  TICKER(write_slowdown_micros)                                               \
+  /* Internal operations. */                                                  \
+  TICKER(flushes)                                                             \
+  TICKER(compactions)                                                         \
+  TICKER(compaction_bytes_read)                                               \
+  TICKER(compaction_bytes_written)                                            \
+  TICKER(flush_bytes_written)                                                 \
+  TICKER(tombstones_dropped)                                                  \
+  TICKER(entries_dropped_obsolete)                                            \
+  /* Background job engine, credited to the compaction's output level. */     \
+  LEVEL_TICKER(compactions_at_level)                                          \
+  LEVEL_TICKER(compaction_bytes_read_at_level)                                \
+  LEVEL_TICKER(compaction_bytes_written_at_level)                             \
+  /* Gauge: compactions admitted and not yet finished. Reset() keeps it. */   \
+  TICKER(compactions_running)                                                 \
+  /* High-water mark of compactions_running (observed parallelism). */        \
+  TICKER(max_compactions_running)                                             \
+  /* Subcompaction shards executed (counts only split jobs' shards). */       \
+  TICKER(subcompactions)                                                      \
+  /* Background-error recovery (DESIGN.md, "Failure model & recovery"). */    \
+  /* Soft (retryable) background errors recorded; counts every occurrence,    \
+     so one transient window may record several. */                           \
+  TICKER(bg_error_soft)                                                       \
+  /* Transitions into the hard (read-only) error state. */                    \
+  TICKER(bg_error_hard)                                                       \
+  /* Retry attempts scheduled after soft errors. */                           \
+  TICKER(bg_retries)                                                          \
+  /* Retried flushes/compactions that subsequently succeeded. */              \
+  TICKER(bg_retry_success)                                                    \
+  /* DB::Resume() invocations. */                                             \
+  TICKER(resume_calls)                                                        \
+  /* Checksum scrub (DB::VerifyChecksums): bytes walked through               \
+     block-trailer / record-framing verification, and corruptions found. */   \
+  TICKER(scrub_bytes_verified)                                                \
+  TICKER(scrub_corruptions)                                                   \
+  /* Sharded facade (DESIGN.md, "Sharding architecture"). Only the facade     \
+     increments these; engines never touch them, so shared Statistics are     \
+     never double-counted. */                                                 \
+  /* WriteBatches that spanned more than one shard (two-phase committed). */  \
+  TICKER(cross_shard_batches)                                                 \
+  /* Per-shard prepare records written for cross-shard batches. */            \
+  TICKER(shard_prepares)                                                      \
+  /* Cross-shard batches whose facade commit record reached the commit        \
+     log. */                                                                  \
+  TICKER(shard_commits)                                                       \
+  /* Cross-shard batches aborted after a prepare failure. */                  \
+  TICKER(shard_aborts)
+
 /// Engine-wide counters. Every experiment reads these to report the
 /// I/O-shape metrics the tutorial reasons about (superfluous probes saved by
-/// filters, compaction traffic, stall time). All fields are atomics;
+/// filters, compaction traffic, stall time). All tickers are atomics;
 /// increments are relaxed.
 struct Statistics {
-  // Read path.
-  std::atomic<uint64_t> point_lookups{0};
-  std::atomic<uint64_t> point_lookup_found{0};
-  std::atomic<uint64_t> runs_probed{0};          // Sorted runs actually read.
-  std::atomic<uint64_t> runs_skipped_by_filter{0};
-  std::atomic<uint64_t> filter_checks{0};
-  std::atomic<uint64_t> filter_false_positives{0};
-  std::atomic<uint64_t> range_scans{0};
-  /// Table-reader resolutions served without opening the file (a pinned
-  /// per-version handle or the sharded reader map already held it) vs.
-  /// resolutions that had to open and parse the table footer.
-  std::atomic<uint64_t> table_cache_hits{0};
-  std::atomic<uint64_t> table_cache_misses{0};
-  /// ReadView republications (membership changes of {mem, imms, version});
-  /// steady-state reads acquire the current view without touching them.
-  std::atomic<uint64_t> read_views_published{0};
-  /// MultiGet batches and the keys they carried; keys / batches is the mean
-  /// batch size.
-  std::atomic<uint64_t> multiget_batches{0};
-  std::atomic<uint64_t> multiget_keys{0};
-  /// Batched I/O (DESIGN.md, "Batched I/O"): MultiRead submissions issued
-  /// by the read path, the block reads they carried (reads / batches is the
-  /// mean submission depth), and the bytes those reads returned.
-  std::atomic<uint64_t> io_batches{0};
-  std::atomic<uint64_t> io_batch_reads{0};
-  std::atomic<uint64_t> io_batch_bytes{0};
-  /// Iterator readahead: data-block reads served from the prefetch buffer
-  /// vs. reads that had to go to the device.
-  std::atomic<uint64_t> readahead_hits{0};
-  std::atomic<uint64_t> readahead_misses{0};
-  /// Learned per-table indexes (DESIGN.md, "Pluggable per-table indexes"):
-  /// lookups the model certified from digests alone vs. lookups that hit a
-  /// digest tie and fell back to the binary-searched fence block. A
-  /// mispredicting model shows up here, not as silent slowdown.
-  std::atomic<uint64_t> learned_index_hits{0};
-  std::atomic<uint64_t> learned_index_fallbacks{0};
-  /// Index bytes pinned in memory by table opens plus lazy fence-block
-  /// loads; learned tables pin the (much smaller) model block up front and
-  /// the fence block only on first fallback.
-  std::atomic<uint64_t> index_bytes_loaded{0};
-
-  // Write path. `writes` counts operations; `write_groups` counts leader
-  // commits, so writes / write_groups is the mean group-commit batch size.
-  std::atomic<uint64_t> writes{0};
-  std::atomic<uint64_t> write_groups{0};
-  std::atomic<uint64_t> wal_syncs{0};
-  std::atomic<uint64_t> wal_bytes_written{0};
-  std::atomic<uint64_t> write_stall_micros{0};
-  std::atomic<uint64_t> write_slowdown_micros{0};
-
-  // Internal operations.
-  std::atomic<uint64_t> flushes{0};
-  std::atomic<uint64_t> compactions{0};
-  std::atomic<uint64_t> compaction_bytes_read{0};
-  std::atomic<uint64_t> compaction_bytes_written{0};
-  std::atomic<uint64_t> flush_bytes_written{0};
-  std::atomic<uint64_t> tombstones_dropped{0};
-  std::atomic<uint64_t> entries_dropped_obsolete{0};
-
-  // Background job engine. Per-level counters are indexed by the output
-  // level of the compaction (clamped to kMaxStatsLevels - 1).
   static constexpr int kMaxStatsLevels = 16;
-  std::array<std::atomic<uint64_t>, kMaxStatsLevels> compactions_at_level{};
-  std::array<std::atomic<uint64_t>, kMaxStatsLevels>
-      compaction_bytes_read_at_level{};
-  std::array<std::atomic<uint64_t>, kMaxStatsLevels>
-      compaction_bytes_written_at_level{};
-  /// Gauge: compactions admitted and not yet finished.
-  std::atomic<uint64_t> compactions_running{0};
-  /// High-water mark of compactions_running (observed parallelism).
-  std::atomic<uint64_t> max_compactions_running{0};
-  /// Subcompaction shards executed (counts only split jobs' shards).
-  std::atomic<uint64_t> subcompactions{0};
+  using Ticker = std::atomic<uint64_t>;
+  using LevelTicker = std::array<Ticker, kMaxStatsLevels>;
 
-  // Background-error recovery (DESIGN.md, "Failure model & recovery").
-  /// Soft (retryable) background errors recorded; counts every occurrence,
-  /// so one transient window may record several.
-  std::atomic<uint64_t> bg_error_soft{0};
-  /// Transitions into the hard (read-only) error state.
-  std::atomic<uint64_t> bg_error_hard{0};
-  /// Retry attempts scheduled after soft errors.
-  std::atomic<uint64_t> bg_retries{0};
-  /// Retried flushes/compactions that subsequently succeeded.
-  std::atomic<uint64_t> bg_retry_success{0};
-  /// DB::Resume() invocations.
-  std::atomic<uint64_t> resume_calls{0};
-  /// Checksum scrub (DB::VerifyChecksums): bytes walked through
-  /// block-trailer / record-framing verification, and corruptions found.
-  std::atomic<uint64_t> scrub_bytes_verified{0};
-  std::atomic<uint64_t> scrub_corruptions{0};
+#define LSMLAB_TICKER_MEMBER(name) Ticker name{0};
+#define LSMLAB_LEVEL_TICKER_MEMBER(name) LevelTicker name{};
+  LSMLAB_STATISTICS_TICKERS(LSMLAB_TICKER_MEMBER, LSMLAB_LEVEL_TICKER_MEMBER)
+#undef LSMLAB_TICKER_MEMBER
+#undef LSMLAB_LEVEL_TICKER_MEMBER
 
-  // Sharded facade (DESIGN.md, "Sharding architecture"). Only the facade
-  // increments these; engines never touch them, so shared Statistics are
-  // never double-counted.
-  /// WriteBatches that spanned more than one shard (two-phase committed).
-  std::atomic<uint64_t> cross_shard_batches{0};
-  /// Per-shard prepare records written for cross-shard batches.
-  std::atomic<uint64_t> shard_prepares{0};
-  /// Cross-shard batches whose facade commit record reached the commit log.
-  std::atomic<uint64_t> shard_commits{0};
-  /// Cross-shard batches aborted after a prepare failure.
-  std::atomic<uint64_t> shard_aborts{0};
+#define LSMLAB_VISIT_TICKER(name) fn(#name, self.name);
+#define LSMLAB_SKIP_TICKER(name)
+  /// Registry visitors, in list order: fn(name, ticker) for every scalar
+  /// ticker, fn(name, slots) for every LevelTicker. `self` is a Statistics
+  /// or a const Statistics.
+  template <typename Self, typename Fn>
+  static void ForEachTicker(Self& self, Fn&& fn) {
+    LSMLAB_STATISTICS_TICKERS(LSMLAB_VISIT_TICKER, LSMLAB_SKIP_TICKER)
+  }
+  template <typename Self, typename Fn>
+  static void ForEachLevelTicker(Self& self, Fn&& fn) {
+    LSMLAB_STATISTICS_TICKERS(LSMLAB_SKIP_TICKER, LSMLAB_VISIT_TICKER)
+  }
+#undef LSMLAB_VISIT_TICKER
+#undef LSMLAB_SKIP_TICKER
 
+  /// Zeroes every ticker and both histograms. compactions_running is a live
+  /// gauge — zeroing it would corrupt the scheduler's accounting — so it is
+  /// kept, and the high-water mark restarts at it.
   void Reset() {
-    point_lookups = 0;
-    point_lookup_found = 0;
-    runs_probed = 0;
-    runs_skipped_by_filter = 0;
-    filter_checks = 0;
-    filter_false_positives = 0;
-    range_scans = 0;
-    table_cache_hits = 0;
-    table_cache_misses = 0;
-    read_views_published = 0;
-    multiget_batches = 0;
-    multiget_keys = 0;
-    io_batches = 0;
-    io_batch_reads = 0;
-    io_batch_bytes = 0;
-    readahead_hits = 0;
-    readahead_misses = 0;
-    learned_index_hits = 0;
-    learned_index_fallbacks = 0;
-    index_bytes_loaded = 0;
-    writes = 0;
-    write_groups = 0;
-    wal_syncs = 0;
-    wal_bytes_written = 0;
-    write_stall_micros = 0;
-    write_slowdown_micros = 0;
+    ForEachTicker(*this, [this](const char*, Ticker& t) {
+      if (&t != &compactions_running) {
+        t = 0;
+      }
+    });
+    ForEachLevelTicker(*this, [](const char*, LevelTicker& slots) {
+      for (auto& t : slots) {
+        t = 0;
+      }
+    });
+    max_compactions_running = compactions_running.load();
     {
       MutexLock lock(&write_group_size_mu_);
       write_group_size_.Clear();
     }
-    flushes = 0;
-    compactions = 0;
-    compaction_bytes_read = 0;
-    compaction_bytes_written = 0;
-    flush_bytes_written = 0;
-    tombstones_dropped = 0;
-    entries_dropped_obsolete = 0;
-    for (int i = 0; i < kMaxStatsLevels; ++i) {
-      compactions_at_level[static_cast<size_t>(i)] = 0;
-      compaction_bytes_read_at_level[static_cast<size_t>(i)] = 0;
-      compaction_bytes_written_at_level[static_cast<size_t>(i)] = 0;
-    }
-    // compactions_running is a live gauge; resetting it would corrupt the
-    // scheduler's accounting, so only the high-water mark clears.
-    max_compactions_running = 0;
-    subcompactions = 0;
-    bg_error_soft = 0;
-    bg_error_hard = 0;
-    bg_retries = 0;
-    bg_retry_success = 0;
-    resume_calls = 0;
-    scrub_bytes_verified = 0;
-    scrub_corruptions = 0;
-    cross_shard_batches = 0;
-    shard_prepares = 0;
-    shard_commits = 0;
-    shard_aborts = 0;
     {
       MutexLock lock(&compaction_duration_mu_);
       compaction_duration_micros_.Clear();
     }
   }
 
-  /// Average sorted runs touched per point lookup — the read-cost metric of
-  /// the tutorial's filter discussion.
-  double RunsProbedPerLookup() const {
-    uint64_t lookups = point_lookups.load();
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(runs_probed.load()) /
-                              static_cast<double>(lookups);
+  /// The statistics dump: every scalar ticker as `name=value`, one per line
+  /// in registry order; each LevelTicker's non-zero slots as
+  /// `name: L<level>=value ...`; then both histograms.
+  std::string ToString() const {
+    std::string out;
+    ForEachTicker(*this, [&out](const char* name, const Ticker& t) {
+      out += std::string(name) + "=" + std::to_string(t.load()) + "\n";
+    });
+    ForEachLevelTicker(*this, [&out](const char* name,
+                                     const LevelTicker& slots) {
+      std::string line;
+      for (size_t level = 0; level < slots.size(); ++level) {
+        if (uint64_t value = slots[level].load(); value != 0) {
+          line += " L" + std::to_string(level) + "=" + std::to_string(value);
+        }
+      }
+      if (!line.empty()) {
+        out += std::string(name) + ":" + line + "\n";
+      }
+    });
+    out += "write_group_size: " + WriteGroupSizes().ToString() + "\n";
+    out += "compaction_duration_micros: " + CompactionDurations().ToString() +
+           "\n";
+    return out;
   }
 
   double FilterFalsePositiveRate() const {

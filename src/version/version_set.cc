@@ -134,35 +134,32 @@ std::string Version::DebugString() const {
     if (files_[level].empty()) {
       continue;
     }
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "level %d (%s): %d files, %llu bytes\n",
+    int learned = 0, fence = 0, unopened = 0;
+    for (const auto& f : files_[level]) {
+      std::shared_ptr<TableReader> reader;
+      if (f.table_handle != nullptr) {
+        MutexLock lock(&f.table_handle->mu);
+        reader = f.table_handle->reader;
+      }
+      if (reader == nullptr) {
+        ++unopened;
+      } else if (reader->index_type() == IndexType::kLearnedPLR) {
+        ++learned;
+      } else {
+        ++fence;
+      }
+    }
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "level %d (%s): %d files, %llu bytes | idx learned=%d "
+                  "fence=%d unopened=%d\n",
                   level, IsTieredLevel(level) ? "tiered" : "leveled",
                   NumFiles(level),
-                  static_cast<unsigned long long>(LevelBytes(level)));
+                  static_cast<unsigned long long>(LevelBytes(level)), learned,
+                  fence, unopened);
     result += buf;
   }
   return result;
-}
-
-void Version::CountIndexKinds(int level, int* learned, int* fence,
-                              int* unopened) const {
-  *learned = 0;
-  *fence = 0;
-  *unopened = 0;
-  for (const auto& f : files_[static_cast<size_t>(level)]) {
-    std::shared_ptr<TableReader> reader;
-    if (f.table_handle != nullptr) {
-      MutexLock lock(&f.table_handle->mu);
-      reader = f.table_handle->reader;
-    }
-    if (reader == nullptr) {
-      ++*unopened;
-    } else if (reader->index_type() == IndexType::kLearnedPLR) {
-      ++*learned;
-    } else {
-      ++*fence;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -57,16 +57,12 @@ class Version {
   std::vector<const FileMetaData*> FilesOverlapping(
       int level, const Slice* begin, const Slice* end) const;
 
-  /// One-line-per-level description for logs and examples.
-  std::string DebugString() const;
-
-  /// Index-kind census of `level` (DebugLevelSummary's per-level index
-  /// line): counts files whose pinned reader carries a learned index vs.
-  /// classic fence pointers. Files never opened by this process are
-  /// reported as `unopened` — their kind is unknown without I/O, and
+  /// One line per non-empty level: layout, file count, bytes, and an
+  /// index-kind census — files whose pinned reader carries a learned index
+  /// vs. classic fence pointers. Files never opened by this process are
+  /// reported as `unopened`: their kind is unknown without I/O, and
   /// introspection must not force table opens.
-  void CountIndexKinds(int level, int* learned, int* fence,
-                       int* unopened) const;
+  std::string DebugString() const;
 
  private:
   friend class VersionSetBuilder;

@@ -552,7 +552,9 @@ TEST(CheckpointTest, ScrubCleanThenDetectsCorruption) {
   EXPECT_GT(stats->scrub_bytes_verified.load(), 0u);
   EXPECT_EQ(0u, stats->scrub_corruptions.load());
   EXPECT_NE(std::string::npos,
-            db->DebugLevelSummary().find("scrub: bytes_verified="));
+            db->DebugLevelSummary().find(
+                "\nscrub_bytes_verified=" +
+                std::to_string(stats->scrub_bytes_verified.load()) + "\n"));
 
   // Silent bit rot on table reads: the scrub's verify_checksums walk must
   // catch it and name the file.

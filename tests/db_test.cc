@@ -832,8 +832,11 @@ TEST_F(DBTest, BatchedMultiGetMovesIoBatchStats) {
   EXPECT_EQ(batches_after_cold, stats->io_batches.load());
 
   const std::string summary = db_->DebugLevelSummary();
-  EXPECT_NE(std::string::npos, summary.find("batched io:")) << summary;
-  EXPECT_NE(std::string::npos, summary.find("readahead")) << summary;
+  EXPECT_NE(std::string::npos,
+            summary.find("\nio_batches=" +
+                         std::to_string(stats->io_batches.load()) + "\n"))
+      << summary;
+  EXPECT_NE(std::string::npos, summary.find("\nreadahead_hits=")) << summary;
 }
 
 TEST_F(DBTest, ScanReadaheadMovesStatsAndPreservesContents) {
@@ -922,7 +925,8 @@ TEST_F(DBTest, MixedIndexTablesCoexistAcrossReopen) {
 
   const std::string summary = db_->DebugLevelSummary();
   EXPECT_NE(std::string::npos, summary.find("idx learned=")) << summary;
-  EXPECT_NE(std::string::npos, summary.find("learned index: hits=")) << summary;
+  EXPECT_NE(std::string::npos, summary.find("\nlearned_index_hits="))
+      << summary;
 
   // Compaction rewrites everything with the current knob: afterwards the
   // whole dataset is still intact behind learned indexes only.

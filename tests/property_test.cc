@@ -310,7 +310,8 @@ TEST_P(ParallelCompactionSweep, InvariantsHoldUnderConcurrentChurn) {
   // The summary must reflect the engine actually having run.
   EXPECT_GT(db->statistics()->compactions.load(), 0u);
   std::string summary = db->DebugLevelSummary();
-  EXPECT_NE(summary.find("running="), std::string::npos) << summary;
+  EXPECT_NE(summary.find("\ncompactions="), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("\ncompactions=0\n"), std::string::npos) << summary;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -223,8 +223,10 @@ TEST_F(RecoveryTest, ManifestHardErrorReadOnlyModeAndResume) {
   EXPECT_EQ(ErrorSource::kManifest, state.source);
   // First-error provenance survives in the summary (the reporting-gap fix:
   // wait loops used to return whichever failure happened to be last).
+  const std::string summary = db_->DebugLevelSummary();
   EXPECT_NE(std::string::npos,
-            db_->DebugLevelSummary().find("first background error"));
+            summary.find("\nfirst background error: [manifest] "))
+      << summary;
 
   // Read-only mode: reads serve, writes fail fast.
   EXPECT_EQ("v", Get("k0"));
@@ -243,6 +245,35 @@ TEST_F(RecoveryTest, ManifestHardErrorReadOnlyModeAndResume) {
   }
   EXPECT_EQ("resumed", Get("after"));
   EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+}
+
+TEST_F(RecoveryTest, SummaryKeepsLongErrorMessagesWhole) {
+  FaultInjectionEnv fault_env(&env_);
+  options_.env = &fault_env;
+  options_.max_background_error_retries = 0;  // Fail straight to hard.
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v").ok());
+
+  const std::string message(300, 'x');
+  FaultRule rule;
+  rule.file_kinds = kFaultTable;
+  rule.ops = kFaultOpAppend;
+  rule.one_in = 1;
+  rule.max_failures = 1;
+  rule.error = Status::IOError(message);
+  fault_env.AddRule(rule);
+  EXPECT_FALSE(db_->Flush().ok());
+
+  // Both error lines carry the whole message and start lines of their own.
+  const std::string summary = db_->DebugLevelSummary();
+  EXPECT_NE(std::string::npos,
+            summary.find("\nbackground error: [hard/flush] IO error: " +
+                         message + "\n"))
+      << summary;
+  EXPECT_NE(std::string::npos,
+            summary.find("\nfirst background error: [flush] IO error: " +
+                         message + " at t="))
+      << summary;
 }
 
 TEST_F(RecoveryTest, RepeatedReopenPreservesEverything) {

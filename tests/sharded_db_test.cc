@@ -1,12 +1,13 @@
 // Tests of the range-sharded facade (DESIGN.md, "Sharding architecture"):
 // routing, topology persistence, cross-shard batch atomicity across reopen,
-// multi-shard snapshots and iterators, sharded DestroyDB, the N>1 debug
-// summary — and the headline equivalence sweep proving ShardedDB(N=4) and
-// the classic single-engine layout produce identical results for the same
-// randomized operation trace.
+// multi-shard snapshots and iterators, sharded DestroyDB, the debug summary
+// at every shard count — and the headline equivalence sweep proving
+// ShardedDB(N=4) and the classic single-engine layout produce identical
+// results for the same randomized operation trace.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
 #include <memory>
 #include <set>
@@ -336,26 +337,51 @@ TEST_F(ShardedDBTest, MultiGetFansOutAndRealignsResults) {
 // Debug summary / DestroyDB
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedDBTest, ShardedSummaryListsEveryShardOnce) {
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(
-      DB::Open(ShardedOptions(4, {"g", "n", "t"}), "/summary", &db).ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), "apple", "1").ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), "zebra", "2").ok());
-  ASSERT_TRUE(db->Flush().ok());
-  const std::string summary = db->DebugLevelSummary();
-  EXPECT_NE(std::string::npos, summary.find("sharded db: 4 shards"));
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_NE(std::string::npos,
-              summary.find("shard " + std::to_string(k) + " ["))
-        << summary;
+/// Occurrences of `name=` in `text` as a whole word, so "compactions=" does
+/// not count inside "subcompactions=".
+size_t CountAssignments(const std::string& text, const std::string& name) {
+  const std::string token = name + "=";
+  size_t count = 0;
+  for (size_t pos = text.find(token); pos != std::string::npos;
+       pos = text.find(token, pos + 1)) {
+    const char prev = pos == 0 ? ' ' : text[pos - 1];
+    if (!std::isalnum(static_cast<unsigned char>(prev)) && prev != '_') {
+      ++count;
+    }
   }
-  // The shared statistics block appears exactly once.
-  const std::string marker = "read path:";
-  size_t first = summary.find(marker);
-  ASSERT_NE(std::string::npos, first);
-  EXPECT_EQ(std::string::npos, summary.find(marker, first + marker.size()));
-  EXPECT_NE(std::string::npos, summary.find("cross-shard:"));
+  return count;
+}
+
+TEST_F(ShardedDBTest, ShardedSummaryListsEveryShardOnce) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::vector<std::string> splits =
+        shards == 1 ? std::vector<std::string>{}
+                    : std::vector<std::string>{"g", "n", "t"};
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(ShardedOptions(shards, splits),
+                         "/summary" + std::to_string(shards), &db)
+                    .ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), "apple", "1").ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), "zebra", "2").ok());
+    ASSERT_TRUE(db->Flush().ok());
+    const std::string summary = db->DebugLevelSummary();
+    EXPECT_EQ(0u, summary.find("db: shards=" + std::to_string(shards) + " "))
+        << summary;
+    for (int k = 0; k < shards; ++k) {
+      EXPECT_NE(std::string::npos,
+                summary.find("shard " + std::to_string(k) + " ["))
+          << summary;
+    }
+    // The shards share one Statistics: every ticker prints exactly once.
+    Statistics::ForEachTicker(
+        *db->statistics(), [&](const char* ticker, const Statistics::Ticker&) {
+          EXPECT_EQ(1u, CountAssignments(summary, ticker)) << ticker;
+        });
+    EXPECT_NE(std::string::npos, summary.find("\nwrite_group_size: count="));
+    EXPECT_NE(std::string::npos,
+              summary.find("\ncompaction_duration_micros: count="));
+  }
 }
 
 TEST_F(ShardedDBTest, DestroyDBRemovesShardDirectories) {

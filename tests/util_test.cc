@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "db/statistics.h"
 #include "util/arena.h"
 #include "util/clock.h"
 #include "util/coding.h"
@@ -360,6 +361,54 @@ TEST(HistogramTest, MergeCombines) {
   EXPECT_DOUBLE_EQ(2.5, a.Average());
   EXPECT_EQ(4.0, a.max());
   EXPECT_EQ(1.0, a.min());
+}
+
+// ----------------------------------------------------------- Statistics ----
+
+TEST(StatisticsTest, ResetZeroesEveryTickerButTheGauge) {
+  Statistics stats;
+  uint64_t next = 1;
+  Statistics::ForEachTicker(
+      stats, [&](const char*, Statistics::Ticker& t) { t = next++; });
+  Statistics::ForEachLevelTicker(
+      stats, [&](const char*, Statistics::LevelTicker& slots) {
+        for (auto& t : slots) {
+          t = next++;
+        }
+      });
+  stats.RecordWriteGroupSize(3);
+  stats.RecordCompactionDuration(100);
+  const uint64_t running = stats.compactions_running.load();
+
+  stats.Reset();
+  Statistics::ForEachTicker(
+      stats, [&](const char* name, Statistics::Ticker& t) {
+        const std::string n = name;
+        const bool gauge =
+            n == "compactions_running" || n == "max_compactions_running";
+        EXPECT_EQ(gauge ? running : 0u, t.load()) << name;
+      });
+  Statistics::ForEachLevelTicker(
+      stats, [&](const char* name, Statistics::LevelTicker& slots) {
+        for (auto& t : slots) {
+          EXPECT_EQ(0u, t.load()) << name;
+        }
+      });
+  EXPECT_EQ(0u, stats.WriteGroupSizes().num());
+  EXPECT_EQ(0u, stats.CompactionDurations().num());
+}
+
+TEST(StatisticsTest, ResetRestartsHighWaterMarkAtLiveGauge) {
+  Statistics stats;
+  stats.OnCompactionAdmitted();
+  stats.OnCompactionAdmitted();
+  stats.Reset();
+  // Two jobs still run: the observed parallelism since the reset is two.
+  EXPECT_EQ(2u, stats.compactions_running.load());
+  EXPECT_EQ(2u, stats.max_compactions_running.load());
+  stats.OnCompactionFinished();
+  stats.OnCompactionAdmitted();
+  EXPECT_EQ(2u, stats.max_compactions_running.load());
 }
 
 // ----------------------------------------------------------- Comparator ----
