@@ -44,6 +44,15 @@ Runs over src/ (and any extra paths given) and enforces:
       list, so a counter declared beside it would silently be neither
       reset nor dumped.
 
+  point-lookup-walk-copy
+      Across src/db/, outside comments, each of `FilesContaining(`,
+      `KeyDefinitelyAbsent(`, `LookupCachedBlock(` and
+      `merge_operator->Merge(` appears on at most one line. Get, MultiGet
+      and vlog GC share one point-lookup walk (ShardEngine::StepLookup);
+      point lookups and iterators share one merge-chain resolver
+      (ShardEngine::ResolveMerge). A second call site is a copy of one of
+      them, and copies drift.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -85,13 +94,19 @@ STATS_ATOMIC_DECL_RE = re.compile(
     r"(?:Level)?Ticker\s+\w)")
 IO_SECTION_RE = re.compile(r"IoAllowedSection\s+\w+\s*[({]\s*(.*)")
 
+# The steps of the point-lookup walk and the merge operator call: each has
+# one home in src/db/.
+WALK_DIR = "db" + os.sep
+WALK_TOKENS = ("FilesContaining(", "KeyDefinitelyAbsent(",
+               "LookupCachedBlock(", "merge_operator->Merge(")
+
 
 def is_comment(line):
     s = line.strip()
     return s.startswith("//") or s.startswith("*") or s.startswith("/*")
 
 
-def lint_file(path, rel, findings):
+def lint_file(path, rel, findings, walk_sites):
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -180,6 +195,12 @@ def lint_file(path, rel, findings):
                  "atomic member declared outside LSMLAB_STATISTICS_TICKERS "
                  "— Reset() and ToString() would skip it"))
 
+        # --- point-lookup-walk-copy (reported in main) ---------------------
+        if rel.startswith(WALK_DIR):
+            for token in WALK_TOKENS:
+                if token in code:
+                    walk_sites.setdefault(token, []).append((rel, lineno))
+
         # --- unexplained-void-cast ----------------------------------------
         if VOID_CAST_RE.match(code):
             has_rationale = "//" in line
@@ -218,9 +239,18 @@ def main(argv):
                 if name.endswith((".h", ".cc")):
                     files.append(os.path.join(dirpath, name))
     src_root = os.path.join(repo, "src")
+    walk_sites = {}
     for path in sorted(files):
         rel = os.path.relpath(path, src_root)
-        lint_file(path, rel, findings)
+        lint_file(path, rel, findings, walk_sites)
+    for token, sites in sorted(walk_sites.items()):
+        if len(sites) > 1:
+            for rel, lineno in sites:
+                findings.append(
+                    (rel, lineno, "point-lookup-walk-copy",
+                     f"{token} appears on {len(sites)} lines in src/db/ — "
+                     "the point-lookup walk and the merge-chain resolver "
+                     "each have one home"))
 
     for rel, lineno, rule, msg in findings:
         print(f"src/{rel}:{lineno}: [{rule}] {msg}")

@@ -299,10 +299,11 @@ Status CompactionJob::RunShard(Shard* shard) {
     if (pending_sd) {
       if (ucmp->Compare(parsed.user_key, pending_sd_ukey) == 0) {
         SequenceNumber sd_seq = ExtractSequence(pending_sd_key);
-        if (parsed.type == kTypeValue &&
+        if ((parsed.type == kTypeValue || parsed.type == kTypeVlogPointer) &&
             parsed.sequence <= ctx_.oldest_snapshot &&
             sd_seq <= ctx_.oldest_snapshot) {
-          // Annihilate the pair: drop both the SD and the put it deletes.
+          // Annihilate the pair: drop both the SD and the put it deletes,
+          // whose value, when separated, becomes vlog garbage.
           pending_sd = false;
           ++shard->tombstones_dropped;
           ++shard->entries_dropped;

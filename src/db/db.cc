@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "db/filename.h"
+#include "db/merge_operator.h"
 #include "db/shard_directory.h"
 #include "io/wal_reader.h"
 #include "table/merging_iterator.h"
@@ -80,6 +81,17 @@ class ShardSplitter : public WriteBatch::Handler {
  private:
   std::vector<WriteBatch>* parts_;
   std::function<int(const Slice&)> router_;
+};
+
+/// Spots Merge records, which need Options::merge_operator.
+class MergeFinder : public WriteBatch::Handler {
+ public:
+  void Put(const Slice&, const Slice&) override {}
+  void Delete(const Slice&) override {}
+  void SingleDelete(const Slice&) override {}
+  void Merge(const Slice&, const Slice&) override { found = true; }
+
+  bool found = false;
 };
 
 }  // namespace
@@ -367,6 +379,18 @@ Status ShardedDB::DeleteRange(const WriteOptions& options, const Slice& begin,
 }
 
 Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
+  if (options_.merge_operator == nullptr && batch != nullptr) {
+    // Refuse before any WAL append: an operand no reader can resolve would
+    // otherwise outlive the process.
+    MergeFinder finder;
+    Status s = batch->Iterate(&finder);
+    if (!s.ok()) {
+      return s;
+    }
+    if (finder.found) {
+      return MergeOperatorMissing();
+    }
+  }
   if (num_shards_ == 1) {
     return shards_[0]->Write(options, batch);
   }
@@ -513,8 +537,8 @@ std::vector<Status> ShardedDB::MultiGet(const ReadOptions& options,
     if (shard_keys[sk].empty()) {
       continue;
     }
-    // Each shard keeps its full batched path: one ReadView, file-by-file
-    // reordering, one MultiRead submission.
+    // Each shard keeps its full batched path: one ReadView, one MultiRead
+    // submission per round.
     std::vector<std::string> shard_values;
     std::vector<Status> shard_statuses = shards_[sk]->MultiGet(
         ShardReadOptions(options, k), shard_keys[sk], &shard_values);

@@ -85,8 +85,8 @@ class ShardedDB {
              std::string* value);
 
   /// Batched point lookup: splits the batch by shard and resolves each
-  /// shard's keys under one ReadView with the file-by-file reordered,
-  /// batched-I/O path. Returns one Status per key, aligned with `keys`;
+  /// shard's keys under one ReadView, one Env::MultiRead submission per
+  /// round of uncached blocks. Returns one Status per key, aligned with `keys`;
   /// `values` is resized to match.
   std::vector<Status> MultiGet(const ReadOptions& options,
                                const std::vector<Slice>& keys,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/slice.h"
+#include "util/status.h"
 
 namespace lsmlab {
 
@@ -28,6 +29,12 @@ class MergeOperator {
                      const std::vector<Slice>& operands,
                      std::string* result) const = 0;
 };
+
+/// What every entry point returns for a Merge record or a stored merge
+/// operand when Options::merge_operator is unset.
+inline Status MergeOperatorMissing() {
+  return Status::InvalidArgument("Merge requires Options::merge_operator");
+}
 
 /// Interprets base and operands as decimal int64 strings and sums them —
 /// the classic counter use case.

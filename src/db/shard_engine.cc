@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "db/filename.h"
 #include "db/internal_iterators.h"
@@ -491,7 +492,7 @@ Status ShardEngine::SingleDelete(const WriteOptions& options, const Slice& key) 
 Status ShardEngine::Merge(const WriteOptions& options, const Slice& key,
                  const Slice& operand) {
   if (options_.merge_operator == nullptr) {
-    return Status::InvalidArgument("Merge requires Options::merge_operator");
+    return MergeOperatorMissing();
   }
   return WriteInternal(options, kTypeMerge, key, operand);
 }
@@ -1128,40 +1129,31 @@ Status ShardEngine::ResolveValue(const Slice& user_key, ValueType type,
   return Status::OK();
 }
 
-Status ShardEngine::ResolveMerge(const ReadOptions& options, const ReadView& view,
-                        const Slice& key, SequenceNumber snapshot,
-                        std::string* value) {
-  // Walk every version of `key` visible at `snapshot`, newest first,
-  // collecting merge operands until a base value, tombstone, or the end of
-  // the key's history. Reuses the caller's view so the chain is resolved
-  // against exactly the state the lookup probed.
-  auto iter = NewInternalIterator(options, view);
-  std::string seek_key;
-  AppendInternalKey(&seek_key,
-                    ParsedInternalKey(key, snapshot, kValueTypeForSeek));
+Status ShardEngine::ResolveMerge(Iterator* iter, const Slice& user_key,
+                                 std::string* value) {
+  if (options_.merge_operator == nullptr) {
+    return MergeOperatorMissing();
+  }
+  // Every entry after the newest visible one is older, so the walk needs no
+  // snapshot check.
   std::vector<std::string> operand_storage;  // Newest first.
   std::string base_storage;
   bool has_base = false;
-  bool deleted = false;
-
-  for (iter->Seek(seek_key); iter->Valid(); iter->Next()) {
+  for (; iter->Valid(); iter->Next()) {
     ParsedInternalKey parsed;
     if (!ParseInternalKey(iter->key(), &parsed)) {
-      return Status::Corruption("malformed internal key during merge");
+      return Status::Corruption("malformed internal key in merge chain");
     }
-    if (options_.comparator->Compare(parsed.user_key, key) != 0) {
+    if (options_.comparator->Compare(parsed.user_key, user_key) != 0) {
       break;  // Past this key's history.
-    }
-    if (parsed.sequence > snapshot) {
-      continue;
     }
     if (parsed.type == kTypeMerge) {
       operand_storage.push_back(iter->value().ToString());
       continue;
     }
-    if (parsed.type == kTypeDeletion || parsed.type == kTypeSingleDeletion) {
-      deleted = true;
-    } else {
+    // A base value ends the chain; so does a tombstone, merging over
+    // nothing.
+    if (parsed.type != kTypeDeletion && parsed.type != kTypeSingleDeletion) {
       Status s = ResolveValue(parsed.user_key, parsed.type,
                               iter->value().ToString(), &base_storage);
       if (!s.ok()) {
@@ -1169,32 +1161,140 @@ Status ShardEngine::ResolveMerge(const ReadOptions& options, const ReadView& vie
       }
       has_base = true;
     }
-    break;  // Any non-merge entry terminates the operand chain.
+    break;
   }
   if (!iter->status().ok()) {
     return iter->status();
   }
-  if (operand_storage.empty() && deleted) {
-    return Status::NotFound("key deleted");
-  }
-
-  Slice base_slice(base_storage);
-  const Slice* base = has_base ? &base_slice : nullptr;
-
-  std::vector<Slice> operands;  // Oldest first for the operator.
-  operands.reserve(operand_storage.size());
-  for (auto it = operand_storage.rbegin(); it != operand_storage.rend();
-       ++it) {
-    operands.emplace_back(*it);
-  }
-  if (!options_.merge_operator->Merge(key, base, operands, value)) {
+  // The operator takes the operands oldest first.
+  std::vector<Slice> operands(operand_storage.rbegin(),
+                              operand_storage.rend());
+  Slice base(base_storage);
+  if (!options_.merge_operator->Merge(user_key, has_base ? &base : nullptr,
+                                      operands, value)) {
     return Status::Corruption("merge operands failed to combine");
   }
   return Status::OK();
 }
 
+Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
+  // 1. Memtables: the active one, then the immutables, newest first.
+  const ReadView& view = c->view;
+  for (; c->next_memtable <= view.imms.size(); ++c->next_memtable) {
+    MemTable* mem = c->next_memtable == 0
+                        ? view.mem.get()
+                        : view.imms[c->next_memtable - 1].get();
+    if (mem->Get(c->lkey, &c->raw, &c->type)) {
+      c->state = LookupCursor::kFound;
+      return Status::OK();
+    }
+  }
+
+  // 2. Sorted runs, shallow to deep; within a tiered level newest run first
+  // (§2.1.2). The filter gates every probe (§2.1.3), the index locates the
+  // one data block that may hold the key, and a miss moves on to the next
+  // run.
+  const Version& version = *view.version;
+  const Slice user_key = c->lkey.user_key();
+  const Slice internal_key = c->lkey.internal_key();
+  const Block* block = fetched;  // The current run's block, once known.
+  std::shared_ptr<const Block> cached;
+  while (true) {
+    if (block == nullptr) {
+      while (c->next_file == c->files.size()) {
+        if (++c->level == version.num_levels()) {
+          c->state = LookupCursor::kAbsent;
+          return Status::OK();
+        }
+        c->files = version.FilesContaining(c->level, user_key);
+        c->next_file = 0;
+      }
+      Status s = GetTableReader(*c->files[c->next_file++], &c->reader);
+      if (!s.ok()) {
+        return s;
+      }
+      if (c->reader->KeyDefinitelyAbsent(user_key)) {
+        stats_->runs_skipped_by_filter.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
+      if (c->reader->LocateDataBlock(internal_key, &c->block, &s)) {
+        cached = c->reader->LookupCachedBlock(c->block.offset());
+        if (cached == nullptr) {
+          c->state = LookupCursor::kNeedBlock;
+          return Status::OK();
+        }
+        block = cached.get();
+      } else if (!s.ok()) {
+        return s;
+      }
+      // Otherwise the index placed the key past the run's last block.
+    }
+    bool found = false;
+    if (block != nullptr) {
+      Status s = c->reader->SearchBlock(*block, internal_key, &found,
+                                        &c->entry_key, &c->raw);
+      block = nullptr;
+      if (!s.ok()) {
+        return s;
+      }
+    }
+    if (found) {
+      c->type = ExtractValueType(c->entry_key);
+      c->state = LookupCursor::kFound;
+      return Status::OK();
+    }
+    if (c->reader->has_filter()) {
+      // The filter said "maybe" but the run lacks the key.
+      stats_->filter_false_positives.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+}
+
+Status ShardEngine::LookupInPlace(const ReadOptions& options,
+                                  LookupCursor* c) {
+  Status s = StepLookup(c, nullptr);
+  std::string scratch;
+  while (s.ok() && c->state == LookupCursor::kNeedBlock) {
+    const size_t len = static_cast<size_t>(c->block.size()) + kBlockTrailerSize;
+    scratch.resize(len);
+    Slice contents;
+    s = c->reader->file()->Read(c->block.offset(), len, &contents,
+                                scratch.data());
+    std::shared_ptr<const Block> block;
+    if (s.ok()) {
+      s = c->reader->FinishBatchedBlockRead(
+          c->reader->MakeFetchContext(options), c->block, contents, &block);
+    }
+    if (s.ok()) {
+      s = StepLookup(c, block.get());
+    }
+  }
+  return s;
+}
+
+Status ShardEngine::FinishLookup(const ReadOptions& options,
+                                 const LookupCursor& c, std::string* value) {
+  assert(c.state == LookupCursor::kFound || c.state == LookupCursor::kAbsent);
+  if (c.state == LookupCursor::kAbsent) {
+    return Status::NotFound("key not found");
+  }
+  if (c.type == kTypeDeletion || c.type == kTypeSingleDeletion) {
+    return Status::NotFound("key deleted");
+  }
+  stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
+  if (c.type == kTypeMerge) {
+    // Walk the key's history in the very view the lookup probed; the
+    // lookup key is the seek target for its snapshot.
+    auto iter = NewInternalIterator(options, c.view);
+    iter->Seek(c.lkey.internal_key());
+    return ResolveMerge(iter.get(), c.lkey.user_key(), value);
+  }
+  return ResolveValue(c.lkey.user_key(), c.type, c.raw, value);
+}
+
 Status ShardEngine::Get(const ReadOptions& options, const Slice& key,
-               std::string* value) {
+                        std::string* value) {
   stats_->point_lookups.fetch_add(1, std::memory_order_relaxed);
 
   // Steady-state Get takes no DB-wide mutex: one atomic load pins the whole
@@ -1206,84 +1306,14 @@ Status ShardEngine::Get(const ReadOptions& options, const Slice& key,
   SequenceNumber snapshot = options.snapshot_seqno != 0
                                 ? options.snapshot_seqno
                                 : versions_->last_sequence();
-
-  LookupKey lkey(key, snapshot);
-  std::string raw;
-  ValueType type;
-
-  // 1. Active memtable.
-  if (view->mem->Get(lkey, &raw, &type)) {
-    if (type == kTypeDeletion || type == kTypeSingleDeletion) {
-      return Status::NotFound("key deleted");
-    }
-    stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-    if (type == kTypeMerge) {
-      return ResolveMerge(options, *view, key, snapshot, value);
-    }
-    return ResolveValue(key, type, raw, value);
-  }
-  // 2. Immutable memtables, newest first.
-  for (const auto& imm : view->imms) {
-    if (imm->Get(lkey, &raw, &type)) {
-      if (type == kTypeDeletion || type == kTypeSingleDeletion) {
-        return Status::NotFound("key deleted");
-      }
-      stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-      if (type == kTypeMerge) {
-        return ResolveMerge(options, *view, key, snapshot, value);
-      }
-      return ResolveValue(key, type, raw, value);
-    }
-  }
-
-  // 3. Disk levels, shallow to deep; within a tiered level newest run first
-  // (tutorial §2.1.2 get path). Filters gate every run probe (§2.1.3).
-  const Version* version = view->version.get();
-  for (int level = 0; level < version->num_levels(); ++level) {
-    for (const FileMetaData* f : version->FilesContaining(level, key)) {
-      std::shared_ptr<TableReader> reader;
-      Status s = GetTableReader(*f, &reader);
-      if (!s.ok()) {
-        return s;
-      }
-      if (reader->KeyDefinitelyAbsent(key)) {
-        stats_->runs_skipped_by_filter.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
-
-      bool found;
-      std::string entry_key;
-      s = reader->InternalGet(options, lkey.internal_key(), &found,
-                              &entry_key, &raw);
-      if (!s.ok()) {
-        return s;
-      }
-      if (!found) {
-        if (reader->has_filter()) {
-          // The filter said "maybe" but the run lacked the key.
-          stats_->filter_false_positives.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-        continue;
-      }
-      ValueType found_type = ExtractValueType(entry_key);
-      if (found_type == kTypeDeletion || found_type == kTypeSingleDeletion) {
-        return Status::NotFound("key deleted");
-      }
-      stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-      if (found_type == kTypeMerge) {
-        return ResolveMerge(options, *view, key, snapshot, value);
-      }
-      return ResolveValue(key, found_type, raw, value);
-    }
-  }
-  return Status::NotFound("key not found");
+  LookupCursor c(*view, key, snapshot);
+  Status s = LookupInPlace(options, &c);
+  return s.ok() ? FinishLookup(options, c, value) : s;
 }
 
 std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
-                                 const std::vector<Slice>& keys,
-                                 std::vector<std::string>* values) {
+                                          const std::vector<Slice>& keys,
+                                          std::vector<std::string>* values) {
   // Batch-level counters (multiget_batches / multiget_keys / point_lookups)
   // are recorded by the facade, which may split one client batch across
   // several engines; bumping them here too would double-count.
@@ -1301,259 +1331,83 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   SequenceNumber snapshot = options.snapshot_seqno != 0
                                 ? options.snapshot_seqno
                                 : versions_->last_sequence();
-
-  struct KeyState {
-    LookupKey lkey;
-    bool done = false;
-    /// Readers that may hold this key, in probe order (level-major, run
-    /// order within a level) — filled in phase B, drained in phase C.
-    std::vector<TableReader*> probes;
-    /// Phase C cursor into `probes`.
-    size_t next_probe = 0;
-    explicit KeyState(const Slice& key, SequenceNumber seq)
-        : lkey(key, seq) {}
-  };
-  // deque: LookupKey is pinned in place (neither copyable nor movable).
-  std::deque<KeyState> states;
+  // deque: a cursor's LookupKey is pinned in place (neither copyable nor
+  // movable).
+  std::deque<LookupCursor> cursors;
   for (const Slice& key : keys) {
-    states.emplace_back(key, snapshot);
+    cursors.emplace_back(*view, key, snapshot);
   }
 
-  // Finishes key i with the entry found for it (any source).
-  auto resolve_entry = [&](size_t i, ValueType type, const std::string& raw) {
-    states[i].done = true;
-    if (type == kTypeDeletion || type == kTypeSingleDeletion) {
-      statuses[i] = Status::NotFound("key deleted");
-      return;
-    }
-    stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-    if (type == kTypeMerge) {
-      statuses[i] =
-          ResolveMerge(options, *view, keys[i], snapshot, &(*values)[i]);
-      return;
-    }
-    statuses[i] = ResolveValue(keys[i], type, raw, &(*values)[i]);
-  };
-
-  // Phase A: memtables (active, then immutables newest first). Keys
-  // resolved here never touch disk at all.
-  size_t remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    std::string raw;
-    ValueType type;
-    bool hit = view->mem->Get(states[i].lkey, &raw, &type);
-    for (auto imm = view->imms.begin(); !hit && imm != view->imms.end();
-         ++imm) {
-      hit = (*imm)->Get(states[i].lkey, &raw, &type);
-    }
-    if (hit) {
-      resolve_entry(i, type, raw);
-      --remaining;
-    }
-  }
-
-  // Phase B: walk the tree once, file by file, resolving each candidate
-  // file's reader a single time and running every relevant filter check
-  // before any data-block I/O. Keys surviving the filter are queued on the
-  // file in probe order; a key queued on files of two levels probes the
-  // shallower one first, preserving Get's newest-wins semantics.
-  std::vector<std::shared_ptr<TableReader>> pinned_readers;
-  const Version* version = view->version.get();
-  for (int level = 0; remaining > 0 && level < version->num_levels();
-       ++level) {
-    // FilesContaining returns probe order per key; iterating keys per file
-    // keeps that order because a level's files are visited in stored order
-    // for leveled levels and newest-run-first for tiered ones.
-    for (size_t i = 0; i < n; ++i) {
-      if (states[i].done) {
+  // Wavefront: each round steps every unfinished cursor until it finishes
+  // or stops at an uncached block, reads the stopped cursors' blocks —
+  // deduped by (file, offset) — in one Env::MultiRead, and hands each
+  // cursor its block for the next round. A key reads run k+1 only after
+  // its run-k probe missed: Get's walk, with a round's device trips
+  // collapsed into one submission.
+  std::vector<size_t> active(n);
+  std::iota(active.begin(), active.end(), size_t{0});
+  std::vector<std::shared_ptr<const Block>> fetched(n);
+  while (!active.empty()) {
+    std::vector<ReadRequest> reqs;  // The round's unique block reads...
+    std::vector<std::unique_ptr<char[]>> bufs;
+    std::vector<size_t> owner;  // ...and the first cursor to ask for each.
+    std::vector<std::pair<size_t, size_t>> waiting;  // (cursor, read).
+    for (size_t i : active) {
+      LookupCursor& c = cursors[i];
+      Status s = StepLookup(&c, fetched[i].get());
+      fetched[i].reset();
+      if (!s.ok() || c.state != LookupCursor::kNeedBlock) {
+        statuses[i] = s.ok() ? FinishLookup(options, c, &(*values)[i]) : s;
         continue;
       }
-      for (const FileMetaData* f :
-           version->FilesContaining(level, keys[i])) {
-        std::shared_ptr<TableReader> reader;
-        Status s = GetTableReader(*f, &reader);
-        if (!s.ok()) {
-          statuses[i] = s;
-          states[i].done = true;
-          --remaining;
-          break;
-        }
-        if (reader->KeyDefinitelyAbsent(keys[i])) {
-          stats_->runs_skipped_by_filter.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          continue;
-        }
-        states[i].probes.push_back(reader.get());
-        pinned_readers.push_back(std::move(reader));
+      size_t r = 0;
+      while (r < reqs.size() && (reqs[r].file != c.reader->file() ||
+                                 reqs[r].offset != c.block.offset())) {
+        ++r;
+      }
+      if (r == reqs.size()) {
+        const size_t len =
+            static_cast<size_t>(c.block.size()) + kBlockTrailerSize;
+        bufs.push_back(std::make_unique<char[]>(len));
+        ReadRequest req;
+        req.file = c.reader->file();
+        req.offset = c.block.offset();
+        req.len = len;
+        req.scratch = bufs.back().get();
+        reqs.push_back(req);
+        owner.push_back(i);
+      }
+      waiting.emplace_back(i, r);
+    }
+    active.clear();
+    if (reqs.empty()) {
+      break;
+    }
+
+    options_.env->MultiRead(reqs.data(), reqs.size());
+    stats_->io_batches.fetch_add(1, std::memory_order_relaxed);
+    stats_->io_batch_reads.fetch_add(reqs.size(), std::memory_order_relaxed);
+    // Materialize each unique block once (verified, built and cached the
+    // way the reader's fetch context says).
+    std::vector<std::shared_ptr<const Block>> blocks(reqs.size());
+    uint64_t bytes = 0;
+    for (size_t r = 0; r < reqs.size(); ++r) {
+      if (reqs[r].status.ok()) {
+        bytes += reqs[r].result.size();
+        const LookupCursor& c = cursors[owner[r]];
+        reqs[r].status = c.reader->FinishBatchedBlockRead(
+            c.reader->MakeFetchContext(options), c.block, reqs[r].result,
+            &blocks[r]);
       }
     }
-  }
-
-  // Phase C (wavefront): rounds of one
-  // Env::MultiRead submission each. Every unresolved key locates — via its
-  // current probe target's pinned index — the one data block that may hold
-  // it; cache hits resolve immediately, the misses are deduped by
-  // (file, offset) and fetched together in a single submission, then
-  // searched. A key that misses its file advances to the next probe and
-  // joins the next round, so a key never reads a deeper file until the
-  // shallower one definitively missed — exactly Get's newest-wins walk,
-  // with the per-round device trips collapsed from k to 1.
-  if (remaining > 0) {
-    struct PendingProbe {
-      size_t key;         // Index into states/statuses.
-      size_t read_index;  // Index into the round's unique reads.
-    };
-    std::vector<size_t> active;
-    for (size_t i = 0; i < n; ++i) {
-      if (!states[i].done) {
+    stats_->io_batch_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    for (const auto& [i, r] : waiting) {
+      if (reqs[r].status.ok()) {
+        fetched[i] = blocks[r];
         active.push_back(i);
+      } else {
+        statuses[i] = reqs[r].status;
       }
-    }
-    while (!active.empty()) {
-      std::vector<PendingProbe> pending;
-      // The round's unique block reads, deduped by (file, offset).
-      std::vector<ReadRequest> reqs;
-      std::vector<std::unique_ptr<char[]>> bufs;
-      std::vector<TableReader*> req_reader;
-      std::vector<BlockHandle> req_handle;
-
-      for (size_t i : active) {
-        KeyState& st = states[i];
-        bool waiting = false;
-        while (st.next_probe < st.probes.size()) {
-          TableReader* reader = st.probes[st.next_probe];
-          stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
-          BlockHandle handle;
-          Status s;
-          if (!reader->LocateDataBlock(st.lkey.internal_key(), &handle, &s)) {
-            if (!s.ok()) {
-              statuses[i] = s;
-              st.done = true;
-              break;
-            }
-            // Index placed the key past the last block: miss in this file.
-            if (reader->has_filter()) {
-              stats_->filter_false_positives.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            ++st.next_probe;
-            continue;
-          }
-          auto cached = reader->LookupCachedBlock(handle.offset());
-          if (cached != nullptr) {
-            bool found;
-            std::string entry_key;
-            std::string raw;
-            Status bs = reader->SearchBlock(*cached, st.lkey.internal_key(),
-                                            &found, &entry_key, &raw);
-            if (!bs.ok()) {
-              statuses[i] = bs;
-              st.done = true;
-              break;
-            }
-            if (found) {
-              resolve_entry(i, ExtractValueType(entry_key), raw);
-              break;
-            }
-            if (reader->has_filter()) {
-              stats_->filter_false_positives.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            ++st.next_probe;
-            continue;
-          }
-          // Cold block: join this round's submission.
-          size_t read_index = reqs.size();
-          for (size_t r = 0; r < reqs.size(); ++r) {
-            if (req_reader[r] == reader &&
-                req_handle[r].offset() == handle.offset()) {
-              read_index = r;
-              break;
-            }
-          }
-          if (read_index == reqs.size()) {
-            size_t len =
-                static_cast<size_t>(handle.size()) + kBlockTrailerSize;
-            bufs.push_back(std::make_unique<char[]>(len));
-            ReadRequest req;
-            req.file = reader->file();
-            req.offset = handle.offset();
-            req.len = len;
-            req.scratch = bufs.back().get();
-            reqs.push_back(req);
-            req_reader.push_back(reader);
-            req_handle.push_back(handle);
-          }
-          pending.push_back(PendingProbe{i, read_index});
-          waiting = true;
-          break;
-        }
-        if (!waiting && !states[i].done) {
-          statuses[i] = Status::NotFound("key not found");
-          states[i].done = true;
-        }
-      }
-
-      std::vector<size_t> next_active;
-      if (!pending.empty()) {
-        options_.env->MultiRead(reqs.data(), reqs.size());
-        stats_->io_batches.fetch_add(1, std::memory_order_relaxed);
-        stats_->io_batch_reads.fetch_add(reqs.size(),
-                                        std::memory_order_relaxed);
-        // Materialize each unique block once (verify + cache-insert per
-        // the reader's fetch context, computed once for the whole batch).
-        std::vector<std::shared_ptr<const Block>> blocks(reqs.size());
-        std::vector<Status> block_status(reqs.size());
-        uint64_t bytes = 0;
-        for (size_t r = 0; r < reqs.size(); ++r) {
-          if (!reqs[r].status.ok()) {
-            block_status[r] = reqs[r].status;
-            continue;
-          }
-          bytes += reqs[r].result.size();
-          block_status[r] = req_reader[r]->FinishBatchedBlockRead(
-              req_reader[r]->MakeFetchContext(options), req_handle[r],
-              reqs[r].result, &blocks[r]);
-        }
-        stats_->io_batch_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        for (const PendingProbe& p : pending) {
-          KeyState& st = states[p.key];
-          if (!block_status[p.read_index].ok()) {
-            statuses[p.key] = block_status[p.read_index];
-            st.done = true;
-            continue;
-          }
-          TableReader* reader = st.probes[st.next_probe];
-          bool found;
-          std::string entry_key;
-          std::string raw;
-          Status bs =
-              reader->SearchBlock(*blocks[p.read_index],
-                                  st.lkey.internal_key(), &found, &entry_key,
-                                  &raw);
-          if (!bs.ok()) {
-            statuses[p.key] = bs;
-            st.done = true;
-            continue;
-          }
-          if (found) {
-            resolve_entry(p.key, ExtractValueType(entry_key), raw);
-            continue;
-          }
-          if (reader->has_filter()) {
-            stats_->filter_false_positives.fetch_add(1,
-                                                    std::memory_order_relaxed);
-          }
-          ++st.next_probe;
-          if (st.next_probe < st.probes.size()) {
-            next_active.push_back(p.key);
-          } else {
-            statuses[p.key] = Status::NotFound("key not found");
-            st.done = true;
-          }
-        }
-      }
-      active = std::move(next_active);
     }
   }
   return statuses;
@@ -1667,9 +1521,13 @@ class ShardEngine::DBIter final : public Iterator {
         continue;
       }
       if (parsed.type == kTypeMerge) {
-        // Collect the operand chain down to the base value (§2.2.6).
-        if (!ResolveMergeChain(parsed.user_key)) {
-          return;  // status_ set.
+        // Collect the operand chain down to the base value (§2.2.6). The
+        // resolver may leave the internal iterator on the next key already,
+        // so Next() must not advance it.
+        current_key_ = parsed.user_key.ToString();
+        status_ = db_->ResolveMerge(iter_.get(), current_key_, &current_value_);
+        if (!status_.ok()) {
+          return;
         }
         iter_already_advanced_ = true;
         valid_ = true;
@@ -1687,69 +1545,6 @@ class ShardEngine::DBIter final : public Iterator {
       valid_ = true;
       return;
     }
-  }
-
-  /// Positioned on the newest visible merge operand of `user_key`:
-  /// consumes the rest of the key's visible history, combines operands with
-  /// the base, and leaves current_key_/current_value_ set. Returns false if
-  /// an error occurred (status_ set). The internal iterator ends up past
-  /// this user key either way.
-  bool ResolveMergeChain(const Slice& user_key) {
-    const Comparator* ucmp = db_->options_.comparator;
-    current_key_ = user_key.ToString();
-    std::vector<std::string> operand_storage;
-    std::string base_storage;
-    bool has_base = false;
-
-    while (iter_->Valid()) {
-      ParsedInternalKey parsed;
-      if (!ParseInternalKey(iter_->key(), &parsed)) {
-        status_ = Status::Corruption("malformed internal key in merge chain");
-        return false;
-      }
-      if (ucmp->Compare(parsed.user_key, Slice(current_key_)) != 0) {
-        break;  // Past this key's history.
-      }
-      if (parsed.sequence > snapshot_) {
-        iter_->Next();
-        continue;
-      }
-      if (parsed.type == kTypeMerge) {
-        operand_storage.push_back(iter_->value().ToString());
-        iter_->Next();
-        continue;
-      }
-      if (parsed.type == kTypeDeletion ||
-          parsed.type == kTypeSingleDeletion) {
-        // Chain bottoms out at a tombstone: merge over nothing.
-        break;
-      }
-      Status s = db_->ResolveValue(parsed.user_key, parsed.type,
-                                   iter_->value().ToString(), &base_storage);
-      if (!s.ok()) {
-        status_ = s;
-        return false;
-      }
-      has_base = true;
-      break;
-    }
-    skip_key_ = current_key_;  // Remaining versions are consumed.
-
-    Slice base_slice(base_storage);
-    std::vector<Slice> operands;
-    operands.reserve(operand_storage.size());
-    for (auto it = operand_storage.rbegin(); it != operand_storage.rend();
-         ++it) {
-      operands.emplace_back(*it);
-    }
-    if (db_->options_.merge_operator == nullptr ||
-        !db_->options_.merge_operator->Merge(current_key_,
-                                             has_base ? &base_slice : nullptr,
-                                             operands, &current_value_)) {
-      status_ = Status::Corruption("merge operands failed to combine");
-      return false;
-    }
-    return true;
   }
 
   ShardEngine* const db_;

@@ -140,13 +140,13 @@ class ShardEngine {
              std::string* value);
 
   /// Batched point lookup: resolves every key under one ReadView (one
-  /// atomic acquire for the whole batch) and reorders the work file-by-file
-  /// — all memtable probes first, then every filter check, then data-block
-  /// reads — so a table's filter and reader are touched once per batch
-  /// instead of once per key. Returns one Status per key, aligned with
-  /// `keys`; `values` is resized to match. Batch-level statistics
-  /// (multiget_batches / multiget_keys / point_lookups) are the facade's to
-  /// record — it may split one client batch across several engines.
+  /// atomic acquire for the whole batch) by stepping one lookup cursor per
+  /// key through Get's walk in rounds; each round's uncached data blocks,
+  /// deduped, go out as one Env::MultiRead. Returns one Status per key,
+  /// aligned with `keys`; `values` is resized to match. Batch-level
+  /// statistics (multiget_batches / multiget_keys / point_lookups) are the
+  /// facade's to record — it may split one client batch across several
+  /// engines.
   std::vector<Status> MultiGet(const ReadOptions& options,
                                const std::vector<Slice>& keys,
                                std::vector<std::string>* values);
@@ -416,11 +416,53 @@ class ShardEngine {
   Status ResolveValue(const Slice& user_key, ValueType type,
                       const std::string& raw, std::string* value);
 
-  /// Slow path for keys whose newest visible entry is a merge operand:
-  /// walks all versions of `key` at `snapshot` within `view`, collects
-  /// operands down to the base value, and applies the merge operator.
-  Status ResolveMerge(const ReadOptions& options, const ReadView& view,
-                      const Slice& key, SequenceNumber snapshot,
+  /// The one merge-chain resolver (tutorial §2.2.6), shared by point
+  /// lookups and DBIter. `iter` sits on the newest visible merge operand of
+  /// `user_key`; collects operands down to a base value, a tombstone or the
+  /// end of the key's history, leaves `iter` on the entry that ended the
+  /// chain, and applies Options::merge_operator.
+  Status ResolveMerge(Iterator* iter, const Slice& user_key,
+                      std::string* value);
+
+  // --- Point lookups (DESIGN.md, "Read path") -----------------------------
+  /// One key's place in the point-lookup walk (tutorial §2.1.2-§2.1.3): the
+  /// active memtable, the immutables newest first, then each level's
+  /// candidate runs, shallow to deep. StepLookup moves it; Get and
+  /// MultiGet differ only in how they read the blocks it stops at.
+  struct LookupCursor {
+    enum State { kWalking, kNeedBlock, kFound, kAbsent };
+    LookupCursor(const ReadView& v, const Slice& key, SequenceNumber snapshot)
+        : view(v), lkey(key, snapshot) {}
+
+    const ReadView& view;
+    LookupKey lkey;
+    State state = kWalking;
+    size_t next_memtable = 0;  // 0 is the active one, k is imms[k - 1].
+    int level = -1;
+    std::vector<const FileMetaData*> files;  // `level`'s candidate runs.
+    size_t next_file = 0;
+    /// The run being probed; at kNeedBlock, its uncached data block.
+    std::shared_ptr<TableReader> reader;
+    BlockHandle block;
+    /// At kFound: the newest visible entry.
+    ValueType type = kTypeValue;
+    std::string raw;
+    std::string entry_key;  // The found entry's internal key.
+  };
+  /// The one point-lookup walk: advances `c` until it finds the key's
+  /// newest visible entry (kFound), passes the deepest run (kAbsent), or
+  /// stops at a data block that is not cached (kNeedBlock). The caller
+  /// resumes a stopped cursor by passing that block, once read, as
+  /// `fetched`. Counts filter skips, runs probed and filter false
+  /// positives.
+  Status StepLookup(LookupCursor* c, const Block* fetched);
+  /// Get's lookup loop (vlog GC's too): steps `c` to the end of its walk,
+  /// reading each uncached block in place with one RandomAccessFile::Read.
+  Status LookupInPlace(const ReadOptions& options, LookupCursor* c);
+  /// Turns a finished walk into the reader's answer: NotFound for an
+  /// absent key or a tombstone, ResolveMerge for a merge operand,
+  /// ResolveValue otherwise.
+  Status FinishLookup(const ReadOptions& options, const LookupCursor& c,
                       std::string* value);
 
   // --- Low-contention read path -----------------------------------------
@@ -446,10 +488,6 @@ class ShardEngine {
   class DBIter;
   std::unique_ptr<Iterator> NewInternalIterator(const ReadOptions& options,
                                                 const ReadView& view);
-  /// Fetches the raw (unresolved) vlog pointer currently stored for `key`;
-  /// NotFound when the key is deleted, absent, or stored inline.
-  Status GetRawPointer(const ReadOptions& options, const Slice& key,
-                       std::string* raw);
 
   // ---------------------------------------------------------------------
   const Options options_;  // Normalized copy (env/clock/comparator filled).

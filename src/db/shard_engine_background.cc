@@ -950,33 +950,36 @@ Status ShardEngine::GarbageCollectVlog() {
     if (log == new_log) {
       continue;
     }
-    Status relocate_status;
+    Status record_status;
     s = vlog_->ForEachRecord(
         log, [&](const Slice& key, const Slice& value, const VlogPointer& ptr) {
-          // Live iff the LSM still points at exactly this record.
-          std::string current;
-          Status gs = GetRawPointer(ReadOptions(), key, &current);
-          if (!gs.ok()) {
-            return true;  // Deleted or overwritten inline: dead record.
+          // Live iff the LSM still points at exactly this record. The check
+          // is Get's own walk, stopped short of resolving the value.
+          std::shared_ptr<const ReadView> view = AcquireReadView();
+          LookupCursor c(*view, key, versions_->last_sequence());
+          record_status = LookupInPlace(ReadOptions(), &c);
+          if (!record_status.ok()) {
+            return false;  // Liveness unknown: keep the log.
           }
-          VlogPointer current_ptr;
-          if (!current_ptr.DecodeFrom(current) ||
-              current_ptr.file_number != ptr.file_number ||
-              current_ptr.offset != ptr.offset) {
-            return true;  // Superseded: dead record.
+          VlogPointer current;
+          if (c.state != LookupCursor::kFound || c.type != kTypeVlogPointer ||
+              !current.DecodeFrom(c.raw) ||
+              current.file_number != ptr.file_number ||
+              current.offset != ptr.offset) {
+            return true;  // Deleted, overwritten or inline now: dead record.
           }
           // Live: relocate by re-putting through the normal write path. A
           // failed relocation must stop the scan — deleting the old log
           // below would otherwise drop the record.
           WriteOptions wo;
-          relocate_status = Put(wo, key, value);
-          return relocate_status.ok();
+          record_status = Put(wo, key, value);
+          return record_status.ok();
         });
     if (!s.ok()) {
       return s;
     }
-    if (!relocate_status.ok()) {
-      return relocate_status;
+    if (!record_status.ok()) {
+      return record_status;
     }
     s = vlog_->DeleteLog(log);
     if (!s.ok()) {
@@ -984,50 +987,6 @@ Status ShardEngine::GarbageCollectVlog() {
     }
   }
   return Status::OK();
-}
-
-Status ShardEngine::GetRawPointer(const ReadOptions& options, const Slice& key,
-                         std::string* raw) {
-  std::shared_ptr<const ReadView> view = AcquireReadView();
-  SequenceNumber snapshot = versions_->last_sequence();
-  LookupKey lkey(key, snapshot);
-  ValueType type;
-  if (view->mem->Get(lkey, raw, &type)) {
-    return type == kTypeVlogPointer ? Status::OK()
-                                    : Status::NotFound("not separated");
-  }
-  for (const auto& imm : view->imms) {
-    if (imm->Get(lkey, raw, &type)) {
-      return type == kTypeVlogPointer ? Status::OK()
-                                      : Status::NotFound("not separated");
-    }
-  }
-  const Version* version = view->version.get();
-  for (int level = 0; level < version->num_levels(); ++level) {
-    for (const FileMetaData* f : version->FilesContaining(level, key)) {
-      std::shared_ptr<TableReader> reader;
-      Status s = GetTableReader(*f, &reader);
-      if (!s.ok()) {
-        return s;
-      }
-      if (reader->KeyDefinitelyAbsent(key)) {
-        continue;
-      }
-      bool found;
-      std::string entry_key;
-      s = reader->InternalGet(options, lkey.internal_key(), &found,
-                              &entry_key, raw);
-      if (!s.ok()) {
-        return s;
-      }
-      if (found) {
-        return ExtractValueType(entry_key) == kTypeVlogPointer
-                   ? Status::OK()
-                   : Status::NotFound("not separated");
-      }
-    }
-  }
-  return Status::NotFound("key not found");
 }
 
 }  // namespace lsmlab

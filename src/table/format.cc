@@ -65,19 +65,14 @@ Status VerifyBlockTrailer(const char* data, size_t n, bool verify_checksum) {
 }
 
 Status ReadBlock(const RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result,
-                 std::string* scratch) {
+                 bool verify_checksum, BlockContents* result) {
   result->data.clear();
 
   size_t n = static_cast<size_t>(handle.size());
-  std::string local_buf;
-  std::string* buf = scratch != nullptr ? scratch : &local_buf;
-  if (buf->size() < n + kBlockTrailerSize) {
-    buf->resize(n + kBlockTrailerSize);
-  }
+  std::string buf(n + kBlockTrailerSize, '\0');
   Slice contents;
   Status s =
-      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf->data());
+      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.data());
   if (!s.ok()) {
     return s;
   }

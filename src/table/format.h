@@ -68,12 +68,9 @@ struct BlockContents {
 Status VerifyBlockTrailer(const char* data, size_t n, bool verify_checksum);
 
 /// Reads the block identified by `handle`, verifying the CRC trailer when
-/// `verify_checksum` is set. `scratch` (nullable) is a caller-owned reusable
-/// read buffer: supplying one across calls (e.g. per iterator) removes the
-/// per-call heap allocation a cold read otherwise pays.
+/// `verify_checksum` is set.
 Status ReadBlock(const RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result,
-                 std::string* scratch = nullptr);
+                 bool verify_checksum, BlockContents* result);
 
 }  // namespace lsmlab
 

@@ -214,27 +214,20 @@ std::shared_ptr<const Block> TableReader::FetchDataBlock(
     const BlockHandle& handle, const BlockFetchContext& ctx,
     const RandomAccessFile* file, std::string* scratch, Status* s) {
   *s = Status::OK();
-
-  // Cache key: file number + block offset.
-  char cache_key[16];
-  MakeBlockCacheKey(file_number_, handle.offset(), cache_key);
-  Slice key(cache_key, sizeof(cache_key));
-
-  if (options_.block_cache != nullptr) {
-    auto cached = options_.block_cache->Lookup(key);
-    if (cached != nullptr) {
-      return std::static_pointer_cast<const Block>(cached);
-    }
+  std::shared_ptr<const Block> block = LookupCachedBlock(handle.offset());
+  if (block != nullptr) {
+    return block;
   }
-
-  BlockContents contents;
-  *s = ReadBlock(file, handle, ctx.verify_checksums, &contents, scratch);
-  if (!s->ok()) {
-    return nullptr;
+  const size_t len = static_cast<size_t>(handle.size()) + kBlockTrailerSize;
+  std::string local_buf;
+  std::string* buf = scratch != nullptr ? scratch : &local_buf;
+  if (buf->size() < len) {
+    buf->resize(len);
   }
-  auto block = std::make_shared<const Block>(std::move(contents.data));
-  if (ctx.fill_cache) {
-    options_.block_cache->Insert(key, block, block->size());
+  Slice contents;
+  *s = file->Read(handle.offset(), len, &contents, buf->data());
+  if (s->ok()) {
+    *s = FinishBatchedBlockRead(ctx, handle, contents, &block);
   }
   return block;
 }

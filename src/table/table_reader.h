@@ -81,10 +81,11 @@ class TableReader : private FenceBlockProvider {
   /// Loads every data block into the block cache (Leaper-style re-warm).
   void WarmCache();
 
-  // --- Batched-read building blocks (DESIGN.md, "Batched I/O") -------------
-  // DB::MultiGet uses these to collect each key's candidate data-block read,
-  // issue all of them as one Env::MultiRead submission, and finish the
-  // lookups against the completed buffers.
+  // --- Point-lookup building blocks (DESIGN.md, "Batched I/O") -------------
+  // The engine's point-lookup walk locates each key's candidate data block
+  // and looks it up in the cache; on a miss its caller reads the block (one
+  // Read for Get, one Env::MultiRead per round for MultiGet) and finishes
+  // it here before the walk searches it.
 
   /// The per-batch fetch decision, taken once instead of re-derived from
   /// ReadOptions on every block (satellite of ISSUE 6): whether to verify
@@ -99,9 +100,9 @@ class TableReader : private FenceBlockProvider {
         read_options.fill_cache && options_.block_cache != nullptr};
   }
 
-  /// Resolves, via the pinned index (fence or learned — the batched
-  /// MultiGet path dispatches through the same IndexReader), the data block
-  /// that may contain `internal_key`. Returns false when the index places
+  /// Resolves, via the pinned index (fence or learned — the point-lookup
+  /// walk dispatches through the same IndexReader), the data block that may
+  /// contain `internal_key`. Returns false when the index places
   /// the key past the last block (no candidate; *s stays OK unless the
   /// index itself erred).
   bool LocateDataBlock(const Slice& internal_key, BlockHandle* handle,
@@ -110,10 +111,10 @@ class TableReader : private FenceBlockProvider {
   /// Cache-only lookup for the data block at `offset`; nullptr on miss.
   std::shared_ptr<const Block> LookupCachedBlock(uint64_t offset);
 
-  /// Completes one batched block read: `contents` is the raw
-  /// handle.size() + kBlockTrailerSize bytes returned by MultiRead for
-  /// `handle`. Verifies the trailer per `ctx`, materializes the Block, and
-  /// inserts it into the cache when ctx.fill_cache.
+  /// Completes one block read: `contents` is the raw handle.size() +
+  /// kBlockTrailerSize bytes read (alone or in a MultiRead) for `handle`.
+  /// Verifies the trailer per `ctx`, materializes the Block, and inserts it
+  /// into the cache when ctx.fill_cache.
   Status FinishBatchedBlockRead(const BlockFetchContext& ctx,
                                 const BlockHandle& handle,
                                 const Slice& contents,

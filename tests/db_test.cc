@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -611,13 +612,56 @@ TEST_F(KvSepTest, VlogGcReclaimsDeadValues) {
   ASSERT_TRUE(db_->GarbageCollectVlog().ok());
   ASSERT_TRUE(db_->Flush().ok());
 
-  // All 20 keys still readable after GC rewrote the logs.
+  // All 20 keys still readable after GC rewrote the logs, through Get,
+  // MultiGet and an iterator alike.
   std::string value;
+  std::vector<std::string> key_storage;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(db_->Get(ReadOptions(), "k" + std::to_string(i), &value).ok())
+    key_storage.push_back("k" + std::to_string(i));
+    ASSERT_TRUE(db_->Get(ReadOptions(), key_storage.back(), &value).ok())
         << i;
     EXPECT_EQ(big, value);
   }
+  std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses = db_->MultiGet(ReadOptions(), keys, &values);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << key_storage[i];
+    EXPECT_EQ(big, values[i]) << key_storage[i];
+  }
+  auto iter = db_->NewIterator(ReadOptions());
+  size_t count = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    EXPECT_EQ(big, iter->value().ToString()) << iter->key().ToString();
+    ++count;
+  }
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(keys.size(), count);
+}
+
+// A SingleDelete annihilates the put it deletes in any compaction, not only
+// a bottommost one; a separated put leaves its value as vlog garbage.
+TEST_F(KvSepTest, SingleDeleteAnnihilatesSeparatedPut) {
+  options_.level0_file_num_compaction_trigger = 2;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "deep", "older data").ok());
+  ASSERT_TRUE(db_->CompactRange().ok());
+  ASSERT_EQ(1, db_->TotalSortedRuns());
+  const uint64_t garbage_before = db_->vlog()->GarbageBytes();
+
+  // Two L0 runs trigger an L0->L1 compaction over the deep run, so the
+  // compaction is not bottommost.
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(400, 's')).ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->SingleDelete(WriteOptions(), "k").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+
+  EXPECT_EQ(1, db_->TotalSortedRuns()) << db_->LevelsDebugString();
+  EXPECT_EQ(1u, db_->statistics()->tombstones_dropped.load());
+  EXPECT_GE(db_->vlog()->GarbageBytes(), garbage_before + 400);
+  std::string value;
+  EXPECT_TRUE(db_->Get(ReadOptions(), "k", &value).IsNotFound());
 }
 
 // ---------------------------------------------------------------------------
@@ -751,53 +795,67 @@ TEST_F(DBTest, MultiGetEmptyAndDuplicateKeys) {
 
 TEST_F(DBTest, MultiGetBatchedAgreesWithSerialEverywhere) {
   options_.merge_operator = NewStringAppendOperator(',');
-  OpenDB();
-  // Spread data over memtable, L0, and deeper levels; mix in overwrites,
-  // deletions, merge chains, and a snapshot taken mid-history.
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
-  }
-  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
-  SequenceNumber snap = db_->GetSnapshot();
-  for (int i = 0; i < 600; i += 5) {
-    ASSERT_TRUE(Put("key" + std::to_string(i), "over" + std::to_string(i)).ok());
-  }
-  for (int i = 2; i < 600; i += 11) {
-    ASSERT_TRUE(db_->Delete(WriteOptions(), "key" + std::to_string(i)).ok());
-  }
-  for (int i = 3; i < 600; i += 13) {
-    ASSERT_TRUE(db_->Merge(WriteOptions(), "key" + std::to_string(i), "m").ok());
-  }
-  ASSERT_TRUE(db_->Flush().ok());
-
-  std::vector<std::string> key_storage;
-  for (int i = 0; i < 660; i += 3) {  // Includes absent keys >= 600.
-    key_storage.push_back("key" + std::to_string(i));
-  }
-  std::vector<Slice> keys(key_storage.begin(), key_storage.end());
-
-  for (bool use_snapshot : {false, true}) {
-    ReadOptions ro;
-    if (use_snapshot) {
-      ro.snapshot_seqno = snap;
+  // The second input separates every put value into the value log, so the
+  // batched path also resolves vlog pointers, merge bases among them.
+  for (bool kv_separation : {false, true}) {
+    SCOPED_TRACE(kv_separation ? "kv separation" : "inline values");
+    options_.kv_separation = kv_separation;
+    const std::string pad(
+        kv_separation ? options_.kv_separation_threshold : 0, 'p');
+    db_.reset();
+    ASSERT_TRUE(
+        DB::Open(options_, kv_separation ? "/db-kvsep" : "/db", &db_).ok());
+    // Spread data over memtable, L0, and deeper levels; mix in overwrites,
+    // deletions, merge chains, and a snapshot taken mid-history.
+    for (int i = 0; i < 600; ++i) {
+      ASSERT_TRUE(
+          Put("key" + std::to_string(i), "v" + std::to_string(i) + pad).ok());
     }
-    std::vector<std::string> values;
-    std::vector<Status> statuses = db_->MultiGet(ro, keys, &values);
-    ASSERT_EQ(keys.size(), statuses.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      std::string expected;
-      Status s = db_->Get(ro, keys[i], &expected);
-      EXPECT_EQ(s.ok(), statuses[i].ok())
-          << key_storage[i] << " snapshot=" << use_snapshot;
-      EXPECT_EQ(s.IsNotFound(), statuses[i].IsNotFound())
-          << key_storage[i] << " snapshot=" << use_snapshot;
-      if (s.ok()) {
-        EXPECT_EQ(expected, values[i])
+    ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+    SequenceNumber snap = db_->GetSnapshot();
+    for (int i = 0; i < 600; i += 5) {
+      ASSERT_TRUE(
+          Put("key" + std::to_string(i), "over" + std::to_string(i) + pad)
+              .ok());
+    }
+    for (int i = 2; i < 600; i += 11) {
+      ASSERT_TRUE(db_->Delete(WriteOptions(), "key" + std::to_string(i)).ok());
+    }
+    for (int i = 3; i < 600; i += 13) {
+      ASSERT_TRUE(
+          db_->Merge(WriteOptions(), "key" + std::to_string(i), "m").ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+
+    std::vector<std::string> key_storage;
+    for (int i = 0; i < 660; i += 3) {  // Includes absent keys >= 600.
+      key_storage.push_back("key" + std::to_string(i));
+    }
+    std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+
+    for (bool use_snapshot : {false, true}) {
+      ReadOptions ro;
+      if (use_snapshot) {
+        ro.snapshot_seqno = snap;
+      }
+      std::vector<std::string> values;
+      std::vector<Status> statuses = db_->MultiGet(ro, keys, &values);
+      ASSERT_EQ(keys.size(), statuses.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        std::string expected;
+        Status s = db_->Get(ro, keys[i], &expected);
+        EXPECT_EQ(s.ok(), statuses[i].ok())
             << key_storage[i] << " snapshot=" << use_snapshot;
+        EXPECT_EQ(s.IsNotFound(), statuses[i].IsNotFound())
+            << key_storage[i] << " snapshot=" << use_snapshot;
+        if (s.ok()) {
+          EXPECT_EQ(expected, values[i])
+              << key_storage[i] << " snapshot=" << use_snapshot;
+        }
       }
     }
+    db_->ReleaseSnapshot(snap);
   }
-  db_->ReleaseSnapshot(snap);
 }
 
 TEST_F(DBTest, BatchedMultiGetMovesIoBatchStats) {
@@ -837,6 +895,92 @@ TEST_F(DBTest, BatchedMultiGetMovesIoBatchStats) {
                          std::to_string(stats->io_batches.load()) + "\n"))
       << summary;
   EXPECT_NE(std::string::npos, summary.find("\nreadahead_hits=")) << summary;
+}
+
+// Get and MultiGet drive one point-lookup walk: over the same keys, 16-key
+// MultiGets must move every per-lookup ticker by exactly what a Get loop
+// moves, whether the blocks are cached or not.
+TEST_F(DBTest, MultiGetDoesTheWorkOfAGetLoop) {
+  options_.write_buffer_size = 256 << 10;
+  options_.level0_file_num_compaction_trigger = 8;
+  OpenDB();
+  // Two shallow runs over one deep run; a third of the keys live only in
+  // the deep run, and keys >= 600 nowhere.
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(Put("key" + std::to_string(i), "deep").ok());
+  }
+  ASSERT_TRUE(db_->CompactRange().ok());
+  for (int run = 0; run < 2; ++run) {
+    for (int i = run; i < 600; i += 3) {
+      ASSERT_TRUE(Put("key" + std::to_string(i), "shallow").ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+
+  std::vector<std::string> key_storage;
+  for (int i = 0; i < 672; ++i) {
+    key_storage.push_back("key" + std::to_string(i));
+  }
+  auto get_loop = [&] {
+    std::string value;
+    for (const std::string& key : key_storage) {
+      Status s = db_->Get(ReadOptions(), key, &value);
+      ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+    }
+  };
+  auto multigets = [&] {
+    std::vector<std::string> values;
+    for (size_t b = 0; b < key_storage.size(); b += 16) {
+      std::vector<Slice> keys(key_storage.begin() + b,
+                              key_storage.begin() + b + 16);
+      for (const Status& s : db_->MultiGet(ReadOptions(), keys, &values)) {
+        ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+      }
+    }
+  };
+  struct Work {
+    uint64_t filter_checks, runs_skipped_by_filter, runs_probed,
+        filter_false_positives, point_lookup_found, table_lookups,
+        io_batches;
+  };
+  auto measure = [&](const std::function<void()>& lookups, bool cold) {
+    if (cold) {
+      Reopen();  // Fresh block cache, table cache and reader pins.
+    }
+    Statistics* stats = db_->statistics();
+    stats->Reset();
+    lookups();
+    return Work{stats->filter_checks.load(),
+                stats->runs_skipped_by_filter.load(),
+                stats->runs_probed.load(),
+                stats->filter_false_positives.load(),
+                stats->point_lookup_found.load(),
+                stats->table_cache_hits.load() +
+                    stats->table_cache_misses.load(),
+                stats->io_batches.load()};
+  };
+
+  get_loop();  // Warm the caches for the cached pass.
+  for (bool cold : {false, true}) {
+    SCOPED_TRACE(cold ? "cold" : "cached");
+    const Work loop = measure(get_loop, cold);
+    const Work batched = measure(multigets, cold);
+    EXPECT_GT(loop.runs_probed, 0u);
+    EXPECT_GT(loop.runs_skipped_by_filter, 0u);
+    EXPECT_EQ(loop.filter_checks, batched.filter_checks);
+    EXPECT_EQ(loop.runs_skipped_by_filter, batched.runs_skipped_by_filter);
+    EXPECT_EQ(loop.runs_probed, batched.runs_probed);
+    EXPECT_EQ(loop.filter_false_positives, batched.filter_false_positives);
+    EXPECT_EQ(loop.point_lookup_found, batched.point_lookup_found);
+    EXPECT_EQ(loop.table_lookups, batched.table_lookups);
+    EXPECT_EQ(0u, loop.io_batches);
+    if (cold) {
+      EXPECT_GT(batched.io_batches, 0u);
+    } else {
+      EXPECT_EQ(0u, batched.io_batches);
+    }
+  }
 }
 
 TEST_F(DBTest, ScanReadaheadMovesStatsAndPreservesContents) {

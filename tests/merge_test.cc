@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "db/db.h"
 #include "db/merge_operator.h"
@@ -38,6 +39,59 @@ TEST_F(MergeTest, RequiresOperator) {
   Open();
   EXPECT_TRUE(
       db_->Merge(WriteOptions(), "counter", "1").IsInvalidArgument());
+}
+
+TEST_F(MergeTest, WriteRejectsMergeWithoutOperator) {
+  options_.merge_operator = nullptr;
+  Open();
+  WriteBatch batch;
+  batch.Put("a", "1");
+  batch.Merge("counter", "1");
+  const Status s = db_->Write(WriteOptions(), &batch);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(db_->Merge(WriteOptions(), "counter", "1").ToString(),
+            s.ToString());
+  // Refused before the WAL append: none of the batch lands, not even after
+  // a reopen replays the log.
+  EXPECT_EQ("NOT_FOUND", Get("a"));
+  db_.reset();
+  Open();
+  EXPECT_EQ("NOT_FOUND", Get("a"));
+  EXPECT_EQ("NOT_FOUND", Get("counter"));
+}
+
+TEST_F(MergeTest, StoredOperandsWithoutOperatorAreAnError) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "base", "1").ok());
+  ASSERT_TRUE(db_->Merge(WriteOptions(), "flushed", "1").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->Merge(WriteOptions(), "logged", "2").ok());  // WAL only.
+  db_.reset();
+  options_.merge_operator = nullptr;
+  Open();
+  const std::string missing =
+      db_->Merge(WriteOptions(), "x", "1").ToString();
+  ASSERT_NE("OK", missing);
+
+  EXPECT_EQ("1", Get("base"));
+  EXPECT_EQ(missing, Get("flushed"));
+  EXPECT_EQ(missing, Get("logged"));
+
+  std::vector<Slice> keys = {"base", "flushed", "logged"};
+  std::vector<std::string> values;
+  std::vector<Status> statuses = db_->MultiGet(ReadOptions(), keys, &values);
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_EQ("1", values[0]);
+  EXPECT_EQ(missing, statuses[1].ToString());
+  EXPECT_EQ(missing, statuses[2].ToString());
+
+  auto iter = db_->NewIterator(ReadOptions());
+  iter->SeekToFirst();
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ("base", iter->key().ToString());
+  iter->Next();
+  EXPECT_FALSE(iter->Valid());
+  EXPECT_EQ(missing, iter->status().ToString());
 }
 
 TEST_F(MergeTest, MergeWithoutBase) {
