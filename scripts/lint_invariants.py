@@ -53,6 +53,15 @@ Runs over src/ (and any extra paths given) and enforces:
       (ShardEngine::ResolveMerge). A second call site is a copy of one of
       them, and copies drift.
 
+  table-iterator-outside-run-iterator
+      Across src/db/ and src/compaction/, outside comments, a table
+      reader's `NewIterator(` (a receiver named like `reader` or `table`)
+      appears only in db/internal_iterators.cc, the run iterator, and in
+      db/shard_engine_checkpoint.cc, whose scrub reads every file whole.
+      Scans and compactions merge one run child per sorted run, which opens
+      one file at a time; a per-file table iterator beside it brings back
+      the cost of one open file and one block per file.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -99,6 +108,16 @@ IO_SECTION_RE = re.compile(r"IoAllowedSection\s+\w+\s*[({]\s*(.*)")
 WALK_DIR = "db" + os.sep
 WALK_TOKENS = ("FilesContaining(", "KeyDefinitelyAbsent(",
                "LookupCachedBlock(", "merge_operator->Merge(")
+
+# A table reader's iterator; the engine opens one only inside the run
+# iterator (and the whole-file scrub).
+TABLE_ITER_DIRS = ("db" + os.sep, "compaction" + os.sep)
+TABLE_ITER_RE = re.compile(
+    r"\b\w*(?:reader|table)\w*\s*(?:->|\.)\s*NewIterator\(")
+TABLE_ITER_ALLOWLIST = {
+    os.path.join("db", "internal_iterators.cc"),
+    os.path.join("db", "shard_engine_checkpoint.cc"),
+}
 
 
 def is_comment(line):
@@ -200,6 +219,15 @@ def lint_file(path, rel, findings, walk_sites):
             for token in WALK_TOKENS:
                 if token in code:
                     walk_sites.setdefault(token, []).append((rel, lineno))
+
+        # --- table-iterator-outside-run-iterator ---------------------------
+        if (rel.startswith(TABLE_ITER_DIRS)
+                and rel not in TABLE_ITER_ALLOWLIST
+                and not is_comment(stripped) and TABLE_ITER_RE.search(code)):
+            findings.append(
+                (rel, lineno, "table-iterator-outside-run-iterator",
+                 "table iterator opened outside the run iterator — merge "
+                 "one NewRunIterator child per sorted run instead"))
 
         # --- unexplained-void-cast ----------------------------------------
         if VOID_CAST_RE.match(code):

@@ -97,51 +97,43 @@ std::vector<Slice> CompactionJob::ComputeShardBoundaries() const {
 Status CompactionJob::RunShard(Shard* shard) {
   const Comparator* ucmp = ctx_.options->comparator;
 
-  // Open iterators over the files intersecting [begin, end), newest runs
-  // first (tie order irrelevant: internal keys are unique, but keep it
-  // anyway for clarity).
+  // One merge child per input run and one for the overlap run, each
+  // trimmed to the files intersecting [begin, end). A run child opens one
+  // file at a time, so a run holds one open input file and one readahead
+  // buffer however many files it spans.
+  std::vector<SortedRun> runs;
+  AppendSortedRuns(*ctx_.options, plan_.input_level, plan_.inputs, &runs);
+  AppendSortedRuns(*ctx_.options, plan_.output_level, plan_.overlap, &runs);
+  ReadOptions read_options;
+  read_options.fill_cache = false;  // Compactions must not wipe the cache.
+  // Prefetch input blocks so merge work overlaps the sequential reads.
+  read_options.readahead_bytes = ctx_.options->compaction_readahead_bytes;
   std::vector<std::unique_ptr<Iterator>> children;
   uint64_t oldest_tombstone_hint = 0;
-  auto add_file = [&](const FileMetaData& f) -> Status {
-    if (shard->begin.has_value() &&
-        ucmp->Compare(f.largest.user_key(), *shard->begin) < 0) {
-      return Status::OK();  // Entirely below this shard.
+  for (SortedRun run : runs) {
+    while (!run.empty() && shard->begin.has_value() &&
+           ucmp->Compare(run.front().largest.user_key(), *shard->begin) < 0) {
+      run = run.subspan(1);  // Entirely below this shard.
     }
-    if (shard->end.has_value() &&
-        ucmp->Compare(f.smallest.user_key(), *shard->end) >= 0) {
-      return Status::OK();  // Entirely at or above the shard's end.
+    while (!run.empty() && shard->end.has_value() &&
+           ucmp->Compare(run.back().smallest.user_key(), *shard->end) >= 0) {
+      run = run.first(run.size() - 1);  // At or above the shard's end.
     }
-    std::shared_ptr<TableReader> reader;
-    Status s = ctx_.table_cache->GetReader(ctx_.cache_dir_id, f.file_number,
-                                           f.file_size, &reader);
-    if (!s.ok()) {
-      return s;
+    if (run.empty()) {
+      continue;
     }
-    ReadOptions read_options;
-    read_options.fill_cache = false;  // Compactions must not wipe the cache.
-    // Prefetch input blocks so merge work overlaps the sequential reads.
-    read_options.readahead_bytes = ctx_.options->compaction_readahead_bytes;
-    auto iter = reader->NewIterator(read_options);
-    children.push_back(std::make_unique<TableIteratorHolder>(
-        std::move(reader), std::move(iter)));
-    if (f.oldest_tombstone_time_micros != 0 &&
-        (oldest_tombstone_hint == 0 ||
-         f.oldest_tombstone_time_micros < oldest_tombstone_hint)) {
-      oldest_tombstone_hint = f.oldest_tombstone_time_micros;
+    for (const FileMetaData& f : run) {
+      if (f.oldest_tombstone_time_micros != 0 &&
+          (oldest_tombstone_hint == 0 ||
+           f.oldest_tombstone_time_micros < oldest_tombstone_hint)) {
+        oldest_tombstone_hint = f.oldest_tombstone_time_micros;
+      }
     }
-    return Status::OK();
-  };
-  for (const auto& f : plan_.inputs) {
-    Status s = add_file(f);
-    if (!s.ok()) {
-      return s;
-    }
-  }
-  for (const auto& f : plan_.overlap) {
-    Status s = add_file(f);
-    if (!s.ok()) {
-      return s;
-    }
+    // The job owns its input metadata and the inputs stay live until it
+    // installs, so no Version pin is needed.
+    children.push_back(NewRunIterator(nullptr, run, ctx_.icmp,
+                                      ctx_.table_cache, ctx_.cache_dir_id,
+                                      read_options));
   }
   if (oldest_tombstone_hint == 0) {
     oldest_tombstone_hint = ctx_.options->clock->NowMicros();

@@ -1087,31 +1087,6 @@ void ShardEngine::PublishReadView() {
   stats_->read_views_published.fetch_add(1, std::memory_order_relaxed);
 }
 
-Status ShardEngine::GetTableReader(const FileMetaData& f,
-                          std::shared_ptr<TableReader>* reader) {
-  TableHandle* handle = f.table_handle.get();
-  if (handle != nullptr) {
-    MutexLock lock(&handle->mu);
-    if (handle->reader != nullptr) {
-      *reader = handle->reader;
-      stats_->table_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-  }
-  // Resolve through the sharded cache with no handle lock held (the open
-  // does real I/O on a cold file, and leaf locks never nest).
-  Status s = table_cache_->GetReader(cache_dir_id_, f.file_number,
-                                     f.file_size, reader);
-  if (s.ok() && handle != nullptr) {
-    MutexLock lock(&handle->mu);
-    if (handle->reader == nullptr) {
-      // Racing resolvers fetched the same cache entry; first store wins.
-      handle->reader = *reader;
-    }
-  }
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // Read path
 // ---------------------------------------------------------------------------
@@ -1209,7 +1184,8 @@ Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
         c->files = version.FilesContaining(c->level, user_key);
         c->next_file = 0;
       }
-      Status s = GetTableReader(*c->files[c->next_file++], &c->reader);
+      Status s = table_cache_->GetReader(
+          cache_dir_id_, *c->files[c->next_file++], &c->reader);
       if (!s.ok()) {
         return s;
       }
@@ -1417,28 +1393,22 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
 // Iterators / scans
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Iterator> ShardEngine::NewInternalIterator(const ReadOptions& options,
-                                                  const ReadView& view) {
-  // Mutex-free: the view already pins the memtables and Version, and the
-  // child iterators hold their own shared_ptrs, so the merged iterator
-  // outlives any concurrent flush or compaction.
+std::unique_ptr<Iterator> ShardEngine::NewInternalIterator(
+    const ReadOptions& options, const ReadView& view) {
+  // Mutex-free: every child holds a shared_ptr to what it reads (its
+  // memtable, or the Version its run's files belong to), so the merged
+  // iterator outlives any concurrent flush or compaction. One child per
+  // sorted run: a scan opens one file per run, not one per file.
+  const std::vector<SortedRun> runs = view.version->SortedRuns();
   std::vector<std::unique_ptr<Iterator>> children;
+  children.reserve(1 + view.imms.size() + runs.size());
   children.push_back(std::make_unique<MemTableIteratorAdapter>(view.mem));
   for (const auto& imm : view.imms) {
     children.push_back(std::make_unique<MemTableIteratorAdapter>(imm));
   }
-
-  for (int level = 0; level < view.version->num_levels(); ++level) {
-    for (const auto& f : view.version->files(level)) {
-      std::shared_ptr<TableReader> reader;
-      Status s = GetTableReader(f, &reader);
-      if (!s.ok()) {
-        return NewEmptyIterator(s);
-      }
-      auto iter = reader->NewIterator(options);
-      children.push_back(std::make_unique<TableIteratorHolder>(
-          std::move(reader), std::move(iter)));
-    }
+  for (SortedRun run : runs) {
+    children.push_back(NewRunIterator(view.version, run, &internal_comparator_,
+                                      table_cache_, cache_dir_id_, options));
   }
   return NewMergingIterator(&internal_comparator_, std::move(children));
 }

@@ -478,13 +478,6 @@ class ShardEngine {
   /// membership: Recover, memtable seal, flush install, and compaction
   /// install.
   void PublishReadView() REQUIRES(mu_) EXCLUDES(read_view_mu_);
-  /// Resolves the open TableReader for `f`, preferring the per-file pin in
-  /// f.table_handle (one atomic load, no shard lock) and falling back to
-  /// the sharded TableCache on first touch, then publishing the result into
-  /// the pin for every later reader of any Version containing the file.
-  Status GetTableReader(const FileMetaData& f,
-                        std::shared_ptr<TableReader>* reader);
-
   class DBIter;
   std::unique_ptr<Iterator> NewInternalIterator(const ReadOptions& options,
                                                 const ReadView& view);

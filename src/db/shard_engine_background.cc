@@ -455,10 +455,7 @@ void ShardEngine::BackgroundCompaction(std::shared_ptr<CompactionJob> job) {
       block_cache_ != nullptr) {
     for (const auto& meta : job->outputs()) {
       std::shared_ptr<TableReader> reader;
-      if (table_cache_
-              ->GetReader(cache_dir_id_, meta.file_number, meta.file_size,
-                          &reader)
-              .ok()) {
+      if (table_cache_->GetReader(cache_dir_id_, meta, &reader).ok()) {
         reader->WarmCache();
       }
     }

@@ -137,7 +137,7 @@ Status ShardEngine::VerifyChecksums() {
         compaction_rate_limiter_->Request(f.file_size);
       }
       std::shared_ptr<TableReader> reader;
-      Status s = GetTableReader(f, &reader);
+      Status s = table_cache_->GetReader(cache_dir_id_, f, &reader);
       if (s.ok()) {
         std::unique_ptr<Iterator> iter = reader->NewIterator(scrub_options);
         for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {

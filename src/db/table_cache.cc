@@ -22,9 +22,33 @@ uint64_t TableCache::RegisterDir(const std::string& dir) {
   return dirs_.size() - 1;
 }
 
-Status TableCache::GetReader(uint64_t dir_id, uint64_t file_number,
-                             uint64_t file_size,
+Status TableCache::GetReader(uint64_t dir_id, const FileMetaData& f,
                              std::shared_ptr<TableReader>* reader) {
+  TableHandle* handle = f.table_handle.get();
+  if (handle != nullptr) {
+    MutexLock lock(&handle->mu);
+    if (handle->reader != nullptr) {
+      *reader = handle->reader;
+      stats_->table_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
+    }
+  }
+  // Resolve through the shards with no handle lock held (the open does
+  // real I/O on a cold file, and leaf locks never nest).
+  Status s = GetShardedReader(dir_id, f.file_number, f.file_size, reader);
+  if (s.ok() && handle != nullptr) {
+    MutexLock lock(&handle->mu);
+    if (handle->reader == nullptr) {
+      // Racing resolvers fetched the same cache entry; first store wins.
+      handle->reader = *reader;
+    }
+  }
+  return s;
+}
+
+Status TableCache::GetShardedReader(uint64_t dir_id, uint64_t file_number,
+                                    uint64_t file_size,
+                                    std::shared_ptr<TableReader>* reader) {
   const uint64_t scoped_id = ScopedId(dir_id, file_number);
   Shard& shard = ShardFor(scoped_id);
   {

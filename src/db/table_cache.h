@@ -12,6 +12,7 @@
 #include "util/mutex.h"
 #include "util/options.h"
 #include "util/thread_annotations.h"
+#include "version/version_edit.h"
 
 namespace lsmlab {
 
@@ -27,10 +28,10 @@ namespace lsmlab {
 ///
 /// The reader map is striped: scoped ids hash (mask) onto independent
 /// shards, each with its own mutex, so concurrent point lookups resolving
-/// different files never serialize on one cache lock. Steady-state reads
-/// usually bypass the cache entirely via the per-version pinned handles
-/// (FileMetaData::table_handle); the shards absorb the cold-file and
-/// compaction traffic that remains.
+/// different files never serialize on one cache lock. Steady-state lookups
+/// usually stop at the per-version pinned handle (FileMetaData::
+/// table_handle) and never reach a shard; the shards absorb the cold-file
+/// traffic that remains.
 class TableCache {
  public:
   TableCache(const Options* options, const InternalKeyComparator* icmp,
@@ -40,8 +41,12 @@ class TableCache {
   /// once per shard before the shard serves traffic.
   uint64_t RegisterDir(const std::string& dir) EXCLUDES(dirs_mu_);
 
-  /// Returns (opening on miss) the reader for `file_number` in `dir_id`.
-  Status GetReader(uint64_t dir_id, uint64_t file_number, uint64_t file_size,
+  /// Returns the open reader for `f` in `dir_id`. The per-file pin in
+  /// f.table_handle answers when a reader already published it (one handle
+  /// lock, no cache shard); otherwise the sharded cache does, opening the
+  /// file on a miss, and the result is published into the pin for every
+  /// later reader of any Version holding the file.
+  Status GetReader(uint64_t dir_id, const FileMetaData& f,
                    std::shared_ptr<TableReader>* reader);
 
   /// Drops the cached reader (after the file is deleted).
@@ -62,6 +67,11 @@ class TableCache {
   static uint64_t ScopedId(uint64_t dir_id, uint64_t file_number) {
     return (dir_id << kDirIdShift) | file_number;
   }
+
+  /// The shard lookup behind GetReader, opening the file on a miss.
+  Status GetShardedReader(uint64_t dir_id, uint64_t file_number,
+                          uint64_t file_size,
+                          std::shared_ptr<TableReader>* reader);
 
   struct Shard {
     mutable Mutex mu{LockRank::kTableCacheShard, "table_cache.shard.mu"};

@@ -24,20 +24,20 @@ class MergingIterator final : public Iterator {
     for (auto& child : children_) {
       child->SeekToFirst();
     }
-    FindSmallest();
+    FindSmallest(nullptr);
   }
 
   void Seek(const Slice& target) override {
     for (auto& child : children_) {
       child->Seek(target);
     }
-    FindSmallest();
+    FindSmallest(nullptr);
   }
 
   void Next() override {
     assert(Valid());
     current_->Next();
-    FindSmallest();
+    FindSmallest(current_);
   }
 
   Slice key() const override {
@@ -61,7 +61,12 @@ class MergingIterator final : public Iterator {
   }
 
  private:
-  void FindSmallest() {
+  /// Points current_ at the child with the smallest key. `moved` is the
+  /// one child that advanced, or null after a seek moved them all. A moved
+  /// child that ran out with an error ends the merge: its unread entries
+  /// may be newer versions or tombstones of keys the healthy children still
+  /// hold, so merging on without it would serve shadowed data.
+  void FindSmallest(const Iterator* moved) {
     Iterator* smallest = nullptr;
     for (auto& child : children_) {
       if (child->Valid()) {
@@ -69,6 +74,10 @@ class MergingIterator final : public Iterator {
             comparator_->Compare(child->key(), smallest->key()) < 0) {
           smallest = child.get();
         }
+      } else if ((moved == nullptr || moved == child.get()) &&
+                 !child->status().ok()) {
+        current_ = nullptr;
+        return;
       }
     }
     current_ = smallest;

@@ -325,6 +325,7 @@ class TableReader::TwoLevelIterator final : public Iterator {
   }
 
   void SeekToFirst() override {
+    status_ = Status::OK();
     index_iter_->SeekToFirst();
     InitDataBlock();
     if (data_iter_ != nullptr) {
@@ -334,6 +335,7 @@ class TableReader::TwoLevelIterator final : public Iterator {
   }
 
   void Seek(const Slice& target) override {
+    status_ = Status::OK();
     index_iter_->Seek(target);
     InitDataBlock();
     if (data_iter_ != nullptr) {
@@ -400,9 +402,15 @@ class TableReader::TwoLevelIterator final : public Iterator {
     return readahead_.get();
   }
 
+  /// Moves past blocks that ran out cleanly. A failed block ends the
+  /// iteration: stepping past it would let a merge serve the older versions
+  /// its entries shadow.
   void SkipEmptyDataBlocksForward() {
     while (data_iter_ == nullptr || !data_iter_->Valid()) {
-      if (!index_iter_->Valid()) {
+      if (data_iter_ != nullptr && status_.ok()) {
+        status_ = data_iter_->status();
+      }
+      if (!index_iter_->Valid() || !status_.ok()) {
         data_iter_.reset();
         return;
       }

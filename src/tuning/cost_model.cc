@@ -97,7 +97,9 @@ double CostModel::ZeroResultLookupCost() const {
 
 double CostModel::ShortScanCost() const {
   // A short scan touches one page of every sorted run: range filters are
-  // out of the base model (see E6 for their effect).
+  // out of the base model (see E6 for their effect). The engine matches it
+  // for leveled runs of many files too: a scan merges one child per run,
+  // which opens only the file its seek lands in.
   double cost = 0.0;
   for (int level = 0; level < num_levels_; ++level) {
     cost += RunsPerLevel(level);

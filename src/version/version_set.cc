@@ -66,13 +66,22 @@ uint64_t Version::TotalEntries() const {
   return total;
 }
 
-int Version::TotalSortedRuns() const {
-  int runs = 0;
-  for (int level = 0; level < num_levels(); ++level) {
-    if (files_[level].empty()) {
-      continue;
+void AppendSortedRuns(const Options& options, int level, SortedRun files,
+                      std::vector<SortedRun>* runs) {
+  if (level == 0 ||
+      LevelIsTiered(options.data_layout, level, options.num_levels)) {
+    for (size_t i = 0; i < files.size(); ++i) {
+      runs->push_back(files.subspan(i, 1));
     }
-    runs += IsTieredLevel(level) ? NumFiles(level) : 1;
+  } else if (!files.empty()) {
+    runs->push_back(files);
+  }
+}
+
+std::vector<SortedRun> Version::SortedRuns() const {
+  std::vector<SortedRun> runs;
+  for (int level = 0; level < num_levels(); ++level) {
+    AppendSortedRuns(*options_, level, files_[level], &runs);
   }
   return runs;
 }

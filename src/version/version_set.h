@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,18 @@ namespace lsmlab {
 /// §2.2.2 differ.
 bool LevelIsTiered(DataLayout layout, int level, int num_levels);
 
+/// One sorted run: files of one level in key order, pairwise disjoint.
+using SortedRun = std::span<const FileMetaData>;
+
+/// Appends the sorted runs that `files` (some or all of `level`'s files, in
+/// the level's order) form. A file of L0 (flushes are not key-partitioned,
+/// so L0 files overlap in every layout) or of a tiered level is a one-file
+/// run; a leveled level's files are sorted and disjoint, so together they
+/// are one run. Iterators, compaction inputs and the run count all split
+/// files into runs here.
+void AppendSortedRuns(const Options& options, int level, SortedRun files,
+                      std::vector<SortedRun>* runs);
+
 /// An immutable snapshot of the tree shape: which files live at which level.
 /// Shared by readers, flush, and compaction via shared_ptr; a new Version is
 /// installed for every metadata change (MVCC over metadata).
@@ -40,9 +53,13 @@ class Version {
   uint64_t TotalBytes() const;
   uint64_t TotalEntries() const;
 
+  /// Every sorted run of the tree in probe order: shallow levels first,
+  /// newest run first within L0 and tiered levels (see AppendSortedRuns).
+  std::vector<SortedRun> SortedRuns() const;
+
   /// Number of sorted runs a point lookup may need to probe, totalled over
   /// the tree — the tutorial's read-cost unit.
-  int TotalSortedRuns() const;
+  int TotalSortedRuns() const { return static_cast<int>(SortedRuns().size()); }
 
   /// True if this level's files may overlap one another.
   bool IsTieredLevel(int level) const;

@@ -307,6 +307,33 @@ void RunIteration(uint64_t seed, int iter) {
     }
   }
 
+  // Scans see the same prefix: a full scan, and one from the middle of the
+  // key space (it crosses the shard split at N > 1). Beside the model's
+  // keys the tree holds only the counter put.
+  std::map<std::string, std::string> expected = model;
+  if (recovered >= 0) {
+    expected["!counter"] = CounterValue(recovered);
+  }
+  auto scan = [&](const char* start) {
+    std::map<std::string, std::string> seen;
+    auto it = db->NewIterator(ReadOptions());
+    if (start == nullptr) {
+      it->SeekToFirst();
+    } else {
+      it->Seek(start);
+    }
+    for (; it->Valid(); it->Next()) {
+      seen[it->key().ToString()] = it->value().ToString();
+    }
+    EXPECT_TRUE(it->status().ok())
+        << "iter " << iter << " scan: " << it->status().ToString();
+    return seen;
+  };
+  EXPECT_EQ(expected, scan(nullptr)) << "iter " << iter << ": full scan";
+  const std::map<std::string, std::string> from_key20(
+      expected.lower_bound("key20"), expected.end());
+  EXPECT_EQ(from_key20, scan("key20")) << "iter " << iter << ": scan from key20";
+
   Status vs = db->ValidateTreeInvariants();
   EXPECT_TRUE(vs.ok()) << "iter " << iter << ": " << vs.ToString();
 

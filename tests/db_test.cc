@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "db/db.h"
+#include "db/filename.h"
 #include "db/merge_operator.h"
 #include "io/mem_env.h"
 #include "util/random.h"
@@ -86,6 +89,31 @@ class DBTest : public ::testing::Test {
     }
     EXPECT_TRUE(iter->status().ok());
     return result;
+  }
+
+  /// Paths of every table file, in the DB directory and in shard
+  /// directories.
+  std::set<std::string> TableFiles() {
+    std::set<std::string> tables;
+    std::vector<std::string> dirs = {"/db"};
+    for (int k = 0; k < options_.num_shards; ++k) {
+      dirs.push_back("/db/shard-" + std::to_string(k));
+    }
+    for (const auto& dir : dirs) {
+      std::vector<std::string> children;
+      if (!env_.GetChildren(dir, &children).ok()) {
+        continue;
+      }
+      for (const auto& child : children) {
+        uint64_t number;
+        FileType type;
+        if (ParseFileName(child, &number, &type) &&
+            type == FileType::kTableFile) {
+          tables.insert(dir + "/" + child);
+        }
+      }
+    }
+    return tables;
   }
 
   MemEnv env_;
@@ -425,6 +453,184 @@ TEST_F(DBTest, DestroyRemovesEverything) {
   EXPECT_TRUE(children.empty());
 }
 
+// A scan must not step past a block it failed to read. Here the failed
+// block holds the tombstone of "m": a table iterator that moved on to its
+// file's next block, or a merge that went on without the failed file,
+// would serve the older, deleted "m" from the deeper run.
+TEST_F(DBTest, ScanStopsAtCorruptBlockInsteadOfResurrectingDeletedKey) {
+  OpenDB();
+  for (char c = 'a'; c <= 'z'; ++c) {
+    ASSERT_TRUE(Put(std::string(1, c), "old-" + std::string(1, c)).ok());
+  }
+  ASSERT_TRUE(db_->CompactRange().ok());
+  const std::set<std::string> deep = TableFiles();
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "m").ok());
+  for (int i = 10; i < 40; ++i) {  // Later blocks of the same L0 file.
+    ASSERT_TRUE(Put("n" + std::to_string(i), std::string(100, 'n')).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  std::vector<std::string> tombstone_file;
+  for (const auto& f : TableFiles()) {
+    if (deep.count(f) == 0) {
+      tombstone_file.push_back(f);
+    }
+  }
+  ASSERT_EQ(1u, tombstone_file.size());
+  db_.reset();
+
+  // Flip one byte of the L0 file's first data block (at offset 0), the one
+  // holding the tombstone.
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(&env_, tombstone_file[0], &contents).ok());
+  contents[3] ^= 0x42;
+  ASSERT_TRUE(WriteStringToFile(&env_, contents, tombstone_file[0]).ok());
+  options_.verify_checksums = true;
+  OpenDB();
+
+  std::string value;
+  EXPECT_TRUE(db_->Get(ReadOptions(), "m", &value).IsCorruption());
+  auto iter = db_->NewIterator(ReadOptions());
+  iter->Seek("l");
+  EXPECT_FALSE(iter->Valid()) << iter->key().ToString();
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+  iter->SeekToFirst();
+  EXPECT_FALSE(iter->Valid()) << iter->key().ToString();
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+}
+
+// Nor may a scan step past a failed file of a leveled run: the keys after
+// it would surface while the failed file's keys silently went missing.
+TEST_F(DBTest, ScanStopsAtCorruptFileOfLeveledRun) {
+  options_.target_file_size = 2 << 10;
+  OpenDB();
+  auto key_of = [](int i) { return "k" + std::to_string(1000 + i); };
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(Put(key_of(i), std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->CompactRange().ok());
+  // One leveled run; its files are numbered in key order.
+  const std::set<std::string> tables = TableFiles();
+  ASSERT_GE(tables.size(), 3u);
+  db_.reset();
+
+  const std::string second = *std::next(tables.begin());
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(&env_, second, &contents).ok());
+  contents[3] ^= 0x42;  // Its first data block.
+  ASSERT_TRUE(WriteStringToFile(&env_, contents, second).ok());
+  options_.verify_checksums = true;
+  OpenDB();
+
+  auto iter = db_->NewIterator(ReadOptions());
+  int seen = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++seen) {
+    ASSERT_EQ(key_of(seen), iter->key().ToString());
+  }
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+  EXPECT_GT(seen, 0);
+  EXPECT_LT(seen, 200);
+}
+
+// A short scan costs one file and one block per sorted run, not one per
+// file (tutorial §2.1.3): each run child opens only the file its cursor is
+// in. An iterator keeps its Version's files on disk until it is gone.
+TEST_F(DBTest, ShortScanOpensOneFilePerRunAndPinsItsVersion) {
+  options_.target_file_size = 8 << 10;  // Many small files in one run.
+  OpenDB();
+  auto key_of = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
+  const int kKeys = 4000;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < kKeys; ++i) {
+    model[key_of(i)] = std::string(100, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(Put(key_of(i), model[key_of(i)]).ok());
+  }
+  ASSERT_TRUE(db_->CompactRange().ok());  // One leveled run...
+  Random rnd(17);
+  for (int l0 = 0; l0 < 2; ++l0) {  // ...and two single-block L0 runs.
+    for (int k = 0; k < 3; ++k) {
+      const std::string key = key_of(static_cast<int>(rnd.Uniform(kKeys)));
+      model[key] = "l0-" + std::to_string(l0);
+      ASSERT_TRUE(Put(key, model[key]).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  const int runs = db_->TotalSortedRuns();
+  ASSERT_EQ(3, runs) << db_->LevelsDebugString();
+  // A file is cut once it reaches target_file_size, so the leveled run
+  // holds dozens of files.
+  ASSERT_GT(db_->TotalSstBytes(), 40 * options_.target_file_size);
+  ASSERT_EQ(model, Dump());  // Also warms the block cache.
+
+  // The scan visits at most 51 entries of the leveled run. A full 1 KiB
+  // block holds at least 8 of them, so past its seek block the run reads
+  // at most 7 more blocks, plus one partial block where it crosses into
+  // its next file. Every file holds more than 51 entries, so it crosses at
+  // most once. The L0 runs fit in their seek blocks.
+  const uint64_t kSpannedBlocks = 8;
+  // Table-reader resolutions so far (pinned handle or cache shard).
+  auto table_lookups = [&] {
+    return db_->statistics()->table_cache_hits.load() +
+           db_->statistics()->table_cache_misses.load();
+  };
+  for (int scan = 0; scan < 200; ++scan) {
+    const std::string start = key_of(static_cast<int>(rnd.Uniform(kKeys - 50)));
+    const CacheStats blocks_before = db_->block_cache()->GetStats();
+    const uint64_t tables_before = table_lookups();
+    auto iter = db_->NewIterator(ReadOptions());
+    iter->Seek(start);
+    auto expected = model.find(start);
+    for (int k = 0; k < 50; ++k, ++expected) {
+      ASSERT_TRUE(iter->Valid()) << start;
+      ASSERT_EQ(expected->first, iter->key().ToString());
+      ASSERT_EQ(expected->second, iter->value().ToString());
+      iter->Next();
+    }
+    ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+    const CacheStats blocks_after = db_->block_cache()->GetStats();
+    ASSERT_LE(blocks_after.hits + blocks_after.misses -
+                  (blocks_before.hits + blocks_before.misses),
+              runs + kSpannedBlocks)
+        << start;
+    ASSERT_LE(table_lookups() - tables_before, static_cast<uint64_t>(runs) + 1)
+        << start;
+  }
+
+  // Version pin: an iterator opened before CompactRange() rewrites every
+  // file drains its whole old view; obsolete-file GC after the compaction
+  // must leave the files the iterator has not opened yet.
+  const std::set<std::string> old_tables = TableFiles();
+  const std::map<std::string, std::string> old_model = model;
+  {
+    auto iter = db_->NewIterator(ReadOptions());
+    // New first and last keys stretch the manual compaction over every
+    // file of the leveled run.
+    ASSERT_TRUE(Put(key_of(0), "new-first").ok());
+    ASSERT_TRUE(Put(key_of(kKeys - 1), "new-last").ok());
+    ASSERT_TRUE(db_->CompactRange().ok());
+    for (const auto& f : old_tables) {
+      ASSERT_TRUE(env_.FileExists(f)) << f << " deleted under an iterator";
+    }
+    std::map<std::string, std::string> drained;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      drained[iter->key().ToString()] = iter->value().ToString();
+    }
+    EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+    EXPECT_EQ(old_model, drained);
+  }
+  // Released: the GC at reopen removes every old file, so the compaction
+  // did rewrite all of them.
+  Reopen();
+  for (const auto& f : old_tables) {
+    EXPECT_FALSE(env_.FileExists(f)) << f;
+  }
+  EXPECT_EQ("new-first", Get(key_of(0)));
+}
+
 // ---------------------------------------------------------------------------
 // Layout matrix: the same correctness suite must hold for every disk data
 // layout of tutorial §2.2.2 and every memtable rep of §2.2.1.
@@ -490,6 +696,55 @@ TEST_P(DBLayoutTest, RandomWorkloadMatchesModel) {
     dumped[iter->key().ToString()] = iter->value().ToString();
   }
   EXPECT_EQ(model, dumped);
+
+  // Random seeks, re-seeking one iterator, land on the model's lower bound
+  // and walk it in step across file boundaries; some targets lie past the
+  // last key.
+  for (int i = 0; i < 200; ++i) {
+    const std::string target = "key" + std::to_string(rnd.Uniform(700));
+    auto expected = model.lower_bound(target);
+    iter->Seek(target);
+    for (int k = 0; k < 20 && expected != model.end(); ++k, ++expected) {
+      ASSERT_TRUE(iter->Valid()) << target;
+      ASSERT_EQ(expected->first, iter->key().ToString()) << target;
+      ASSERT_EQ(expected->second, iter->value().ToString()) << target;
+      iter->Next();
+    }
+    if (expected == model.end()) {
+      EXPECT_FALSE(iter->Valid()) << target;
+    }
+    ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+  }
+
+  // A scan pinned at a snapshot sees the tree as it was, while later
+  // writes flush and compact underneath it.
+  const SequenceNumber snapshot = db_->GetSnapshot();
+  const std::map<std::string, std::string> at_snapshot = model;
+  for (int i = 0; i < 1500; ++i) {
+    std::string key = "key" + std::to_string(rnd.Uniform(600));
+    if (rnd.OneIn(4)) {
+      model.erase(key);
+      ASSERT_TRUE(db_->Delete(WriteOptions(), key).ok());
+    } else {
+      model[key] = "w" + std::to_string(i);
+      ASSERT_TRUE(db_->Put(WriteOptions(), key, model[key]).ok());
+    }
+  }
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  ReadOptions at;
+  at.snapshot_seqno = snapshot;
+  auto snapshot_iter = db_->NewIterator(at);
+  dumped.clear();
+  for (snapshot_iter->SeekToFirst(); snapshot_iter->Valid();
+       snapshot_iter->Next()) {
+    dumped[snapshot_iter->key().ToString()] =
+        snapshot_iter->value().ToString();
+  }
+  EXPECT_TRUE(snapshot_iter->status().ok());
+  EXPECT_EQ(at_snapshot, dumped);
+  snapshot_iter.reset();
+  iter.reset();
+  db_->ReleaseSnapshot(snapshot);
 
   // Survives reopen.
   db_.reset();
