@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "db/dbformat.h"
 #include "db/write_batch.h"
@@ -63,6 +65,18 @@ std::string WalFile(MemEnv* env, const std::string& name,
     std::abort();
   }
   return contents;
+}
+
+/// A fuzz_db_iter input: the configuration byte, then (opcode, argument)
+/// pairs (the format is documented in fuzz_db_iter.cc).
+std::string IterOps(uint8_t config,
+                    std::initializer_list<std::pair<uint8_t, uint8_t>> ops) {
+  std::string bytes(1, static_cast<char>(config));
+  for (const auto& [opcode, arg] : ops) {
+    bytes.push_back(static_cast<char>(opcode));
+    bytes.push_back(static_cast<char>(arg));
+  }
+  return bytes;
 }
 
 std::string TaggedRecord(uint8_t tag, uint64_t id, const std::string& rest) {
@@ -187,6 +201,30 @@ int main(int argc, char** argv) {
     }
     WriteSeed(root, "fuzz_learned_index", "seed-single-block.bin", bytes);
   }
+
+  // --- fuzz_db_iter -----------------------------------------------------
+  // Opcodes: 0 put, 3 delete, 4 hot-key burst, 5 snapshot (an even
+  // argument takes one, an odd one releases one), 6 flush, 7 compact.
+  // Put/delete argument: key slot (arg % 8; 0 is the empty key, 3-5 the hot
+  // key) plus arg / 8 bytes of value padding.
+  WriteSeed(root, "fuzz_db_iter", "seed-empty-key-twice.bin",
+            IterOps(0, {{0, 0}, {0, 8}, {0, 1}}));
+  WriteSeed(root, "fuzz_db_iter", "seed-snapshot-before-first-write.bin",
+            IterOps(0, {{5, 0}, {4, 9}, {0, 1}, {6, 0}, {0, 2}}));
+  WriteSeed(root, "fuzz_db_iter", "seed-hot-history.bin",
+            IterOps(0, {{4, 31}, {5, 0}, {4, 31}, {3, 3}, {4, 12}, {6, 0},
+                        {4, 31}, {5, 2}, {0, 0}, {3, 0}, {4, 20}, {7, 0},
+                        {4, 31}, {5, 1}, {0, 9}, {6, 0}}));
+  // Tiering with the vector rep, then leveling with the hash-linklist rep:
+  // snapshots held across flushes and compactions of a hot key.
+  WriteSeed(root, "fuzz_db_iter", "seed-tiered-vector.bin",
+            IterOps(6, {{0, 1}, {0, 2}, {4, 15}, {5, 0}, {4, 15}, {3, 4},
+                        {6, 0}, {4, 31}, {0, 7}, {6, 0}, {5, 0}, {3, 7},
+                        {4, 9}, {7, 0}, {0, 6}}));
+  WriteSeed(root, "fuzz_db_iter", "seed-leveled-hashlinklist.bin",
+            IterOps(13, {{4, 31}, {4, 31}, {5, 0}, {0, 96}, {0, 200},
+                         {6, 0}, {3, 5}, {4, 31}, {5, 0}, {7, 0}, {4, 31},
+                         {5, 3}, {6, 0}}));
 
   std::printf("seed corpus written under %s\n", root.c_str());
   return 0;

@@ -281,7 +281,11 @@ Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
     }
   }
 
-  versions_->SetLastSequence(max_sequence);
+  // A snapshot is the last sequence when it was taken, and
+  // ReadOptions::snapshot_seqno = 0 means "no snapshot". An engine with no
+  // writes yet therefore starts at 1, a sequence no entry carries, so a
+  // snapshot taken before its first write still hides every later write.
+  versions_->SetLastSequence(std::max<SequenceNumber>(max_sequence, 1));
 
   // Start a fresh memtable + log; everything replayed is now either in L0
   // tables (via the edit) or re-bufferable. Recovery is single-threaded,
@@ -1092,7 +1096,7 @@ void ShardEngine::PublishReadView() {
 // ---------------------------------------------------------------------------
 
 Status ShardEngine::ResolveValue(const Slice& user_key, ValueType type,
-                        const std::string& raw, std::string* value) {
+                                 const Slice& raw, std::string* value) {
   if (type == kTypeVlogPointer) {
     VlogPointer ptr;
     if (vlog_ == nullptr || !ptr.DecodeFrom(raw)) {
@@ -1100,7 +1104,7 @@ Status ShardEngine::ResolveValue(const Slice& user_key, ValueType type,
     }
     return vlog_->Read(ptr, user_key, value);
   }
-  *value = raw;
+  value->assign(raw.data(), raw.size());
   return Status::OK();
 }
 
@@ -1129,8 +1133,8 @@ Status ShardEngine::ResolveMerge(Iterator* iter, const Slice& user_key,
     // A base value ends the chain; so does a tombstone, merging over
     // nothing.
     if (parsed.type != kTypeDeletion && parsed.type != kTypeSingleDeletion) {
-      Status s = ResolveValue(parsed.user_key, parsed.type,
-                              iter->value().ToString(), &base_storage);
+      Status s = ResolveValue(parsed.user_key, parsed.type, iter->value(),
+                              &base_storage);
       if (!s.ok()) {
         return s;
       }
@@ -1415,8 +1419,19 @@ std::unique_ptr<Iterator> ShardEngine::NewInternalIterator(
 
 /// User-facing iterator: collapses versions, hides tombstones, resolves
 /// value-log pointers, and honours the snapshot.
+///
+/// A key's hidden entries are the older versions behind its newest visible
+/// entry or tombstone, and the versions newer than the snapshot. Updates
+/// are out of place (tutorial §2.1.1), so a hot key can hold thousands of
+/// them in the memtable and in L0 files. The iterator steps over
+/// kMaxSequentialSkip of them in a row, then Seeks past the rest, so a
+/// key's history costs one descent per sorted run instead of one step per
+/// version.
 class ShardEngine::DBIter final : public Iterator {
  public:
+  /// RocksDB's default max_sequential_skip_in_iterations.
+  static constexpr int kMaxSequentialSkip = 8;
+
   DBIter(ShardEngine* db, std::unique_ptr<Iterator> internal, SequenceNumber snapshot)
       : db_(db), iter_(std::move(internal)), snapshot_(snapshot) {}
 
@@ -1424,32 +1439,30 @@ class ShardEngine::DBIter final : public Iterator {
 
   void SeekToFirst() override {
     iter_->SeekToFirst();
-    skip_key_.clear();
     iter_already_advanced_ = false;
-    FindNextUserEntry();
+    FindNextUserEntry(/*skipping=*/false);
   }
 
   void Seek(const Slice& target) override {
-    std::string seek_key;
-    AppendInternalKey(&seek_key, ParsedInternalKey(target, snapshot_,
-                                                   kValueTypeForSeek));
-    iter_->Seek(seek_key);
-    skip_key_.clear();
+    seek_key_.clear();
+    AppendInternalKey(&seek_key_, ParsedInternalKey(target, snapshot_,
+                                                    kValueTypeForSeek));
+    iter_->Seek(seek_key_);
     iter_already_advanced_ = false;
-    FindNextUserEntry();
+    FindNextUserEntry(/*skipping=*/false);
   }
 
   void Next() override {
     assert(valid_);
-    skip_key_ = current_key_;  // Skip remaining versions of this key.
     if (iter_already_advanced_) {
       // A merge-chain resolution consumed this key's history and left the
-      // internal iterator on the next entry already.
+      // internal iterator on the entry that ended the chain already.
       iter_already_advanced_ = false;
     } else {
       iter_->Next();
     }
-    FindNextUserEntry();
+    // Every remaining entry of the key just yielded is an older version.
+    FindNextUserEntry(/*skipping=*/true);
   }
 
   Slice key() const override {
@@ -1465,36 +1478,51 @@ class ShardEngine::DBIter final : public Iterator {
   }
 
  private:
-  void FindNextUserEntry() {
+  /// Moves to the newest visible entry of the next live user key. With
+  /// `skipping`, the remaining entries of current_key_ are hidden older
+  /// versions. A bool, not an empty current_key_, marks the state: "" is a
+  /// valid user key.
+  void FindNextUserEntry(bool skipping) {
     valid_ = false;
     const Comparator* ucmp = db_->options_.comparator;
+    int skipped = 0;  // Hidden entries of current_key_ stepped over in a row.
     while (iter_->Valid()) {
       ParsedInternalKey parsed;
       if (!ParseInternalKey(iter_->key(), &parsed)) {
         status_ = Status::Corruption("malformed internal key in iterator");
         return;
       }
-      if (parsed.sequence > snapshot_) {
-        iter_->Next();
+      const bool too_new = parsed.sequence > snapshot_;
+      if ((too_new || skipping) &&
+          ucmp->Compare(parsed.user_key, current_key_) == 0) {
+        if (++skipped > kMaxSequentialSkip) {
+          SkipHiddenVersions(skipping);
+          skipped = 0;
+        } else {
+          iter_->Next();
+        }
         continue;
       }
-      if (!skip_key_.empty() &&
-          ucmp->Compare(parsed.user_key, skip_key_) == 0) {
+      // A new user key, or the first entry of this one the snapshot sees.
+      current_key_.assign(parsed.user_key.data(), parsed.user_key.size());
+      skipping = false;
+      skipped = too_new ? 1 : 0;  // A version past the snapshot is hidden.
+      if (too_new) {
         iter_->Next();
         continue;
       }
       if (parsed.type == kTypeDeletion ||
           parsed.type == kTypeSingleDeletion) {
         // Tombstone: hide all older versions of this key.
-        skip_key_ = parsed.user_key.ToString();
+        skipping = true;
         iter_->Next();
         continue;
       }
       if (parsed.type == kTypeMerge) {
-        // Collect the operand chain down to the base value (§2.2.6). The
-        // resolver may leave the internal iterator on the next key already,
-        // so Next() must not advance it.
-        current_key_ = parsed.user_key.ToString();
+        // Collect the operand chain down to the base value (§2.2.6). Every
+        // operand is needed, so the chain is walked, never jumped. The
+        // resolver leaves the internal iterator on the entry that ended the
+        // chain, so Next() must not advance it.
         status_ = db_->ResolveMerge(iter_.get(), current_key_, &current_value_);
         if (!status_.ok()) {
           return;
@@ -1504,10 +1532,8 @@ class ShardEngine::DBIter final : public Iterator {
         return;
       }
       // Newest visible version of a live key.
-      current_key_ = parsed.user_key.ToString();
       Status s = db_->ResolveValue(parsed.user_key, parsed.type,
-                                   iter_->value().ToString(),
-                                   &current_value_);
+                                   iter_->value(), &current_value_);
       if (!s.ok()) {
         status_ = s;
         return;
@@ -1517,14 +1543,31 @@ class ShardEngine::DBIter final : public Iterator {
     }
   }
 
+  /// Seeks past current_key_'s remaining hidden entries: with `skipping`,
+  /// to the last internal key the user key can have, (key, 0, deletion);
+  /// otherwise past the versions newer than the snapshot, to the key's
+  /// newest visible version.
+  void SkipHiddenVersions(bool skipping) {
+    seek_key_.clear();
+    AppendInternalKey(&seek_key_,
+                      skipping ? ParsedInternalKey(current_key_, 0,
+                                                   kTypeDeletion)
+                               : ParsedInternalKey(current_key_, snapshot_,
+                                                   kValueTypeForSeek));
+    iter_->Seek(seek_key_);
+    db_->stats_->iter_reseeks.fetch_add(1, std::memory_order_relaxed);
+  }
+
   ShardEngine* const db_;
   std::unique_ptr<Iterator> iter_;
   const SequenceNumber snapshot_;
   bool valid_ = false;
   bool iter_already_advanced_ = false;
+  // The key yielded while valid_; during a move, the key whose hidden
+  // entries are being passed. Assigned in place, reusing its capacity.
   std::string current_key_;
   std::string current_value_;
-  std::string skip_key_;
+  std::string seek_key_;  // Seek and reseek targets, reusing one buffer.
   Status status_;
 };
 

@@ -413,8 +413,8 @@ class ShardEngine {
 
   SequenceNumber OldestSnapshot() const REQUIRES(mu_);
 
-  Status ResolveValue(const Slice& user_key, ValueType type,
-                      const std::string& raw, std::string* value);
+  Status ResolveValue(const Slice& user_key, ValueType type, const Slice& raw,
+                      std::string* value);
 
   /// The one merge-chain resolver (tutorial §2.2.6), shared by point
   /// lookups and DBIter. `iter` sits on the newest visible merge operand of

@@ -29,6 +29,10 @@ namespace lsmlab {
   TICKER(filter_checks)                                                       \
   TICKER(filter_false_positives)                                              \
   TICKER(range_scans)                                                         \
+  /* Seeks a scan issued to jump past the rest of a key's hidden versions     \
+     after stepping over kMaxSequentialSkip of them (DESIGN.md, "Hidden       \
+     history"). */                                                            \
+  TICKER(iter_reseeks)                                                        \
   /* Table-reader resolutions served without opening the file (a pinned       \
      per-version handle or the sharded reader map already held it) vs.        \
      resolutions that had to open and parse the table footer. */              \

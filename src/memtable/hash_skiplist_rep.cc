@@ -3,7 +3,6 @@
 
 #include "memtable/memtable_rep.h"
 #include "memtable/skiplist.h"
-#include "util/coding.h"
 #include "util/hash.h"
 
 namespace lsmlab {
@@ -29,10 +28,7 @@ class HashSkipListRep final : public MemTableRep {
 
   const char* PointSeek(const Slice& internal_key) override {
     ListType::Iterator iter(&Bucket(internal_key));
-    std::string probe;
-    PutVarint32(&probe, static_cast<uint32_t>(internal_key.size()));
-    probe.append(internal_key.data(), internal_key.size());
-    iter.Seek(probe.data());
+    iter.Seek(internal_key);
     return iter.Valid() ? iter.key() : nullptr;
   }
 
@@ -58,16 +54,11 @@ class HashSkipListRep final : public MemTableRep {
   }
 
  private:
-  struct EntryComparator {
-    explicit EntryComparator(const MemTableKeyComparator& c) : cmp(c) {}
-    int operator()(const char* a, const char* b) const { return cmp(a, b); }
-    MemTableKeyComparator cmp;
-  };
-  using ListType = SkipList<const char*, EntryComparator>;
+  using ListType = SkipList<const char*, MemTableKeyComparator>;
 
   struct BucketHolder {
     ListType list;
-    explicit BucketHolder(const EntryComparator& cmp, Arena* arena)
+    explicit BucketHolder(const MemTableKeyComparator& cmp, Arena* arena)
         : list(cmp, arena) {}
   };
 
@@ -76,8 +67,7 @@ class HashSkipListRep final : public MemTableRep {
     size_t index = HashSlice64(user_key) % buckets_.size();
     auto& slot = buckets_[index];
     if (!slot.holder) {
-      slot.holder =
-          std::make_unique<BucketHolder>(EntryComparator(cmp_), arena_);
+      slot.holder = std::make_unique<BucketHolder>(cmp_, arena_);
     }
     return slot.holder->list;
   }

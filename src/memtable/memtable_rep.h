@@ -22,6 +22,11 @@ class MemTableKeyComparator {
   int operator()(const char* a, const char* b) const;
   /// Compares an entry against an encoded internal key (no length prefix).
   int CompareEntryToKey(const char* entry, const Slice& internal_key) const;
+  /// The same, as a skip list's probe: a seek descends once with the
+  /// internal key itself, building no length-prefixed probe entry.
+  int operator()(const char* entry, const Slice& internal_key) const {
+    return CompareEntryToKey(entry, internal_key);
+  }
 
   const InternalKeyComparator* internal_comparator() const {
     return comparator_;

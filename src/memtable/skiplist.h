@@ -50,7 +50,12 @@ class SkipList {
         node_ = nullptr;
       }
     }
-    void Seek(const Key& target) {
+    /// Positions at the first key >= `target`. `target` is a Key or any
+    /// probe the comparator orders a Key against (`compare_(key, target)`),
+    /// so a caller holding another form of the key descends once without
+    /// building a Key from it.
+    template <typename Probe>
+    void Seek(const Probe& target) {
       node_ = list_->FindGreaterOrEqual(target, nullptr);
     }
     void SeekToFirst() { node_ = list_->head_->Next(0); }
@@ -98,10 +103,12 @@ class SkipList {
   bool Equal(const Key& a, const Key& b) const {
     return compare_(a, b) == 0;
   }
-  bool KeyIsAfterNode(const Key& key, const Node* n) const {
+  template <typename Probe>
+  bool KeyIsAfterNode(const Probe& key, const Node* n) const {
     return (n != nullptr) && (compare_(n->key, key) < 0);
   }
-  Node* FindGreaterOrEqual(const Key& key, Node** prev) const;
+  template <typename Probe>
+  Node* FindGreaterOrEqual(const Probe& key, Node** prev) const;
   Node* FindLessThan(const Key& key) const;
   Node* FindLast() const;
 
@@ -132,8 +139,9 @@ int SkipList<Key, Comparator>::RandomHeight() {
 }
 
 template <typename Key, class Comparator>
+template <typename Probe>
 typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindGreaterOrEqual(const Key& key,
+SkipList<Key, Comparator>::FindGreaterOrEqual(const Probe& key,
                                               Node** prev) const {
   Node* x = head_;
   int level = max_height_.load(std::memory_order_relaxed) - 1;

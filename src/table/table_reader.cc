@@ -364,15 +364,23 @@ class TableReader::TwoLevelIterator final : public Iterator {
   }
 
  private:
+  /// Opens the block the index iterator is on. A seek that lands in the
+  /// block already open keeps it, as LevelDB's InitDataBlock does: a scan
+  /// re-seeking past a key's hidden versions stays in its block without
+  /// another block-cache lookup. (A failed block never stays open.)
   void InitDataBlock() {
     if (!index_iter_->Valid()) {
       data_iter_.reset();
       data_block_.reset();
       return;
     }
+    const BlockHandle& handle = index_iter_->handle();
+    if (data_iter_ != nullptr && handle.offset() == data_block_offset_) {
+      return;
+    }
     Status s;
-    data_block_ = table_->FetchDataBlock(index_iter_->handle(), ctx_,
-                                         ReadFile(), &block_scratch_, &s);
+    data_block_ = table_->FetchDataBlock(handle, ctx_, ReadFile(),
+                                         &block_scratch_, &s);
     if (!s.ok()) {
       status_ = s;
       data_iter_.reset();
@@ -380,6 +388,7 @@ class TableReader::TwoLevelIterator final : public Iterator {
       return;
     }
     data_iter_ = data_block_->NewIterator(table_->options_.comparator);
+    data_block_offset_ = handle.offset();
   }
 
   /// The file block misses read from: the raw table file, or (when the read
@@ -429,6 +438,7 @@ class TableReader::TwoLevelIterator final : public Iterator {
   std::unique_ptr<ReadaheadRandomAccessFile> readahead_;  // Lazy.
   std::string block_scratch_;  // Reused across block reads (no per-block alloc).
   std::shared_ptr<const Block> data_block_;  // Keeps the block alive.
+  uint64_t data_block_offset_ = 0;  // Where data_block_ starts.
   std::unique_ptr<Iterator> data_iter_;
   Status status_;
 };

@@ -206,6 +206,8 @@ TEST_F(DBTest, IteratorSeek) {
 
 TEST_F(DBTest, SnapshotReadsOldState) {
   OpenDB();
+  // Taken before the first write, so it sees nothing.
+  SequenceNumber empty = db_->GetSnapshot();
   ASSERT_TRUE(Put("k", "old").ok());
   SequenceNumber snap = db_->GetSnapshot();
   ASSERT_TRUE(Put("k", "new").ok());
@@ -218,6 +220,16 @@ TEST_F(DBTest, SnapshotReadsOldState) {
   EXPECT_EQ("old", value);
   EXPECT_EQ("new", Get("k"));
   db_->ReleaseSnapshot(snap);
+
+  ReadOptions at_empty;
+  at_empty.snapshot_seqno = empty;
+  EXPECT_TRUE(db_->Get(at_empty, "k", &value).IsNotFound());
+  auto iter = db_->NewIterator(at_empty);
+  iter->SeekToFirst();
+  EXPECT_FALSE(iter->Valid());
+  EXPECT_TRUE(iter->status().ok());
+  iter.reset();
+  db_->ReleaseSnapshot(empty);
 }
 
 TEST_F(DBTest, SnapshotSurvivesCompaction) {
@@ -631,6 +643,147 @@ TEST_F(DBTest, ShortScanOpensOneFilePerRunAndPinsItsVersion) {
   EXPECT_EQ("new-first", Get(key_of(0)));
 }
 
+TEST_F(DBTest, ScanHidesOlderVersionsOfTheEmptyKey) {
+  OpenDB();
+  // Every (key, value) a scan yields, duplicates included.
+  auto scan = [&](const ReadOptions& ro) {
+    std::vector<std::pair<std::string, std::string>> out;
+    auto iter = db_->NewIterator(ro);
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      out.emplace_back(iter->key().ToString(), iter->value().ToString());
+    }
+    EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+    return out;
+  };
+  using Entries = std::vector<std::pair<std::string, std::string>>;
+  ASSERT_TRUE(Put("", "old").ok());
+  ASSERT_TRUE(Put("", "new").ok());
+  ASSERT_TRUE(Put("a", "a1").ok());
+  EXPECT_EQ((Entries{{"", "new"}, {"a", "a1"}}), scan(ReadOptions()));
+
+  const SequenceNumber snapshot = db_->GetSnapshot();
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "").ok());
+  EXPECT_EQ("NOT_FOUND", Get(""));
+  EXPECT_EQ((Entries{{"a", "a1"}}), scan(ReadOptions()));
+  ReadOptions at;
+  at.snapshot_seqno = snapshot;
+  EXPECT_EQ((Entries{{"", "new"}, {"a", "a1"}}), scan(at));
+
+  // The same from a flushed run.
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ((Entries{{"a", "a1"}}), scan(ReadOptions()));
+  EXPECT_EQ((Entries{{"", "new"}, {"a", "a1"}}), scan(at));
+  db_->ReleaseSnapshot(snapshot);
+}
+
+// A hot key's out-of-place updates pile up in the memtable and, since flush
+// copies every version, in L0 files. A scan steps over kMaxSequentialSkip
+// (8) of a key's hidden versions, then reseeks past the rest.
+TEST_F(DBTest, ScanReseeksPastHotKeyHistory) {
+  options_.write_buffer_size = 1 << 20;  // The history fits one memtable.
+  OpenDB();
+  auto key_of = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
+  const int kKeys = 200;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < kKeys; ++i) {
+    model[key_of(i)] = "base-" + std::to_string(i);
+    ASSERT_TRUE(Put(key_of(i), model[key_of(i)]).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  // Keys first_key..last_key get `versions` more versions each.
+  auto write_history = [&](int versions, int first_key, int last_key) {
+    for (int v = 0; v < versions; ++v) {
+      for (int k = first_key; k <= last_key; ++k) {
+        model[key_of(k)] = "v" + std::to_string(v) + "-" + std::to_string(k);
+        ASSERT_TRUE(Put(key_of(k), model[key_of(k)]).ok());
+      }
+    }
+  };
+  auto reseeks = [&] { return db_->statistics()->iter_reseeks.load(); };
+  auto block_lookups = [&] {
+    const CacheStats stats = db_->block_cache()->GetStats();
+    return stats.hits + stats.misses;
+  };
+  // A 50-key scan from key 0 matches `expected` key for key. Key 0 is the
+  // first key, and SeekToFirst (unlike a Seek, which starts at the
+  // snapshot) meets its versions newer than the snapshot too.
+  auto scan_from_first = [&](const ReadOptions& ro,
+                             const std::map<std::string, std::string>&
+                                 expected) {
+    auto iter = db_->NewIterator(ro);
+    iter->SeekToFirst();
+    auto it = expected.begin();
+    for (int k = 0; k < 50; ++k, ++it) {
+      ASSERT_TRUE(iter->Valid()) << k;
+      ASSERT_EQ(it->first, iter->key().ToString());
+      ASSERT_EQ(it->second, iter->value().ToString());
+      iter->Next();
+    }
+    ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+  };
+
+  // In the memtable.
+  write_history(1000, 0, 1);
+  uint64_t before = reseeks();
+  scan_from_first(ReadOptions(), model);
+  EXPECT_GT(reseeks(), before);
+
+  // In a flushed run: the scan reads the blocks its 50 keys span, plus the
+  // block each reseek lands in, never the blocks of hidden versions it
+  // jumps over.
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  const uint64_t runs = static_cast<uint64_t>(db_->TotalSortedRuns());
+  ASSERT_EQ(2u, runs) << db_->LevelsDebugString();
+  scan_from_first(ReadOptions(), model);  // Warms the block cache.
+  // Past each run's seek block: the base run's 50 small entries fill less
+  // than one 1 KiB block, so they cross at most one block boundary, and
+  // each of the two reseeks may land in a new block of the history run.
+  // Stepping through the history instead reads all of its ~35 blocks.
+  const uint64_t kSpannedBlocks = 1 + 2;
+  for (int scan = 0; scan < 20; ++scan) {
+    before = reseeks();
+    const uint64_t lookups_before = block_lookups();
+    scan_from_first(ReadOptions(), model);
+    EXPECT_LE(block_lookups() - lookups_before, runs + kSpannedBlocks);
+    EXPECT_EQ(2u, reseeks() - before);
+  }
+
+  // Versions newer than the snapshot: the reseek lands on the key's newest
+  // visible version.
+  const SequenceNumber snapshot = db_->GetSnapshot();
+  const std::map<std::string, std::string> at_snapshot = model;
+  write_history(1000, 0, 0);
+  ReadOptions at;
+  at.snapshot_seqno = snapshot;
+  before = reseeks();
+  scan_from_first(at, at_snapshot);
+  EXPECT_GT(reseeks(), before);
+  scan_from_first(ReadOptions(), model);
+  db_->ReleaseSnapshot(snapshot);
+
+  // A short history is stepped through: 8 versions per key never reseek.
+  db_.reset();
+  ASSERT_TRUE(DestroyDB(options_, "/db").ok());
+  options_.write_buffer_size = 8 << 10;
+  OpenDB();
+  model.clear();
+  for (int i = 0; i < kKeys; ++i) {
+    model[key_of(i)] = "base-" + std::to_string(i);
+    ASSERT_TRUE(Put(key_of(i), model[key_of(i)]).ok());
+  }
+  write_history(7, 0, 1);
+  before = reseeks();
+  scan_from_first(ReadOptions(), model);
+  ASSERT_TRUE(db_->Flush().ok());
+  scan_from_first(ReadOptions(), model);
+  EXPECT_EQ(before, reseeks());
+}
+
 // ---------------------------------------------------------------------------
 // Layout matrix: the same correctness suite must hold for every disk data
 // layout of tutorial §2.2.2 and every memtable rep of §2.2.1.
@@ -669,9 +822,16 @@ class DBLayoutTest : public ::testing::TestWithParam<LayoutParam> {
 TEST_P(DBLayoutTest, RandomWorkloadMatchesModel) {
   ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
   Random rnd(GetParam().layout == DataLayout::kTiering ? 7 : 13);
+  // One hot key takes about one write in four, so its history runs past
+  // the scan's 8-step skip limit in the memtable and in flushed runs, and
+  // the scans below exercise both reseek targets.
+  auto pick_key = [&] {
+    return rnd.OneIn(4) ? std::string("key300")
+                        : "key" + std::to_string(rnd.Uniform(600));
+  };
   std::map<std::string, std::string> model;
   for (int i = 0; i < 5000; ++i) {
-    std::string key = "key" + std::to_string(rnd.Uniform(600));
+    std::string key = pick_key();
     if (rnd.OneIn(10)) {
       model.erase(key);
       ASSERT_TRUE(db_->Delete(WriteOptions(), key).ok());
@@ -721,7 +881,7 @@ TEST_P(DBLayoutTest, RandomWorkloadMatchesModel) {
   const SequenceNumber snapshot = db_->GetSnapshot();
   const std::map<std::string, std::string> at_snapshot = model;
   for (int i = 0; i < 1500; ++i) {
-    std::string key = "key" + std::to_string(rnd.Uniform(600));
+    std::string key = pick_key();
     if (rnd.OneIn(4)) {
       model.erase(key);
       ASSERT_TRUE(db_->Delete(WriteOptions(), key).ok());

@@ -394,6 +394,42 @@ TEST_F(TableTest, BlockCachePopulatedAndHit) {
   EXPECT_GT(stats2.hits, stats1.hits);
 }
 
+TEST_F(TableTest, SeekInsideTheOpenBlockKeepsIt) {
+  LruCache cache(1 << 20, 1);
+  std::map<std::string, std::string> entries;
+  for (int i = 0; i < 500; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%06d", i);
+    entries[key] = "value";
+  }
+  BuildTable(entries, nullptr, &cache);
+  auto lookups = [&] {
+    const CacheStats stats = cache.GetStats();
+    return stats.hits + stats.misses;
+  };
+  auto iter = reader_->NewIterator(ReadOptions());
+  auto seek = [&](const std::string& user_key) {
+    std::string target;
+    AppendInternalKey(&target, ParsedInternalKey(user_key, kMaxSequenceNumber,
+                                                 kValueTypeForSeek));
+    iter->Seek(target);
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_EQ(user_key, ExtractUserKey(iter->key()).ToString());
+  };
+  seek("key000123");
+  const uint64_t opened = lookups();
+  // The index lands on the block already open: no block-cache lookup.
+  seek("key000123");
+  iter->Next();
+  seek("key000123");
+  EXPECT_EQ(opened, lookups());
+  // Another block is fetched, and so is the first one again after it.
+  seek("key000400");
+  EXPECT_EQ(opened + 1, lookups());
+  seek("key000123");
+  EXPECT_EQ(opened + 2, lookups());
+}
+
 TEST_F(TableTest, WarmCacheLoadsAllDataBlocks) {
   LruCache cache(4 << 20, 1);
   std::map<std::string, std::string> entries;
