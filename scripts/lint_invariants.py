@@ -62,6 +62,15 @@ Runs over src/ (and any extra paths given) and enforces:
       one file at a time; a per-file table iterator beside it brings back
       the cost of one open file and one block per file.
 
+  raw-file-io
+      Outside comments, `::write(`, `::pwrite(`, `::fsync(` and
+      `::fdatasync(` appear only in io/posix_env.cc, and the CRC
+      intrinsics (`_mm_crc32_`, `__crc32c`) only in util/crc32c.cc. Every
+      byte the engine writes goes through an Env file, so CountingEnv,
+      FaultInjectionEnv and the POSIX write buffer all see it, and every
+      checksum goes through crc32c::Extend, which picks the hardware or
+      table path once.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -118,6 +127,17 @@ TABLE_ITER_ALLOWLIST = {
     os.path.join("db", "internal_iterators.cc"),
     os.path.join("db", "shard_engine_checkpoint.cc"),
 }
+
+# Raw file-write syscalls and CRC intrinsics, each with its one home.
+RAW_FILE_IO_RULES = (
+    (re.compile(r"::(?:write|pwrite|fsync|fdatasync)\("),
+     os.path.join("io", "posix_env.cc"),
+     "raw write/sync syscall outside io/posix_env.cc — write through an "
+     "Env file so the decorators and the write buffer see it"),
+    (re.compile(r"\b(?:_mm_crc32_\w*|__crc32c\w*)\b"),
+     os.path.join("util", "crc32c.cc"),
+     "CRC intrinsic outside util/crc32c.cc — call crc32c::Extend"),
+)
 
 
 def is_comment(line):
@@ -228,6 +248,12 @@ def lint_file(path, rel, findings, walk_sites):
                 (rel, lineno, "table-iterator-outside-run-iterator",
                  "table iterator opened outside the run iterator — merge "
                  "one NewRunIterator child per sorted run instead"))
+
+        # --- raw-file-io --------------------------------------------------
+        if not is_comment(stripped):
+            for pattern, home, msg in RAW_FILE_IO_RULES:
+                if rel != home and pattern.search(code):
+                    findings.append((rel, lineno, "raw-file-io", msg))
 
         # --- unexplained-void-cast ----------------------------------------
         if VOID_CAST_RE.match(code):

@@ -799,7 +799,14 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
       stats_->wal_bytes_written.fetch_add(merged->rep().size(),
                                          std::memory_order_relaxed);
       if (leader->sync || options_.sync_wal) {
-        s = log_file->Sync();
+        // The record may hold pointers into the active vlog; the values
+        // must be durable no later than the pointers to them.
+        if (vlog_ != nullptr) {
+          s = vlog_->Sync();
+        }
+        if (s.ok()) {
+          s = log_file->Sync();
+        }
         if (s.ok()) {
           stats_->wal_syncs.fetch_add(1, std::memory_order_relaxed);
         }

@@ -77,15 +77,21 @@ class RandomRWFile {
   virtual Status Sync() = 0;
 };
 
-/// A file opened for appending (table building, WAL, manifest).
+/// A file opened for appending (table building, WAL, manifest, vlog).
+/// Appended bytes may wait in a buffer inside the file object: a reader
+/// that opens the file by name, and a process kill, see only what the
+/// last Flush(), Sync() or Close() handed to the OS.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;
 
   virtual Status Append(const Slice& data) = 0;
+  /// Flushes, then releases the file.
   virtual Status Close() = 0;
+  /// Hands every appended byte to the OS. The bytes survive a process kill
+  /// and are visible to a fresh reader, but not yet to a power loss.
   virtual Status Flush() = 0;
-  /// Forces data to stable storage.
+  /// Flushes, then forces the bytes to stable storage (durable).
   virtual Status Sync() = 0;
 };
 

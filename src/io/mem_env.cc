@@ -68,7 +68,10 @@ class MemWritableFile final : public WritableFile {
     return Status::OK();
   }
   Status Close() override { return Status::OK(); }
-  Status Flush() override { return Status::OK(); }
+  Status Flush() override {
+    LSMLAB_CHECK_IO_UNDER_LOCK("Flush", "mem writable file");
+    return Status::OK();
+  }
   Status Sync() override {
     LSMLAB_CHECK_IO_UNDER_LOCK("Sync", "mem writable file");
     return Status::OK();

@@ -4,6 +4,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -170,6 +171,11 @@ class PosixRandomAccessFile final : public RandomAccessFile {
   const BatchIoBackend backend_;
 };
 
+// Appends collect in a buffer of this size (LevelDB's
+// kWritableFileBufferSize), so a small record costs a memcpy, not a
+// write(), until the caller flushes.
+constexpr size_t kWritableFileBufferSize = 64 * 1024;
+
 class PosixWritableFile final : public WritableFile {
  public:
   PosixWritableFile(std::string fname, int fd)
@@ -185,9 +191,64 @@ class PosixWritableFile final : public WritableFile {
   Status Append(const Slice& data) override {
     LSMLAB_CHECK_IO_UNDER_LOCK("Append", fname_.c_str());
     const char* p = data.data();
-    size_t left = data.size();
-    while (left > 0) {
-      ::ssize_t w = ::write(fd_, p, left);
+    size_t n = data.size();
+    const size_t copy = std::min(n, kWritableFileBufferSize - pos_);
+    std::memcpy(buf_ + pos_, p, copy);
+    p += copy;
+    n -= copy;
+    pos_ += copy;
+    if (n == 0) {
+      return Status::OK();
+    }
+    // The buffer is full and bytes remain: write it out, then buffer a
+    // small remainder or send a large one straight to the file.
+    Status s = FlushBuffer();
+    if (!s.ok()) {
+      return s;
+    }
+    if (n < kWritableFileBufferSize) {
+      std::memcpy(buf_, p, n);
+      pos_ = n;
+      return Status::OK();
+    }
+    return WriteUnbuffered(p, n);
+  }
+
+  Status Close() override {
+    Status s = FlushBuffer();
+    if (fd_ >= 0 && ::close(fd_) < 0 && s.ok()) {
+      s = PosixError(fname_, errno);
+    }
+    fd_ = -1;
+    return s;
+  }
+
+  Status Flush() override {
+    LSMLAB_CHECK_IO_UNDER_LOCK("Flush", fname_.c_str());
+    return FlushBuffer();
+  }
+
+  Status Sync() override {
+    LSMLAB_CHECK_IO_UNDER_LOCK("Sync", fname_.c_str());
+    Status s = FlushBuffer();
+    if (s.ok() && ::fdatasync(fd_) < 0) {
+      s = PosixError(fname_, errno);
+    }
+    return s;
+  }
+
+ private:
+  // A failed write drops the buffered bytes: the file's tail is unknown
+  // either way, and callers treat the error as fatal for the file.
+  Status FlushBuffer() {
+    Status s = WriteUnbuffered(buf_, pos_);
+    pos_ = 0;
+    return s;
+  }
+
+  Status WriteUnbuffered(const char* p, size_t n) {
+    while (n > 0) {
+      ::ssize_t w = ::write(fd_, p, n);
       if (w < 0) {
         if (errno == EINTR) {
           continue;
@@ -195,33 +256,15 @@ class PosixWritableFile final : public WritableFile {
         return PosixError(fname_, errno);
       }
       p += w;
-      left -= static_cast<size_t>(w);
+      n -= static_cast<size_t>(w);
     }
     return Status::OK();
   }
 
-  Status Close() override {
-    Status s;
-    if (fd_ >= 0 && ::close(fd_) < 0) {
-      s = PosixError(fname_, errno);
-    }
-    fd_ = -1;
-    return s;
-  }
-
-  Status Flush() override { return Status::OK(); }
-
-  Status Sync() override {
-    LSMLAB_CHECK_IO_UNDER_LOCK("Sync", fname_.c_str());
-    if (::fdatasync(fd_) < 0) {
-      return PosixError(fname_, errno);
-    }
-    return Status::OK();
-  }
-
- private:
   const std::string fname_;
   int fd_;
+  size_t pos_ = 0;  // Bytes of buf_ not yet handed to the kernel.
+  char buf_[kWritableFileBufferSize];
 };
 
 class PosixRandomRWFile final : public RandomRWFile {

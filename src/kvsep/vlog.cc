@@ -26,6 +26,7 @@ Status VlogManager::OpenActive(uint64_t file_number) {
   if (s.ok()) {
     active_file_number_ = file_number;
     active_offset_ = 0;
+    synced_offset_ = 0;
   }
   return s;
 }
@@ -47,7 +48,12 @@ Status VlogManager::Append(const Slice& key, const Slice& value,
   ptr->offset = active_offset_;
   ptr->size = value.size();
 
+  // Flushed per record: Read() opens the log by name, so a pointer handed
+  // out here must already resolve through a fresh reader.
   Status s = active_file_->Append(record);
+  if (s.ok()) {
+    s = active_file_->Flush();
+  }
   if (s.ok()) {
     active_offset_ += record.size();
     total_bytes_ += record.size();
@@ -164,10 +170,16 @@ Status VlogManager::DeleteLog(uint64_t file_number) {
 
 Status VlogManager::Sync() {
   MutexLock lock(&mu_);
-  if (active_file_ == nullptr) {
+  // Every synced write group calls this, whether or not it appended a
+  // value; skipping a clean log keeps a group without one at one fsync.
+  if (active_file_ == nullptr || synced_offset_ == active_offset_) {
     return Status::OK();
   }
-  return active_file_->Sync();
+  Status s = active_file_->Sync();
+  if (s.ok()) {
+    synced_offset_ = active_offset_;
+  }
+  return s;
 }
 
 }  // namespace lsmlab

@@ -75,6 +75,8 @@ class VlogManager {
   /// Removes a fully rewritten log file.
   Status DeleteLog(uint64_t file_number) EXCLUDES(mu_);
 
+  /// Makes the active log durable; a no-op when nothing was appended since
+  /// the last successful Sync.
   Status Sync() EXCLUDES(mu_);
 
  private:
@@ -85,6 +87,7 @@ class VlogManager {
   std::unique_ptr<WritableFile> active_file_ GUARDED_BY(mu_);
   uint64_t active_file_number_ GUARDED_BY(mu_) = 0;
   uint64_t active_offset_ GUARDED_BY(mu_) = 0;
+  uint64_t synced_offset_ GUARDED_BY(mu_) = 0;  // Durable prefix of active.
   uint64_t total_bytes_ GUARDED_BY(mu_) = 0;
   std::unordered_map<uint64_t, uint64_t> garbage_bytes_ GUARDED_BY(mu_);
 };

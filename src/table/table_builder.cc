@@ -94,9 +94,6 @@ void TableBuilder::FlushDataBlock() {
   data_block_.Reset();
   ++properties_.num_data_blocks;
   pending_index_entry_ = true;
-  if (status_.ok()) {
-    status_ = file_->Flush();
-  }
 }
 
 void TableBuilder::WriteRawBlock(const Slice& contents, BlockHandle* handle) {

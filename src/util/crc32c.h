@@ -7,8 +7,14 @@
 namespace lsmlab::crc32c {
 
 /// Returns crc32c(concat(A, data[0,n-1])) where init is crc32c(A). Pass 0 as
-/// init to compute the CRC of `data` alone.
+/// init to compute the CRC of `data` alone. Runs the CPU's crc32
+/// instruction where CPUID reports SSE4.2 (chosen once per process), and
+/// ExtendPortable() everywhere else.
 uint32_t Extend(uint32_t init, const char* data, size_t n);
+
+/// The byte-at-a-time table loop: Extend() on CPUs without a CRC
+/// instruction, and the reference the hardware path is tested against.
+uint32_t ExtendPortable(uint32_t init, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

@@ -27,7 +27,7 @@
 /// still fails the suite deterministically.
 ///
 /// The I/O-under-lock detector rides on the same held-lock stack: Env
-/// Append/Sync/Read/MultiRead paths call LSMLAB_CHECK_IO_UNDER_LOCK and
+/// Append/Flush/Sync/Read/MultiRead paths call LSMLAB_CHECK_IO_UNDER_LOCK and
 /// abort when any held lock's rank forbids I/O (RankForbidsIo). The few
 /// deliberate I/O-under-lock sites (manifest writes under VersionSet::mu_,
 /// WAL rotation sync under mu_) open an IoAllowedSection with a written

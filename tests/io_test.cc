@@ -143,6 +143,75 @@ TEST_P(EnvTest, RandomRWFileReadWrite) {
   EXPECT_EQ(std::string(10, '\0'), result.ToString());
 }
 
+TEST_P(EnvTest, FlushHandsAppendsToFreshReaders) {
+  const std::string fname = dir_ + "/flushed";
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &file).ok());
+  ASSERT_TRUE(file->Append("header").ok());
+  ASSERT_TRUE(file->Append("payload").ok());
+  ASSERT_TRUE(file->Flush().ok());
+
+  std::unique_ptr<RandomAccessFile> reader;
+  ASSERT_TRUE(env_->NewRandomAccessFile(fname, &reader).ok());
+  char scratch[32];
+  Slice result;
+  ASSERT_TRUE(reader->Read(0, sizeof(scratch), &result, scratch).ok());
+  EXPECT_EQ("headerpayload", result.ToString());
+  uint64_t size = 0;
+  ASSERT_TRUE(env_->GetFileSize(fname, &size).ok());
+  EXPECT_EQ(13u, size);
+}
+
+TEST_P(EnvTest, SyncAndCloseFlushFirst) {
+  const std::string fname = dir_ + "/synced";
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &file).ok());
+  ASSERT_TRUE(file->Append("synced").ok());
+  ASSERT_TRUE(file->Sync().ok());
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env_, fname, &contents).ok());
+  EXPECT_EQ("synced", contents);
+
+  ASSERT_TRUE(file->Append("+closed").ok());
+  ASSERT_TRUE(file->Close().ok());
+  ASSERT_TRUE(ReadFileToString(env_, fname, &contents).ok());
+  EXPECT_EQ("synced+closed", contents);
+}
+
+TEST_P(EnvTest, LargeTinyAndEmptyAppendsRoundTrip) {
+  const std::string fname = dir_ + "/appends";
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &file).ok());
+  Random rnd(17);
+  std::string expected;
+  auto append = [&](size_t n) {
+    std::string chunk(n, '\0');
+    for (char& c : chunk) {
+      c = static_cast<char>('a' + rnd.Uniform(26));
+    }
+    ASSERT_TRUE(file->Append(chunk).ok());
+    expected += chunk;
+  };
+  // The one-byte appends part-fill a write buffer, so the 200 KiB append
+  // tops it up, writes it and sends the rest straight to the file, and the
+  // 100 KiB one leaves a remainder buffered for Close().
+  for (int i = 0; i < 10000; ++i) {
+    append(1);
+  }
+  append(200 << 10);
+  append(0);
+  for (int i = 0; i < 10000; ++i) {
+    append(1);
+  }
+  append(100 << 10);
+  ASSERT_TRUE(file->Close().ok());
+
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env_, fname, &contents).ok());
+  ASSERT_EQ(expected.size(), contents.size());
+  EXPECT_TRUE(expected == contents);
+}
+
 TEST_P(EnvTest, RandomRWFilePreservesExistingContents) {
   const std::string fname = dir_ + "/rw2";
   ASSERT_TRUE(WriteStringToFile(env_, "persistent", fname).ok());

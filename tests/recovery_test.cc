@@ -1,7 +1,9 @@
 // Crash-safety and fault-injection tests: torn WAL tails, corrupted
-// manifests, obsolete-file GC, and repeated reopen cycles.
+// manifests, obsolete-file GC, repeated reopen cycles, and process kills on
+// real files.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <map>
@@ -11,6 +13,7 @@
 
 #include "db/db.h"
 #include "db/filename.h"
+#include "io/env.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "util/random.h"
@@ -549,6 +552,102 @@ TEST_F(RecoveryTest, ComparatorMismatchRefusesOpen) {
   std::unique_ptr<DB> db;
   Status s = DB::Open(options, "/db", &db);
   EXPECT_FALSE(s.ok());
+}
+
+// A synced write whose value went to the vlog survives a crash. Its WAL
+// record holds only a pointer, so the sync must cover the vlog record too,
+// for a per-write sync and for sync_wal alike.
+TEST(RecoveryKvSeparationTest, SyncedWriteKeepsSeparatedValue) {
+  for (const bool per_write_sync : {true, false}) {
+    SCOPED_TRACE(per_write_sync ? "WriteOptions::sync" : "Options::sync_wal");
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    Options options;
+    options.env = &env;
+    options.kv_separation = true;
+    options.kv_separation_threshold = 32;
+    options.sync_wal = !per_write_sync;
+    WriteOptions write_options;
+    write_options.sync = per_write_sync;
+    const std::string value(100, 'v');
+
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    ASSERT_TRUE(db->Put(write_options, "key", value).ok());
+    env.SetFilesystemActive(false);
+    db.reset();
+    ASSERT_TRUE(env.DropUnsyncedData().ok());
+    env.SetFilesystemActive(true);
+
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    std::string got;
+    Status s = db->Get(ReadOptions(), "key", &got);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(value, got);
+  }
+}
+
+// A process kill on real files keeps every acknowledged write, synced or
+// not: the WAL writer and the vlog hand each record to the kernel before
+// the write returns, so the page cache holds it even though the child
+// neither syncs nor closes. The child also reads each key back, which a
+// separated value passes only if its vlog record reached the file.
+void KillAfterUnsyncedPuts(bool kv_separation) {
+  constexpr int kKeys = 2000;
+  Options options;
+  options.env = Env::Default();
+  options.kv_separation = kv_separation;
+  options.kv_separation_threshold = 64;
+  const std::string dbname = ::testing::TempDir() + "lsmlab_kill_test_" +
+                             std::to_string(::getpid()) +
+                             (kv_separation ? "_kvsep" : "");
+  ASSERT_TRUE(DestroyDB(options, dbname).ok());
+  auto key_of = [](int i) { return "key" + std::to_string(100000 + i); };
+  auto value_of = [](int i) {
+    return std::string(100, static_cast<char>('a' + i % 26)) +
+           std::to_string(i);
+  };
+
+  EXPECT_EXIT(
+      {
+        std::unique_ptr<DB> db;
+        if (!DB::Open(options, dbname, &db).ok()) {
+          ::_exit(1);
+        }
+        for (int i = 0; i < kKeys; ++i) {
+          if (!db->Put(WriteOptions(), key_of(i), value_of(i)).ok()) {
+            ::_exit(2);
+          }
+          std::string got;
+          if (!db->Get(ReadOptions(), key_of(i), &got).ok() ||
+              got != value_of(i)) {
+            ::_exit(3);
+          }
+        }
+        ::_exit(0);  // A kill: no Close, no destructor, no sync.
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  int missing = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    std::string got;
+    if (!db->Get(ReadOptions(), key_of(i), &got).ok() || got != value_of(i)) {
+      ++missing;
+    }
+  }
+  EXPECT_EQ(0, missing);
+  db.reset();
+  EXPECT_TRUE(DestroyDB(options, dbname).ok());
+}
+
+TEST(RecoveryDeathTest, ProcessKillKeepsAcknowledgedWrites) {
+  KillAfterUnsyncedPuts(/*kv_separation=*/false);
+}
+
+TEST(RecoveryDeathTest, ProcessKillKeepsAcknowledgedSeparatedWrites) {
+  KillAfterUnsyncedPuts(/*kv_separation=*/true);
 }
 
 }  // namespace

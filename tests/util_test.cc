@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <thread>
@@ -220,6 +221,41 @@ TEST(Crc32cTest, MaskRoundTrip) {
 TEST(Crc32cTest, DifferentInputsDiffer) {
   EXPECT_NE(crc32c::Value("a", 1), crc32c::Value("b", 1));
   EXPECT_NE(crc32c::Value("foo", 3), crc32c::Value("foO", 3));
+}
+
+TEST(Crc32cTest, Rfc3720CheckValue) {
+  EXPECT_EQ(0xe3069283u, crc32c::Value("123456789", 9));
+  EXPECT_EQ(0xe3069283u, crc32c::ExtendPortable(0, "123456789", 9));
+}
+
+// Extend() runs the CPU's crc32 instruction where CPUID reports SSE4.2 and
+// must match the table loop bit for bit: every length up to 300 (the 8-byte
+// steps plus every tail), one 4 KiB block plus its 5-byte trailer, every
+// alignment within 16 bytes, and arbitrary running CRCs as `init`.
+TEST(Crc32cTest, ExtendMatchesPortableTableLoop) {
+  Random rnd(301);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) {
+    lengths.push_back(len);
+  }
+  lengths.push_back(4101);
+  std::string buf(4101 + 32, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rnd.Uniform(256));
+  }
+  const uintptr_t addr = reinterpret_cast<uintptr_t>(buf.data());
+  const char* aligned16 = buf.data() + (16 - addr % 16) % 16;
+  for (size_t len : lengths) {
+    for (size_t align = 0; align < 16; ++align) {
+      const char* p = aligned16 + align;
+      const uint32_t init = rnd.Next();
+      ASSERT_EQ(crc32c::ExtendPortable(init, p, len),
+                crc32c::Extend(init, p, len))
+          << "len " << len << " align " << align << " init " << init;
+      ASSERT_EQ(crc32c::ExtendPortable(0, p, len), crc32c::Value(p, len))
+          << "len " << len << " align " << align;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- Hash ----

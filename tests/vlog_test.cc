@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "io/counting_env.h"
 #include "io/mem_env.h"
 #include "kvsep/vlog.h"
 
@@ -145,6 +146,36 @@ TEST_F(VlogTest, DeleteLogRemovesFileAndAccounting) {
   EXPECT_EQ(0u, vlog_.GarbageBytes());
   std::string value;
   EXPECT_FALSE(vlog_.Read(ptr, "k", &value).ok());
+}
+
+// A synced write group syncs the active vlog before its WAL record; a log
+// with nothing appended since the last sync must not cost a second fsync.
+TEST(VlogSyncTest, SyncSkipsALogWithNothingNewSinceTheLastSync) {
+  MemEnv base;
+  CountingEnv env(&base);
+  ASSERT_TRUE(env.CreateDir("/db").ok());
+  VlogManager vlog("/db", &env);
+  ASSERT_TRUE(vlog.OpenActive(1).ok());
+  ASSERT_TRUE(vlog.Sync().ok());
+  EXPECT_EQ(0u, env.GetStats().syncs);
+
+  VlogPointer ptr;
+  ASSERT_TRUE(vlog.Append("k1", "v1", &ptr).ok());
+  ASSERT_TRUE(vlog.Sync().ok());
+  ASSERT_TRUE(vlog.Sync().ok());
+  EXPECT_EQ(1u, env.GetStats().syncs);
+
+  ASSERT_TRUE(vlog.Append("k2", "v2", &ptr).ok());
+  ASSERT_TRUE(vlog.Sync().ok());
+  EXPECT_EQ(2u, env.GetStats().syncs);
+
+  // A roll starts a new, empty active log.
+  ASSERT_TRUE(vlog.OpenActive(2).ok());
+  ASSERT_TRUE(vlog.Sync().ok());
+  EXPECT_EQ(2u, env.GetStats().syncs);
+  ASSERT_TRUE(vlog.Append("k3", "v3", &ptr).ok());
+  ASSERT_TRUE(vlog.Sync().ok());
+  EXPECT_EQ(3u, env.GetStats().syncs);
 }
 
 }  // namespace
