@@ -29,6 +29,9 @@ MemTableRepType RepFor(int64_t index) {
   }
 }
 
+// The default write buffer, which sizes each memtable's key filter.
+const size_t kWriteBufferSize = Options().write_buffer_size;
+
 const char* RepName(int64_t index) {
   return MemTableRepTypeName(RepFor(index));
 }
@@ -38,7 +41,7 @@ void BM_MemTableFillSequentialWrites(benchmark::State& state) {
   const MemTableRepType rep = RepFor(state.range(0));
   InternalKeyComparator icmp(BytewiseComparator());
   for (auto _ : state) {
-    MemTable table(&icmp, rep, 4096);
+    MemTable table(&icmp, rep, 4096, kWriteBufferSize);
     SequenceNumber seq = 1;
     for (int i = 0; i < 20000; ++i) {
       table.Add(seq++, kTypeValue, WorkloadGenerator::FormatKey(
@@ -58,7 +61,7 @@ void BM_MemTableMixedReadWrite(benchmark::State& state) {
   const MemTableRepType rep = RepFor(state.range(0));
   InternalKeyComparator icmp(BytewiseComparator());
   for (auto _ : state) {
-    MemTable table(&icmp, rep, 4096);
+    MemTable table(&icmp, rep, 4096, kWriteBufferSize);
     Random rnd(7);
     SequenceNumber seq = 1;
     std::string value;
@@ -81,7 +84,7 @@ BENCHMARK(BM_MemTableMixedReadWrite)->DenseRange(0, 3)->Unit(benchmark::kMillise
 void BM_MemTablePointReads(benchmark::State& state) {
   const MemTableRepType rep = RepFor(state.range(0));
   InternalKeyComparator icmp(BytewiseComparator());
-  MemTable table(&icmp, rep, 4096);
+  MemTable table(&icmp, rep, 4096, kWriteBufferSize);
   SequenceNumber seq = 1;
   for (int i = 0; i < 20000; ++i) {
     table.Add(seq++, kTypeValue,
@@ -104,7 +107,7 @@ BENCHMARK(BM_MemTablePointReads)->DenseRange(0, 3);
 void BM_MemTableOrderedScan(benchmark::State& state) {
   const MemTableRepType rep = RepFor(state.range(0));
   InternalKeyComparator icmp(BytewiseComparator());
-  MemTable table(&icmp, rep, 4096);
+  MemTable table(&icmp, rep, 4096, kWriteBufferSize);
   SequenceNumber seq = 1;
   Random rnd(3);
   for (int i = 0; i < 20000; ++i) {

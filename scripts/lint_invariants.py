@@ -71,6 +71,17 @@ Runs over src/ (and any extra paths given) and enforces:
       checksum goes through crc32c::Extend, which picks the hardware or
       table path once.
 
+  bloom-probe-copy
+      Outside comments, the Bloom probe loop's pieces appear only in
+      filter/bloom_kernel.h: the double-hash step (a hash rotated right by
+      17 bits, `(h >> 17) | (h << 15)`, assigned to a variable), a probe
+      taken modulo a 512-bit cache line, and a line picked from a hash's
+      high 32 bits (`(h >> 32) % lines`). The SST Bloom filters, the range
+      filters' bit arrays and the memtable filter all call the kernel's
+      BloomProbes / BlockedBloomProbes, so one probe sequence sets and
+      tests every bit; a second copy could drift and turn into false
+      negatives.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -137,6 +148,15 @@ RAW_FILE_IO_RULES = (
     (re.compile(r"\b(?:_mm_crc32_\w*|__crc32c\w*)\b"),
      os.path.join("util", "crc32c.cc"),
      "CRC intrinsic outside util/crc32c.cc — call crc32c::Extend"),
+)
+
+# The Bloom probe loop's home, and the pieces a copy of it would carry.
+BLOOM_KERNEL = os.path.join("filter", "bloom_kernel.h")
+BLOOM_PROBE_RES = (
+    re.compile(r"=\s*\(\s*(\w+)\s*>>\s*17\s*\)\s*\|\s*"
+               r"\(\s*\1\s*<<\s*15\s*\)"),
+    re.compile(r"%\s*(?:\w*LineBits\b|512\b)"),
+    re.compile(r">>\s*32\s*\)\s*%"),
 )
 
 
@@ -254,6 +274,14 @@ def lint_file(path, rel, findings, walk_sites):
             for pattern, home, msg in RAW_FILE_IO_RULES:
                 if rel != home and pattern.search(code):
                     findings.append((rel, lineno, "raw-file-io", msg))
+
+        # --- bloom-probe-copy ----------------------------------------------
+        if (rel != BLOOM_KERNEL and not is_comment(stripped)
+                and any(p.search(code) for p in BLOOM_PROBE_RES)):
+            findings.append(
+                (rel, lineno, "bloom-probe-copy",
+                 "Bloom probe loop outside filter/bloom_kernel.h — call "
+                 "BloomProbes / BlockedBloomProbes"))
 
         # --- unexplained-void-cast ----------------------------------------
         if VOID_CAST_RE.match(code):

@@ -76,7 +76,7 @@ void LruCache::Insert(const Slice& key, std::shared_ptr<const void> value,
 std::shared_ptr<const void> LruCache::Lookup(const Slice& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
-  auto it = shard.index.find(key.ToString());
+  auto it = shard.index.find(key.ToStringView());
   if (it == shard.index.end()) {
     ++shard.misses;
     return nullptr;
@@ -90,7 +90,7 @@ std::shared_ptr<const void> LruCache::Lookup(const Slice& key) {
 void LruCache::Erase(const Slice& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
-  auto it = shard.index.find(key.ToString());
+  auto it = shard.index.find(key.ToStringView());
   if (it != shard.index.end()) {
     shard.usage -= it->second->charge;
     shard.lru.erase(it->second);

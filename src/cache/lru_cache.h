@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -74,11 +76,22 @@ class LruCache {
     size_t charge;
   };
 
+  /// Transparent, so lookups hash a Slice's bytes in place: a block-cache
+  /// key is 16 bytes, past the 15-byte small-string buffer, and building a
+  /// std::string for each probe would cost a malloc and a free.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
   struct Shard {
     mutable Mutex mu{LockRank::kBlockCacheShard, "block_cache.shard.mu"};
     std::list<Entry> lru GUARDED_BY(mu);  // Front = MRU.
-    std::unordered_map<std::string, std::list<Entry>::iterator> index
-        GUARDED_BY(mu);
+    std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash,
+                       std::equal_to<>>
+        index GUARDED_BY(mu);
     size_t usage GUARDED_BY(mu) = 0;
     size_t capacity = 0;  // Set once at construction; read-only afterwards.
     uint64_t hits GUARDED_BY(mu) = 0;

@@ -529,8 +529,7 @@ std::vector<Status> ShardedDB::MultiGet(const ReadOptions& options,
     shard_keys[k].push_back(keys[i]);
     shard_index[k].push_back(i);
   }
-  values->clear();
-  values->resize(keys.size());
+  values->resize(keys.size());  // Every slot is moved in from its shard.
   std::vector<Status> statuses(keys.size());
   for (int k = 0; k < num_shards_; ++k) {
     const size_t sk = static_cast<size_t>(k);

@@ -24,20 +24,6 @@ bool ParseInternalKey(const Slice& internal_key, ParsedInternalKey* result) {
   return true;
 }
 
-int InternalKeyComparator::Compare(const Slice& a, const Slice& b) const {
-  int r = user_comparator_->Compare(ExtractUserKey(a), ExtractUserKey(b));
-  if (r == 0) {
-    const uint64_t at = ExtractTrailer(a);
-    const uint64_t bt = ExtractTrailer(b);
-    if (at > bt) {
-      r = -1;  // Higher sequence sorts first (newest first).
-    } else if (at < bt) {
-      r = +1;
-    }
-  }
-  return r;
-}
-
 void InternalKeyComparator::FindShortestSeparator(std::string* start,
                                                   const Slice& limit) const {
   // Shorten the user-key part; if it got shorter, append a max trailer so the

@@ -77,12 +77,34 @@ bool ParseInternalKey(const Slice& internal_key, ParsedInternalKey* result);
 
 /// Orders internal keys: user key ascending (per user comparator), then
 /// sequence number descending, then type descending.
-class InternalKeyComparator : public Comparator {
+///
+/// Compare is inline and, for the built-in bytewise user comparator, calls
+/// Slice::compare directly instead of dispatching through the virtual
+/// Comparator::Compare; the constructor decides which once. Any other user
+/// comparator keeps the virtual call.
+class InternalKeyComparator final : public Comparator {
  public:
   explicit InternalKeyComparator(const Comparator* user_comparator)
-      : user_comparator_(user_comparator) {}
+      : user_comparator_(user_comparator),
+        bytewise_(user_comparator == BytewiseComparator()) {}
 
-  int Compare(const Slice& a, const Slice& b) const override;
+  int Compare(const Slice& a, const Slice& b) const override {
+    int r = CompareUserKey(ExtractUserKey(a), ExtractUserKey(b));
+    if (r == 0) {
+      const uint64_t at = ExtractTrailer(a);
+      const uint64_t bt = ExtractTrailer(b);
+      if (at > bt) {
+        r = -1;  // Higher sequence sorts first (newest first).
+      } else if (at < bt) {
+        r = +1;
+      }
+    }
+    return r;
+  }
+  /// The user comparator's order.
+  int CompareUserKey(const Slice& a, const Slice& b) const {
+    return bytewise_ ? a.compare(b) : user_comparator_->Compare(a, b);
+  }
   const char* Name() const override {
     return "lsmlab.InternalKeyComparator";
   }
@@ -94,6 +116,7 @@ class InternalKeyComparator : public Comparator {
 
  private:
   const Comparator* const user_comparator_;
+  const bool bytewise_;
 };
 
 /// An owned internal key, convenient for file metadata boundaries.

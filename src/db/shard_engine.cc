@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <optional>
 
 #include "db/filename.h"
 #include "db/internal_iterators.h"
@@ -171,7 +172,8 @@ Status ShardEngine::Initialize(const std::set<uint64_t>* committed_prepares) {
 std::unique_ptr<MemTable> ShardEngine::MakeMemTable() const {
   return std::make_unique<MemTable>(&internal_comparator_,
                                     options_.memtable_rep,
-                                    options_.memtable_hash_bucket_count);
+                                    options_.memtable_hash_bucket_count,
+                                    options_.write_buffer_size);
 }
 
 Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
@@ -1164,15 +1166,21 @@ Status ShardEngine::ResolveMerge(Iterator* iter, const Slice& user_key,
 }
 
 Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
-  // 1. Memtables: the active one, then the immutables, newest first.
+  // 1. Memtables: the active one, then the immutables, newest first. Each
+  // memtable's key filter rules it out before its rep is searched.
   const ReadView& view = c->view;
   for (; c->next_memtable <= view.imms.size(); ++c->next_memtable) {
     MemTable* mem = c->next_memtable == 0
                         ? view.mem.get()
                         : view.imms[c->next_memtable - 1].get();
-    if (mem->Get(c->lkey, &c->raw, &c->type)) {
+    bool skipped = false;
+    if (mem->Get(c->lkey, &c->raw, &c->type, &skipped)) {
       c->state = LookupCursor::kFound;
       return Status::OK();
+    }
+    if (skipped) {
+      stats_->memtables_skipped_by_filter.fetch_add(1,
+                                                    std::memory_order_relaxed);
     }
   }
 
@@ -1304,8 +1312,9 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   // Batch-level counters (multiget_batches / multiget_keys / point_lookups)
   // are recorded by the facade, which may split one client batch across
   // several engines; bumping them here too would double-count.
+  // Like Get, reuse the caller's strings: resize without clearing, and
+  // empty only the values of keys that end without an OK status.
   const size_t n = keys.size();
-  values->clear();
   values->resize(n);
   std::vector<Status> statuses(n);
   if (n == 0) {
@@ -1318,11 +1327,11 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   SequenceNumber snapshot = options.snapshot_seqno != 0
                                 ? options.snapshot_seqno
                                 : versions_->last_sequence();
-  // deque: a cursor's LookupKey is pinned in place (neither copyable nor
-  // movable).
-  std::deque<LookupCursor> cursors;
-  for (const Slice& key : keys) {
-    cursors.emplace_back(*view, key, snapshot);
+  // One allocation for the batch's cursors, each built in place: a
+  // cursor's LookupKey is neither copyable nor movable.
+  std::vector<std::optional<LookupCursor>> cursors(n);
+  for (size_t i = 0; i < n; ++i) {
+    cursors[i].emplace(*view, keys[i], snapshot);
   }
 
   // Wavefront: each round steps every unfinished cursor until it finishes
@@ -1340,7 +1349,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
     std::vector<size_t> owner;  // ...and the first cursor to ask for each.
     std::vector<std::pair<size_t, size_t>> waiting;  // (cursor, read).
     for (size_t i : active) {
-      LookupCursor& c = cursors[i];
+      LookupCursor& c = *cursors[i];
       Status s = StepLookup(&c, fetched[i].get());
       fetched[i].reset();
       if (!s.ok() || c.state != LookupCursor::kNeedBlock) {
@@ -1381,7 +1390,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
     for (size_t r = 0; r < reqs.size(); ++r) {
       if (reqs[r].status.ok()) {
         bytes += reqs[r].result.size();
-        const LookupCursor& c = cursors[owner[r]];
+        const LookupCursor& c = *cursors[owner[r]];
         reqs[r].status = c.reader->FinishBatchedBlockRead(
             c.reader->MakeFetchContext(options), c.block, reqs[r].result,
             &blocks[r]);
@@ -1395,6 +1404,11 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
       } else {
         statuses[i] = reqs[r].status;
       }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!statuses[i].ok()) {
+      (*values)[i].clear();
     }
   }
   return statuses;

@@ -24,6 +24,9 @@ namespace lsmlab {
   /* Read path. */                                                            \
   TICKER(point_lookups)                                                       \
   TICKER(point_lookup_found)                                                  \
+  /* Memtables a point lookup passed over because the memtable's key filter   \
+     ruled the key out, without searching the memtable's rep. */              \
+  TICKER(memtables_skipped_by_filter)                                         \
   TICKER(runs_probed) /* Sorted runs actually read. */                        \
   TICKER(runs_skipped_by_filter)                                              \
   TICKER(filter_checks)                                                       \

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "filter/bloom_kernel.h"
 #include "filter/filter_policy.h"
 #include "util/hash.h"
 
@@ -8,8 +9,6 @@ namespace lsmlab {
 
 namespace {
 
-/// Double hashing: probe_i = h1 + i * h2, the standard trick that gets
-/// k independent-enough probes from one 64-bit hash.
 inline uint32_t BloomHash(const Slice& key) {
   return HashSlice32(key, 0xbc9f1d34u);
 }
@@ -36,13 +35,11 @@ class BloomFilterPolicy final : public FilterPolicy {
     dst->push_back(static_cast<char>(k_));  // Probe count trailer.
     char* array = dst->data() + init_size;
     for (int i = 0; i < n; ++i) {
-      uint32_t h = BloomHash(keys[i]);
-      const uint32_t delta = (h >> 17) | (h << 15);
-      for (int j = 0; j < k_; ++j) {
+      BloomProbes(BloomHash(keys[i]), k_, [&](uint32_t h) {
         const uint32_t bitpos = h % bits;
         array[bitpos / 8] |= (1 << (bitpos % 8));
-        h += delta;
-      }
+        return true;
+      });
     }
   }
 
@@ -60,16 +57,10 @@ class BloomFilterPolicy final : public FilterPolicy {
       return true;
     }
 
-    uint32_t h = BloomHash(key);
-    const uint32_t delta = (h >> 17) | (h << 15);
-    for (int j = 0; j < k; ++j) {
+    return BloomProbes(BloomHash(key), k, [&](uint32_t h) {
       const uint32_t bitpos = h % bits;
-      if ((array[bitpos / 8] & (1 << (bitpos % 8))) == 0) {
-        return false;
-      }
-      h += delta;
-    }
-    return true;
+      return (array[bitpos / 8] & (1 << (bitpos % 8))) != 0;
+    });
   }
 
  private:
@@ -89,59 +80,39 @@ class BlockedBloomFilterPolicy final : public FilterPolicy {
 
   void CreateFilter(const Slice* keys, int n, std::string* dst) const override {
     size_t bits = static_cast<size_t>(
-        std::max(static_cast<double>(kLineBits),
+        std::max(static_cast<double>(kBloomLineBits),
                  bits_per_key_ * static_cast<double>(n)));
-    size_t num_lines = (bits + kLineBits - 1) / kLineBits;
-    size_t bytes = num_lines * kLineBytes;
+    size_t num_lines = (bits + kBloomLineBits - 1) / kBloomLineBits;
+    size_t bytes = num_lines * kBloomLineBytes;
 
     const size_t init_size = dst->size();
     dst->resize(init_size + bytes, 0);
     dst->push_back(static_cast<char>(k_));
     char* array = dst->data() + init_size;
     for (int i = 0; i < n; ++i) {
-      uint64_t h = HashSlice64(keys[i]);
-      // High bits pick the cache line; low bits drive in-line probes.
-      size_t line = (h >> 32) % num_lines;
-      char* line_start = array + line * kLineBytes;
-      uint32_t probe = static_cast<uint32_t>(h);
-      const uint32_t delta = (probe >> 17) | (probe << 15);
-      for (int j = 0; j < k_; ++j) {
-        uint32_t bitpos = probe % kLineBits;
-        line_start[bitpos / 8] |= (1 << (bitpos % 8));
-        probe += delta;
-      }
+      BlockedBloomProbes(HashSlice64(keys[i]), num_lines, k_, [&](size_t bit) {
+        array[bit / 8] |= (1 << (bit % 8));
+        return true;
+      });
     }
   }
 
   bool KeyMayMatch(const Slice& key, const Slice& filter) const override {
-    if (filter.size() < kLineBytes + 1) {
+    if (filter.size() < kBloomLineBytes + 1) {
       return false;
     }
     const char* array = filter.data();
-    const size_t num_lines = (filter.size() - 1) / kLineBytes;
+    const size_t num_lines = (filter.size() - 1) / kBloomLineBytes;
     const int k = array[filter.size() - 1];
     if (k > 16 || k < 1) {
       return true;
     }
-    uint64_t h = HashSlice64(key);
-    size_t line = (h >> 32) % num_lines;
-    const char* line_start = array + line * kLineBytes;
-    uint32_t probe = static_cast<uint32_t>(h);
-    const uint32_t delta = (probe >> 17) | (probe << 15);
-    for (int j = 0; j < k; ++j) {
-      uint32_t bitpos = probe % kLineBits;
-      if ((line_start[bitpos / 8] & (1 << (bitpos % 8))) == 0) {
-        return false;
-      }
-      probe += delta;
-    }
-    return true;
+    return BlockedBloomProbes(HashSlice64(key), num_lines, k, [&](size_t bit) {
+      return (array[bit / 8] & (1 << (bit % 8))) != 0;
+    });
   }
 
  private:
-  static constexpr size_t kLineBytes = 64;
-  static constexpr size_t kLineBits = kLineBytes * 8;
-
   double bits_per_key_;
   int k_;
 };

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "filter/bloom_kernel.h"
 #include "util/hash.h"
 
 namespace lsmlab {
@@ -36,29 +37,21 @@ class BloomBits {
   }
 
   void Add(uint64_t h) {
-    uint32_t probe = static_cast<uint32_t>(h);
-    const uint32_t delta = (probe >> 17) | (probe << 15);
-    for (int j = 0; j < k_; ++j) {
+    BloomProbes(static_cast<uint32_t>(h), k_, [&](uint32_t probe) {
       size_t bit = probe % num_bits_;
       bits_[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-      probe += delta;
-    }
+      return true;
+    });
   }
 
   bool MayContain(uint64_t h) const {
     if (num_bits_ == 0) {
       return false;
     }
-    uint32_t probe = static_cast<uint32_t>(h);
-    const uint32_t delta = (probe >> 17) | (probe << 15);
-    for (int j = 0; j < k_; ++j) {
+    return BloomProbes(static_cast<uint32_t>(h), k_, [&](uint32_t probe) {
       size_t bit = probe % num_bits_;
-      if ((bits_[bit / 8] & (1u << (bit % 8))) == 0) {
-        return false;
-      }
-      probe += delta;
-    }
-    return true;
+      return (bits_[bit / 8] & (1u << (bit % 8))) != 0;
+    });
   }
 
   size_t MemoryUsage() const { return bits_.size(); }

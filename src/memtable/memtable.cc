@@ -1,17 +1,50 @@
 #include "memtable/memtable.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/coding.h"
+#include "util/hash.h"
 
 namespace lsmlab {
 
+namespace {
+
+size_t FilterLinesFor(size_t write_buffer_size) {
+  const size_t bytes = write_buffer_size / 64;
+  return std::max<size_t>(1, (bytes + kBloomLineBytes - 1) / kBloomLineBytes);
+}
+
+}  // namespace
+
 MemTable::MemTable(const InternalKeyComparator* comparator,
-                   MemTableRepType rep_type, size_t hash_bucket_count)
+                   MemTableRepType rep_type, size_t hash_bucket_count,
+                   size_t write_buffer_size)
     : comparator_(comparator->user_comparator()),
       entry_comparator_(&comparator_),
       rep_(NewMemTableRep(rep_type, entry_comparator_, &arena_,
-                          hash_bucket_count)) {}
+                          hash_bucket_count)),
+      filter_lines_(FilterLinesFor(write_buffer_size)),
+      filter_(new FilterLine[filter_lines_]()) {}
+
+void MemTable::AddToFilter(const Slice& user_key) {
+  BlockedBloomProbes(HashSlice64(user_key), filter_lines_, kFilterProbes,
+                     [this](size_t bit) {
+                       std::atomic<uint64_t>& word = FilterWord(bit);
+                       word.store(word.load(std::memory_order_relaxed) |
+                                      (uint64_t{1} << (bit % 64)),
+                                  std::memory_order_relaxed);
+                       return true;
+                     });
+}
+
+bool MemTable::KeyMayMatch(const Slice& user_key) const {
+  return BlockedBloomProbes(
+      HashSlice64(user_key), filter_lines_, kFilterProbes, [this](size_t bit) {
+        return (FilterWord(bit).load(std::memory_order_relaxed) &
+                (uint64_t{1} << (bit % 64))) != 0;
+      });
+}
 
 void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
                    const Slice& value) {
@@ -48,19 +81,27 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   std::memcpy(p, value.data(), value_size);
 
   rep_->Insert(buf);
+  AddToFilter(user_key);
   data_size_ += user_key_size + value_size;
 }
 
 bool MemTable::Get(const LookupKey& key, std::string* value,
-                   ValueType* type_out) {
+                   ValueType* type_out, bool* skipped_by_filter) {
+  const bool may_match = KeyMayMatch(key.user_key());
+  if (skipped_by_filter != nullptr) {
+    *skipped_by_filter = !may_match;
+  }
+  if (!may_match) {
+    return false;
+  }
   const char* entry = rep_->PointSeek(key.internal_key());
   if (entry == nullptr) {
     return false;
   }
   Slice internal_key = GetLengthPrefixedEntryKey(entry);
   // The seek may land on a later user key (or a hash-bucket neighbour).
-  if (comparator_.user_comparator()->Compare(ExtractUserKey(internal_key),
-                                             key.user_key()) != 0) {
+  if (comparator_.CompareUserKey(ExtractUserKey(internal_key),
+                                 key.user_key()) != 0) {
     return false;
   }
   ValueType type = ExtractValueType(internal_key);
@@ -92,7 +133,7 @@ std::unique_ptr<MemTable::Iterator> MemTable::NewIterator() {
 }
 
 size_t MemTable::ApproximateMemoryUsage() const {
-  return arena_.MemoryUsage();
+  return arena_.MemoryUsage() + filter_lines_ * sizeof(FilterLine);
 }
 
 }  // namespace lsmlab

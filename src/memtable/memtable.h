@@ -1,10 +1,13 @@
 #ifndef LSMLAB_MEMTABLE_MEMTABLE_H_
 #define LSMLAB_MEMTABLE_MEMTABLE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "db/dbformat.h"
+#include "filter/bloom_kernel.h"
 #include "memtable/memtable_rep.h"
 #include "util/arena.h"
 #include "util/options.h"
@@ -16,10 +19,18 @@ namespace lsmlab {
 /// rep additionally allows reads concurrent with a writer. MemTables are
 /// shared between the active write path, flush jobs, and live iterators via
 /// shared_ptr.
+///
+/// In front of the rep sits a key filter (tutorial §2.1.3 puts one in
+/// front of every sorted run; the buffer gets one too): a blocked Bloom
+/// filter over the user keys added, sized at 1/64 of the write buffer, so a
+/// point lookup whose key this memtable lacks skips the rep's search.
 class MemTable {
  public:
+  /// `write_buffer_size` sizes the key filter: write_buffer_size / 64
+  /// bytes, rounded up to whole 64-byte lines, at least one line. Flushing
+  /// still follows DataSize().
   MemTable(const InternalKeyComparator* comparator, MemTableRepType rep_type,
-           size_t hash_bucket_count);
+           size_t hash_bucket_count, size_t write_buffer_size);
 
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
@@ -32,7 +43,14 @@ class MemTable {
   /// Point lookup at `key`'s snapshot. Returns true if this memtable
   /// resolves the key (value found or tombstone hit); the entry type is
   /// returned through `type_out` and the value (if any) through `value`.
-  bool Get(const LookupKey& key, std::string* value, ValueType* type_out);
+  /// A key the filter rules out returns false without touching the rep;
+  /// `skipped_by_filter`, when given, says whether that happened.
+  bool Get(const LookupKey& key, std::string* value, ValueType* type_out,
+           bool* skipped_by_filter = nullptr);
+
+  /// False only if no version of `user_key` was ever added (the filter has
+  /// no false negatives); true may be a false positive.
+  bool KeyMayMatch(const Slice& user_key) const;
 
   /// Iterator over entries in internal-key order. The iterator (and the
   /// values it yields) remain valid for the memtable's lifetime.
@@ -55,6 +73,7 @@ class MemTable {
 
   std::unique_ptr<Iterator> NewIterator();
 
+  /// The arena plus the key filter.
   size_t ApproximateMemoryUsage() const;
   size_t Count() const { return rep_->Count(); }
   bool Empty() const { return rep_->Count() == 0; }
@@ -65,11 +84,37 @@ class MemTable {
   const InternalKeyComparator* comparator() const { return &comparator_; }
 
  private:
+  /// Probes per key: about 15 bits per key for 120-byte entries, where six
+  /// probes give a false-positive rate near 0.1%.
+  static constexpr int kFilterProbes = 6;
+  static constexpr size_t kWordsPerLine = kBloomLineBytes / sizeof(uint64_t);
+  struct alignas(kBloomLineBytes) FilterLine {
+    std::atomic<uint64_t> words[kWordsPerLine];
+  };
+
+  void AddToFilter(const Slice& user_key);
+  /// The word holding the kernel's filter bit `bit`, as bit `bit % 64`.
+  std::atomic<uint64_t>& FilterWord(size_t bit) const {
+    return filter_[bit / kBloomLineBits].words[bit / 64 % kWordsPerLine];
+  }
+
   InternalKeyComparator comparator_;
   MemTableKeyComparator entry_comparator_;
   Arena arena_;
   std::unique_ptr<MemTableRep> rep_;
   size_t data_size_ = 0;
+  // One writer, lock-free readers. Add (under the DB mutex, one writer at
+  // a time) sets bits with a relaxed load and a relaxed store per word, no
+  // locked read-modify-write; KeyMayMatch loads words relaxed. Neither
+  // needs more: a write publishes its sequence with the release store of
+  // VersionSet::SetLastSequence after Add returns, and a reader takes its
+  // snapshot with the acquire load of last_sequence() (or is handed one
+  // taken that way), so every bit set for a key at or below the reader's
+  // snapshot happens-before the reader's loads. Bits only ever turn on,
+  // and a writer reads the latest word before storing, so no bit is lost.
+  // A false negative here would hide a present key: a correctness bug.
+  const size_t filter_lines_;
+  const std::unique_ptr<FilterLine[]> filter_;
 };
 
 }  // namespace lsmlab

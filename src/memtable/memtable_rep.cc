@@ -1,25 +1,6 @@
 #include "memtable/memtable_rep.h"
 
-#include "util/coding.h"
-
 namespace lsmlab {
-
-Slice GetLengthPrefixedEntryKey(const char* entry) {
-  uint32_t len;
-  // +5: a varint32 is at most 5 bytes.
-  const char* p = GetVarint32Ptr(entry, entry + 5, &len);
-  return Slice(p, len);
-}
-
-int MemTableKeyComparator::operator()(const char* a, const char* b) const {
-  return comparator_->Compare(GetLengthPrefixedEntryKey(a),
-                              GetLengthPrefixedEntryKey(b));
-}
-
-int MemTableKeyComparator::CompareEntryToKey(const char* entry,
-                                             const Slice& internal_key) const {
-  return comparator_->Compare(GetLengthPrefixedEntryKey(entry), internal_key);
-}
 
 std::unique_ptr<MemTableRep> NewMemTableRep(MemTableRepType type,
                                             const MemTableKeyComparator& cmp,

@@ -5,23 +5,36 @@
 
 #include "db/dbformat.h"
 #include "util/arena.h"
+#include "util/coding.h"
 #include "util/options.h"
 #include "util/slice.h"
 
 namespace lsmlab {
 
 /// Decodes the length-prefixed internal key at the head of a memtable entry.
-Slice GetLengthPrefixedEntryKey(const char* entry);
+inline Slice GetLengthPrefixedEntryKey(const char* entry) {
+  uint32_t len;
+  // +5: a varint32 is at most 5 bytes.
+  const char* p = GetVarint32Ptr(entry, entry + 5, &len);
+  return Slice(p, len);
+}
 
-/// Orders encoded memtable entries by their internal keys.
+/// Orders encoded memtable entries by their internal keys. Inline down to
+/// the user-key compare: a skip-list descent makes up to ~30 of these.
 class MemTableKeyComparator {
  public:
   explicit MemTableKeyComparator(const InternalKeyComparator* cmp)
       : comparator_(cmp) {}
 
-  int operator()(const char* a, const char* b) const;
+  int operator()(const char* a, const char* b) const {
+    return comparator_->Compare(GetLengthPrefixedEntryKey(a),
+                                GetLengthPrefixedEntryKey(b));
+  }
   /// Compares an entry against an encoded internal key (no length prefix).
-  int CompareEntryToKey(const char* entry, const Slice& internal_key) const;
+  int CompareEntryToKey(const char* entry, const Slice& internal_key) const {
+    return comparator_->Compare(GetLengthPrefixedEntryKey(entry),
+                                internal_key);
+  }
   /// The same, as a skip list's probe: a seek descends once with the
   /// internal key itself, building no length-prefixed probe entry.
   int operator()(const char* entry, const Slice& internal_key) const {
@@ -40,10 +53,14 @@ class MemTableKeyComparator {
 /// implementation knob of tutorial §2.2.1. Entries are immutable,
 /// arena-allocated buffers; the rep stores and orders pointers to them.
 ///
-/// Thread-safety contract: Insert/PointSeek/NewIterator calls are externally
-/// serialized by the DB mutex. The skip-list rep additionally supports
-/// readers concurrent with one writer; other reps do not, so DB iterators
-/// snapshot their contents at creation.
+/// Thread-safety contract: there is one writer at a time (Insert runs under
+/// the DB mutex), and readers take no lock: Get and MultiGet call PointSeek,
+/// and iterators are created, while the writer keeps inserting. Only the
+/// skip-list rep is safe for that. VectorRep::PointSeek and NewIterator
+/// sort the vector in place, HashSkipListRep::PointSeek creates a missing
+/// bucket, and HashLinkListRep links nodes with plain stores, so under
+/// concurrent clients these reps race with the writer and with each other
+/// (ROADMAP item 6 tracks this).
 class MemTableRep {
  public:
   /// Forward iterator over entries in internal-key order.
@@ -74,9 +91,6 @@ class MemTableRep {
 
   /// Number of entries inserted so far.
   virtual size_t Count() const = 0;
-
-  /// True if iteration is safe while a (serialized) writer keeps inserting.
-  virtual bool SupportsConcurrentIteration() const { return false; }
 
   virtual std::unique_ptr<Iterator> NewIterator() = 0;
 };

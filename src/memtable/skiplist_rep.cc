@@ -25,8 +25,6 @@ class SkipListRep final : public MemTableRep {
 
   size_t Count() const override { return count_; }
 
-  bool SupportsConcurrentIteration() const override { return true; }
-
   std::unique_ptr<Iterator> NewIterator() override {
     return std::make_unique<IteratorImpl>(this);
   }

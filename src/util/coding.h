@@ -52,9 +52,24 @@ bool GetLengthPrefixedSlice(Slice* input, Slice* result);
 bool GetFixed32(Slice* input, uint32_t* value);
 bool GetFixed64(Slice* input, uint64_t* value);
 
+/// GetVarint32Ptr's multi-byte path.
+const char* GetVarint32PtrFallback(const char* p, const char* limit,
+                                   uint32_t* value);
+
 /// Low-level varint32 decoder over [p, limit); returns pointer past the
-/// encoded value or nullptr on error.
-const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* v);
+/// encoded value or nullptr on error. Inline with a one-byte fast path:
+/// every memtable key comparison decodes a length prefix below 128.
+inline const char* GetVarint32Ptr(const char* p, const char* limit,
+                                  uint32_t* value) {
+  if (p < limit) {
+    const uint32_t result = *reinterpret_cast<const unsigned char*>(p);
+    if ((result & 128) == 0) {
+      *value = result;
+      return p + 1;
+    }
+  }
+  return GetVarint32PtrFallback(p, limit, value);
+}
 const char* GetVarint64Ptr(const char* p, const char* limit, uint64_t* v);
 
 /// Number of bytes PutVarint32/64 would append.

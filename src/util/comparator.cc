@@ -6,7 +6,7 @@ namespace lsmlab {
 
 namespace {
 
-class BytewiseComparatorImpl : public Comparator {
+class BytewiseComparatorImpl final : public Comparator {
  public:
   BytewiseComparatorImpl() = default;
 

@@ -10,6 +10,11 @@ namespace lsmlab {
 /// Comparator defines a total order over user keys. lsmlab ships a
 /// bytewise comparator; applications may supply their own (e.g. for
 /// integer-encoded keys).
+///
+/// Keys that compare equal must be byte-equal. The SST Bloom filters, the
+/// memtable filter and the hashed memtable reps all hash a key's raw
+/// bytes, so two spellings of one key would hash apart and a lookup could
+/// miss a key that is present.
 class Comparator {
  public:
   virtual ~Comparator() = default;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -214,6 +215,66 @@ TEST_F(ConcurrencyTest, GetNeverMissesCommittedKeysDuringFlushChurn) {
   EXPECT_EQ(0u, errors.load());
   ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
   EXPECT_EQ(static_cast<uint64_t>(kKeys), db_->CountLiveEntries());
+}
+
+// Read-your-write through the memtable filter: one writer adds new keys
+// while readers Get each key as soon as its Put has returned, newest first.
+// The writer sets filter bits with relaxed stores and readers load them
+// relaxed; the last_sequence release/acquire pair is what makes a returned
+// Put's bits visible, so a miss here is a filter false negative. The 8 KiB
+// buffer seals a memtable every few hundred keys, so lookups also cross
+// immutable memtables and fresh tables.
+TEST_F(ConcurrencyTest, ReadersSeeEachKeyAsSoonAsItsPutReturns) {
+  ASSERT_TRUE(DB::Open(options_, "/conc-filter", &db_).ok());
+
+  constexpr int kKeys = 3000;
+  auto key_of = [](int i) { return "fk" + std::to_string(i); };
+  auto value_of = [](int i) { return "value-" + std::to_string(i); };
+  std::atomic<int> returned{0};  // Puts of keys [0, returned) have returned.
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> checked{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      std::string value;
+      int next = 0;  // Keys below this one were checked.
+      while (next < kKeys) {
+        const bool writer_done = done.load();
+        const int limit = returned.load(std::memory_order_acquire);
+        if (limit == next && writer_done) {
+          break;  // The writer stopped early.
+        }
+        for (int i = limit - 1; i >= next; --i) {
+          Status s = db_->Get(ReadOptions(), key_of(i), &value);
+          if (s.IsNotFound()) {
+            ++misses;
+          } else if (!s.ok() || value != value_of(i)) {
+            ++wrong;
+          }
+          ++checked;
+        }
+        next = std::max(next, limit);
+      }
+    });
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    if (!db_->Put(WriteOptions(), key_of(i), value_of(i)).ok()) {
+      ADD_FAILURE() << "Put " << i;
+      break;
+    }
+    returned.store(i + 1, std::memory_order_release);
+  }
+  done.store(true);
+  for (auto& t : readers) {
+    t.join();
+  }
+
+  EXPECT_EQ(0u, misses.load());
+  EXPECT_EQ(0u, wrong.load());
+  EXPECT_EQ(2u * kKeys, checked.load());
 }
 
 // MultiGet acquires one view per batch; compactions republishing the view

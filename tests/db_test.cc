@@ -396,6 +396,27 @@ TEST_F(DBTest, FilterSkipsRunsForAbsentKeys) {
   EXPECT_LT(db_->statistics()->runs_probed.load(), 20u);
 }
 
+TEST_F(DBTest, MemtableFilterSkipsMemtablesLackingTheKey) {
+  OpenDB();
+  for (int i = 0; i < 20; ++i) {  // Few enough to stay in one memtable.
+    ASSERT_TRUE(Put("held" + std::to_string(i), "v").ok());
+  }
+  Statistics* stats = db_->statistics();
+  stats->Reset();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ("v", Get("held" + std::to_string(i)));
+  }
+  // A held key is found in the first memtable searched: nothing skipped.
+  EXPECT_EQ(0u, stats->memtables_skipped_by_filter.load());
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ("NOT_FOUND", Get("absent" + std::to_string(i)));
+  }
+  // 20 keys set about 120 of the filter's bits, so hardly an absent key
+  // gets past it.
+  EXPECT_GE(stats->memtables_skipped_by_filter.load(), 95u);
+  EXPECT_LE(stats->memtables_skipped_by_filter.load(), 100u);
+}
+
 TEST_F(DBTest, NoSlowdownWriteFailsInsteadOfStalling) {
   options_.max_write_buffer_number = 1;  // Any full memtable = hard stall.
   options_.write_buffer_size = 4096;
@@ -1116,6 +1137,43 @@ TEST_F(DBTest, MultiGetMatchesGetAcrossTree) {
   }
 }
 
+TEST_F(DBTest, MultiGetReusesValueStringsAndEmptiesMisses) {
+  OpenDB();
+  ASSERT_TRUE(Put("a", "apple").ok());
+  ASSERT_TRUE(Put("c", std::string(300, 'c')).ok());
+  ASSERT_TRUE(Put("d", "doomed").ok());
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "d").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(Put("e", "").ok());  // In the memtable, with an empty value.
+  ASSERT_TRUE(Put("f", "fig").ok());
+
+  const std::vector<std::string> key_storage = {"a", "b", "c", "d",
+                                                "e", "f", "zz"};
+  const std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+  const std::vector<std::string> expected = {
+      "apple", "", std::string(300, 'c'), "", "", "fig", ""};
+  const std::vector<bool> found = {true,  false, true, false,
+                                   true,  true,  false};
+  // Stale strings in every slot, longer and shorter than the answers, and
+  // one slot more than the batch.
+  std::vector<std::string> values = {
+      std::string(1000, 'x'), "stale-b", "s", std::string(64, 'y'),
+      "stale-e",              "",        "stale-zz", "extra"};
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<Status> statuses = db_->MultiGet(ReadOptions(), keys, &values);
+    ASSERT_EQ(keys.size(), statuses.size());
+    ASSERT_EQ(keys.size(), values.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(found[i], statuses[i].ok()) << key_storage[i];
+      EXPECT_EQ(!found[i], statuses[i].IsNotFound()) << key_storage[i];
+      EXPECT_EQ(expected[i], values[i]) << key_storage[i];
+    }
+    // The second round reads into the strings the first one left.
+    values[1] = "stale-again";
+  }
+}
+
 TEST_F(DBTest, MultiGetSeesDeletionsAndOverwrites) {
   OpenDB();
   ASSERT_TRUE(Put("a", "1").ok());
@@ -1357,7 +1415,7 @@ TEST_F(DBTest, MultiGetDoesTheWorkOfAGetLoop) {
   struct Work {
     uint64_t filter_checks, runs_skipped_by_filter, runs_probed,
         filter_false_positives, point_lookup_found, table_lookups,
-        io_batches;
+        io_batches, memtables_skipped_by_filter;
   };
   auto measure = [&](const std::function<void()>& lookups, bool cold) {
     if (cold) {
@@ -1373,7 +1431,8 @@ TEST_F(DBTest, MultiGetDoesTheWorkOfAGetLoop) {
                 stats->point_lookup_found.load(),
                 stats->table_cache_hits.load() +
                     stats->table_cache_misses.load(),
-                stats->io_batches.load()};
+                stats->io_batches.load(),
+                stats->memtables_skipped_by_filter.load()};
   };
 
   get_loop();  // Warm the caches for the cached pass.
@@ -1389,6 +1448,8 @@ TEST_F(DBTest, MultiGetDoesTheWorkOfAGetLoop) {
     EXPECT_EQ(loop.filter_false_positives, batched.filter_false_positives);
     EXPECT_EQ(loop.point_lookup_found, batched.point_lookup_found);
     EXPECT_EQ(loop.table_lookups, batched.table_lookups);
+    EXPECT_EQ(loop.memtables_skipped_by_filter,
+              batched.memtables_skipped_by_filter);
     EXPECT_EQ(0u, loop.io_batches);
     if (cold) {
       EXPECT_GT(batched.io_batches, 0u);
@@ -1396,6 +1457,94 @@ TEST_F(DBTest, MultiGetDoesTheWorkOfAGetLoop) {
       EXPECT_EQ(0u, batched.io_batches);
     }
   }
+}
+
+/// Descending byte order: a custom comparator, so the engine takes the
+/// virtual user-key compare instead of the inline bytewise one.
+class ReverseBytewiseComparator final : public Comparator {
+ public:
+  int Compare(const Slice& a, const Slice& b) const override {
+    return b.compare(a);
+  }
+  const char* Name() const override { return "lsmlab.test.ReverseBytewise"; }
+  void FindShortestSeparator(std::string*, const Slice&) const override {}
+  void FindShortSuccessor(std::string*) const override {}
+};
+
+TEST_F(DBTest, ReverseComparatorOrdersGetMultiGetAndScans) {
+  static const ReverseBytewiseComparator reverse;
+  options_.comparator = &reverse;
+  // The default shard split keys are uniform first bytes in bytewise
+  // order, which this comparator reverses.
+  options_.num_shards = 1;
+  OpenDB();
+
+  std::map<std::string, std::string, std::greater<>> model;
+  Random rnd(29);
+  auto key_of = [](uint32_t k) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "rk%05u", k);
+    return std::string(buf);
+  };
+  auto churn = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const std::string key = key_of(rnd.Uniform(400));
+      if (rnd.Uniform(5) == 0) {
+        ASSERT_TRUE(db_->Delete(WriteOptions(), key).ok());
+        model.erase(key);
+      } else {
+        const std::string value = "v" + std::to_string(i) + "-" + key;
+        ASSERT_TRUE(Put(key, value).ok());
+        model[key] = value;
+      }
+    }
+  };
+  churn(1500);
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactRange().ok());
+  churn(600);  // Flushed again and again by the 8 KiB buffer...
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  churn(40);  // ...and some left in the memtable.
+
+  std::vector<std::string> key_storage;
+  for (uint32_t k = 0; k < 420; ++k) {  // Every key, present or not.
+    key_storage.push_back(key_of(k));
+  }
+  const std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+  std::vector<std::string> values;
+  const std::vector<Status> statuses =
+      db_->MultiGet(ReadOptions(), keys, &values);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto it = model.find(key_storage[i]);
+    const std::string expected = it == model.end() ? "NOT_FOUND" : it->second;
+    EXPECT_EQ(expected, Get(key_storage[i]));
+    EXPECT_EQ(expected,
+              statuses[i].ok() ? values[i]
+                               : (statuses[i].IsNotFound()
+                                      ? "NOT_FOUND"
+                                      : statuses[i].ToString()));
+  }
+
+  // Scans come out in descending byte order, forward from the first key
+  // and from a Seek.
+  std::map<std::string, std::string, std::greater<>> scanned;
+  std::string last;
+  auto iter = db_->NewIterator(ReadOptions());
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    const std::string key = iter->key().ToString();
+    if (!last.empty()) {
+      EXPECT_GT(last, key);
+    }
+    last = key;
+    scanned[key] = iter->value().ToString();
+  }
+  ASSERT_TRUE(iter->status().ok());
+  EXPECT_EQ(model, scanned);
+  iter->Seek(key_of(200));
+  auto expected_it = model.lower_bound(key_of(200));  // First key <= 200.
+  ASSERT_NE(model.end(), expected_it);
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ(expected_it->first, iter->key().ToString());
 }
 
 TEST_F(DBTest, ScanReadaheadMovesStatsAndPreservesContents) {

@@ -10,6 +10,7 @@
 #include "memtable/skiplist.h"
 #include "util/arena.h"
 #include "util/comparator.h"
+#include "util/options.h"
 #include "util/random.h"
 
 namespace lsmlab {
@@ -152,7 +153,8 @@ class MemTableTest : public ::testing::TestWithParam<MemTableRepType> {
   MemTableTest() : internal_cmp_(BytewiseComparator()) {}
 
   std::unique_ptr<MemTable> NewTable() {
-    return std::make_unique<MemTable>(&internal_cmp_, GetParam(), 64);
+    return std::make_unique<MemTable>(&internal_cmp_, GetParam(), 64,
+                                      Options().write_buffer_size);
   }
 
   // Point-get helper at the given snapshot.
@@ -293,6 +295,72 @@ TEST_P(MemTableTest, EmptyValueAndBinaryKeys) {
   ASSERT_TRUE(Get(table.get(), binary_key, 10, &value, &type));
   EXPECT_EQ(kTypeValue, type);
   EXPECT_EQ("", value);
+}
+
+std::string FilterKey(int i) { return "filter-key-" + std::to_string(i); }
+
+// The memtable filter may not drop a key: Get consults it before the rep,
+// so a false negative would hide a present key.
+TEST_P(MemTableTest, FilterReportsEveryAddedKey) {
+  auto table = NewTable();
+  for (int i = 0; i < 20000; ++i) {
+    table->Add(static_cast<SequenceNumber>(i + 1), kTypeValue, FilterKey(i),
+               "v" + std::to_string(i));
+  }
+  std::string value;
+  ValueType type;
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(table->KeyMayMatch(FilterKey(i))) << i;
+    ASSERT_TRUE(Get(table.get(), FilterKey(i), kMaxSequenceNumber, &value,
+                    &type))
+        << i;
+    EXPECT_EQ("v" + std::to_string(i), value);
+  }
+}
+
+TEST_P(MemTableTest, FilterRulesOutKeysNeverWritten) {
+  auto table = NewTable();
+  for (int i = 0; i < 20000; i += 2) {
+    table->Add(static_cast<SequenceNumber>(i + 1), kTypeValue, FilterKey(i),
+               "v");
+  }
+  std::string value;
+  ValueType type;
+  int passed = 0;
+  for (int i = 1; i < 20000; i += 2) {
+    bool skipped = false;
+    LookupKey lkey(FilterKey(i), kMaxSequenceNumber);
+    EXPECT_FALSE(table->Get(lkey, &value, &type, &skipped)) << i;
+    EXPECT_EQ(skipped, !table->KeyMayMatch(FilterKey(i))) << i;
+    passed += skipped ? 0 : 1;
+  }
+  // 10k keys in the default 64 KiB filter: about 52 bits per key, so
+  // hardly any absent key gets past it.
+  EXPECT_LT(passed, 10);
+}
+
+// A 1 KiB write buffer sizes the filter at its floor, one 64-byte line;
+// 2,000 keys saturate it, so nearly every probe passes, and the rep still
+// answers exactly.
+TEST_P(MemTableTest, SaturatedOneLineFilterStillAnswersCorrectly) {
+  MemTable table(&internal_cmp_, GetParam(), 64, 1 << 10);
+  for (int i = 0; i < 4000; i += 2) {
+    table.Add(static_cast<SequenceNumber>(i + 1), kTypeValue, FilterKey(i),
+              "v" + std::to_string(i));
+  }
+  std::string value;
+  ValueType type;
+  int passed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    passed += (i % 2 == 1 && table.KeyMayMatch(FilterKey(i))) ? 1 : 0;
+    const bool found =
+        Get(&table, FilterKey(i), kMaxSequenceNumber, &value, &type);
+    ASSERT_EQ(i % 2 == 0, found) << i;
+    if (found) {
+      EXPECT_EQ("v" + std::to_string(i), value);
+    }
+  }
+  EXPECT_EQ(2000, passed);  // Every bit of the line is set.
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -174,6 +174,46 @@ TEST(CodingTest, Varint32Truncated) {
   EXPECT_FALSE(GetVarint32(&input, &v));
 }
 
+TEST(CodingTest, Varint32PtrDecodesEveryLength) {
+  // The largest value of each encoded length, 1 to 5 bytes, and the
+  // smallest value that needs that length.
+  const uint32_t values[] = {0,          127,
+                             128,        (1u << 14) - 1,
+                             1u << 14,   (1u << 21) - 1,
+                             1u << 21,   (1u << 28) - 1,
+                             1u << 28,   0xffffffffu};
+  for (uint32_t v : values) {
+    std::string s;
+    PutVarint32(&s, v);
+    ASSERT_EQ(static_cast<size_t>(VarintLength(v)), s.size());
+    s.append("tail");  // The decoder must stop at the varint's end.
+    uint32_t actual = 0;
+    const char* p = GetVarint32Ptr(s.data(), s.data() + s.size(), &actual);
+    ASSERT_NE(nullptr, p) << v;
+    EXPECT_EQ(v, actual);
+    EXPECT_EQ(s.data() + VarintLength(v), p) << v;
+  }
+}
+
+TEST(CodingTest, Varint32PtrStopsAtLimit) {
+  uint32_t v = 7;
+  const char one[] = {0x05};
+  // p == limit: nothing to read, for the one-byte path too.
+  EXPECT_EQ(nullptr, GetVarint32Ptr(one, one, &v));
+  EXPECT_EQ(7u, v);
+  // A multi-byte varint cut short by `limit` at every length.
+  std::string s;
+  PutVarint32(&s, 0xffffffffu);
+  ASSERT_EQ(5u, s.size());
+  for (size_t len = 1; len < s.size(); ++len) {
+    EXPECT_EQ(nullptr, GetVarint32Ptr(s.data(), s.data() + len, &v)) << len;
+  }
+  // A sixth continuation byte is malformed even with bytes to spare.
+  const std::string too_long(6, '\x80');
+  EXPECT_EQ(nullptr, GetVarint32Ptr(too_long.data(),
+                                    too_long.data() + too_long.size(), &v));
+}
+
 TEST(CodingTest, LengthPrefixedSlice) {
   std::string s;
   PutLengthPrefixedSlice(&s, Slice("alpha"));
