@@ -64,7 +64,7 @@ void BM_MemTableMixedReadWrite(benchmark::State& state) {
     MemTable table(&icmp, rep, 4096, kWriteBufferSize);
     Random rnd(7);
     SequenceNumber seq = 1;
-    std::string value;
+    Slice value;
     ValueType type;
     for (int i = 0; i < 4000; ++i) {
       std::string key = WorkloadGenerator::FormatKey(rnd.Uniform(4000));
@@ -91,7 +91,7 @@ void BM_MemTablePointReads(benchmark::State& state) {
               WorkloadGenerator::FormatKey(static_cast<uint64_t>(i)), "v");
   }
   Random rnd(13);
-  std::string value;
+  Slice value;
   ValueType type;
   for (auto _ : state) {
     LookupKey lkey(WorkloadGenerator::FormatKey(rnd.Uniform(20000)),

@@ -1,11 +1,13 @@
 /// Fuzz harness for the SSTable block decoder (restart array parsing, entry
 /// header varints, shared-prefix reconstruction) plus the raw varint
 /// decoders. Invariants: no crash and no over-read — a malformed block
-/// yields an invalid/Corruption iterator, never UB. The uint32 overflow in
+/// yields an invalid/Corruption iterator, never UB — and Block::Seek, the
+/// in-place search, agrees with the iterator's Seek. The uint32 overflow in
 /// DecodeEntry's bounds check (non_shared + value_length wrapping) was
 /// found by exactly this surface.
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "table/block.h"
@@ -13,6 +15,7 @@
 #include "util/coding.h"
 #include "util/comparator.h"
 #include "util/slice.h"
+#include "util/status.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace lsmlab;
@@ -50,14 +53,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // Seeks: a key sliced from the input exercises the restart-point binary
-  // search against whatever restart array the input declares.
+  // search against whatever restart array the input declares. The in-place
+  // search that point lookups run must land exactly where the iterator
+  // does: same validity, status code, key and value.
   {
     auto iter = block.NewIterator(cmp);
     Slice target(chars, size < 16 ? size : 16);
     iter->Seek(target);
+    BlockKeyBuffer key;
+    Slice value;
+    Status s;
+    const bool found = block.Seek(*cmp, target, &key, &value, &s);
+    if (found != iter->Valid() || s.code() != iter->status().code() ||
+        (found && (key.slice() != iter->key() || value != iter->value()))) {
+      std::abort();
+    }
     if (iter->Valid()) {
-      (void)iter->key();
-      (void)iter->value();
       iter->Next();
     }
     (void)iter->status();

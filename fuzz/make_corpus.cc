@@ -168,6 +168,20 @@ int main(int argc, char** argv) {
     WriteSeed(root, "fuzz_block", "seed-block.bin", finished.ToString());
   }
   {
+    // Several restart intervals of long keys sharing long prefixes: the
+    // in-place search rebuilds keys past BlockKeyBuffer's inline bytes.
+    BlockBuilder builder(BytewiseComparator(), /*restart_interval=*/3);
+    for (int i = 0; i < 24; ++i) {
+      std::string key(static_cast<size_t>(40 + 6 * i), 'p');
+      char suffix[16];
+      std::snprintf(suffix, sizeof(suffix), "%04d", i);
+      key += suffix;
+      builder.Add(key, std::string(static_cast<size_t>(i % 5), 'v'));
+    }
+    WriteSeed(root, "fuzz_block", "seed-long-keys.bin",
+              builder.Finish().ToString());
+  }
+  {
     BlockBuilder builder(BytewiseComparator(), /*restart_interval=*/16);
     builder.Add("only", "entry");
     WriteSeed(root, "fuzz_block", "seed-tiny.bin",

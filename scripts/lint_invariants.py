@@ -45,7 +45,7 @@ Runs over src/ (and any extra paths given) and enforces:
       reset nor dumped.
 
   point-lookup-walk-copy
-      Across src/db/, outside comments, each of `FilesContaining(`,
+      Across src/db/, outside comments, each of `NextFileContaining(`,
       `KeyDefinitelyAbsent(`, `LookupCachedBlock(` and
       `merge_operator->Merge(` appears on at most one line. Get, MultiGet
       and vlog GC share one point-lookup walk (ShardEngine::StepLookup);
@@ -126,7 +126,7 @@ IO_SECTION_RE = re.compile(r"IoAllowedSection\s+\w+\s*[({]\s*(.*)")
 # The steps of the point-lookup walk and the merge operator call: each has
 # one home in src/db/.
 WALK_DIR = "db" + os.sep
-WALK_TOKENS = ("FilesContaining(", "KeyDefinitelyAbsent(",
+WALK_TOKENS = ("NextFileContaining(", "KeyDefinitelyAbsent(",
                "LookupCachedBlock(", "merge_operator->Merge(")
 
 # A table reader's iterator; the engine opens one only inside the run

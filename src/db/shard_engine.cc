@@ -532,6 +532,7 @@ Status ShardEngine::DeleteRange(const WriteOptions& options, const Slice& begin,
 Status ShardEngine::WriteInternal(const WriteOptions& options, ValueType type,
                          const Slice& key, const Slice& value) {
   WriteBatch batch;
+  batch.ReserveRecord(key, value);  // One allocation for the whole record.
   batch.PutTyped(type, key, value);
   return WriteBatchInternal(options, &batch);
 }
@@ -669,7 +670,7 @@ void ShardEngine::AbortPrepared(uint64_t id) {
 }
 
 Status ShardEngine::EnqueueWriter(Writer* w) {
-  std::vector<Writer*> group;
+  std::vector<Writer*>& group = write_group_;
   {
     MutexLock qlock(&writer_queue_mu_);
     write_queue_.push_back(w);
@@ -679,6 +680,8 @@ Status ShardEngine::EnqueueWriter(Writer* w) {
     if (w->done) {
       return w->status;  // A leader committed this write within its group.
     }
+    // Leadership is ours until we hand it on below, so is write_group_.
+    group.clear();
     BuildWriteGroup(w, &group);
   }
 
@@ -1165,7 +1168,8 @@ Status ShardEngine::ResolveMerge(Iterator* iter, const Slice& user_key,
   return Status::OK();
 }
 
-Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
+Status ShardEngine::StepLookup(LookupCursor* c,
+                               std::shared_ptr<const Block> fetched) {
   // 1. Memtables: the active one, then the immutables, newest first. Each
   // memtable's key filter rules it out before its rep is searched.
   const ReadView& view = c->view;
@@ -1191,20 +1195,23 @@ Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
   const Version& version = *view.version;
   const Slice user_key = c->lkey.user_key();
   const Slice internal_key = c->lkey.internal_key();
-  const Block* block = fetched;  // The current run's block, once known.
-  std::shared_ptr<const Block> cached;
+  // The current run's block, once known; the cursor keeps it if it holds
+  // the entry.
+  std::shared_ptr<const Block> block = std::move(fetched);
   while (true) {
     if (block == nullptr) {
-      while (c->next_file == c->files.size()) {
-        if (++c->level == version.num_levels()) {
-          c->state = LookupCursor::kAbsent;
-          return Status::OK();
-        }
-        c->files = version.FilesContaining(c->level, user_key);
+      const FileMetaData* file = nullptr;
+      while (c->level < version.num_levels() &&
+             (file = version.NextFileContaining(c->level, user_key,
+                                                &c->next_file)) == nullptr) {
+        ++c->level;
         c->next_file = 0;
       }
-      Status s = table_cache_->GetReader(
-          cache_dir_id_, *c->files[c->next_file++], &c->reader);
+      if (file == nullptr) {
+        c->state = LookupCursor::kAbsent;
+        return Status::OK();
+      }
+      Status s = table_cache_->GetReader(cache_dir_id_, *file, &c->reader);
       if (!s.ok()) {
         return s;
       }
@@ -1214,12 +1221,11 @@ Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
       }
       stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
       if (c->reader->LocateDataBlock(internal_key, &c->block, &s)) {
-        cached = c->reader->LookupCachedBlock(c->block.offset());
-        if (cached == nullptr) {
+        block = c->reader->LookupCachedBlock(c->block.offset());
+        if (block == nullptr) {
           c->state = LookupCursor::kNeedBlock;
           return Status::OK();
         }
-        block = cached.get();
       } else if (!s.ok()) {
         return s;
       }
@@ -1227,17 +1233,19 @@ Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
     }
     bool found = false;
     if (block != nullptr) {
+      BlockKeyBuffer entry_key;
       Status s = c->reader->SearchBlock(*block, internal_key, &found,
-                                        &c->entry_key, &c->raw);
-      block = nullptr;
+                                        &entry_key, &c->raw);
       if (!s.ok()) {
         return s;
       }
-    }
-    if (found) {
-      c->type = ExtractValueType(c->entry_key);
-      c->state = LookupCursor::kFound;
-      return Status::OK();
+      if (found) {
+        c->type = ExtractValueType(entry_key.slice());
+        c->raw_block = std::move(block);
+        c->state = LookupCursor::kFound;
+        return Status::OK();
+      }
+      block.reset();
     }
     if (c->reader->has_filter()) {
       // The filter said "maybe" but the run lacks the key.
@@ -1249,20 +1257,25 @@ Status ShardEngine::StepLookup(LookupCursor* c, const Block* fetched) {
 Status ShardEngine::LookupInPlace(const ReadOptions& options,
                                   LookupCursor* c) {
   Status s = StepLookup(c, nullptr);
-  std::string scratch;
+  std::unique_ptr<char[]> scratch;
+  size_t scratch_size = 0;
   while (s.ok() && c->state == LookupCursor::kNeedBlock) {
     const size_t len = static_cast<size_t>(c->block.size()) + kBlockTrailerSize;
-    scratch.resize(len);
+    if (scratch_size < len) {
+      // The read overwrites the buffer: no need to zero it first.
+      scratch = std::make_unique_for_overwrite<char[]>(len);
+      scratch_size = len;
+    }
     Slice contents;
     s = c->reader->file()->Read(c->block.offset(), len, &contents,
-                                scratch.data());
+                                scratch.get());
     std::shared_ptr<const Block> block;
     if (s.ok()) {
       s = c->reader->FinishBatchedBlockRead(
           c->reader->MakeFetchContext(options), c->block, contents, &block);
     }
     if (s.ok()) {
-      s = StepLookup(c, block.get());
+      s = StepLookup(c, std::move(block));
     }
   }
   return s;
@@ -1350,8 +1363,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
     std::vector<std::pair<size_t, size_t>> waiting;  // (cursor, read).
     for (size_t i : active) {
       LookupCursor& c = *cursors[i];
-      Status s = StepLookup(&c, fetched[i].get());
-      fetched[i].reset();
+      Status s = StepLookup(&c, std::move(fetched[i]));
       if (!s.ok() || c.state != LookupCursor::kNeedBlock) {
         statuses[i] = s.ok() ? FinishLookup(options, c, &(*values)[i]) : s;
         continue;
@@ -1364,7 +1376,8 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
       if (r == reqs.size()) {
         const size_t len =
             static_cast<size_t>(c.block.size()) + kBlockTrailerSize;
-        bufs.push_back(std::make_unique<char[]>(len));
+        // The read overwrites the buffer: no need to zero it first.
+        bufs.push_back(std::make_unique_for_overwrite<char[]>(len));
         ReadRequest req;
         req.file = c.reader->file();
         req.offset = c.block.offset();

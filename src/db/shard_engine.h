@@ -429,6 +429,10 @@ class ShardEngine {
   /// active memtable, the immutables newest first, then each level's
   /// candidate runs, shallow to deep. StepLookup moves it; Get and
   /// MultiGet differ only in how they read the blocks it stops at.
+  /// A cursor copies nothing: at kFound, `raw` points into a memtable's
+  /// arena (the view pins the memtable) or into `raw_block`, which the
+  /// cursor pins, so a lookup the memtables or the block cache answer
+  /// allocates nothing until FinishLookup copies the value out once.
   struct LookupCursor {
     enum State { kWalking, kNeedBlock, kFound, kAbsent };
     LookupCursor(const ReadView& v, const Slice& key, SequenceNumber snapshot)
@@ -438,16 +442,15 @@ class ShardEngine {
     LookupKey lkey;
     State state = kWalking;
     size_t next_memtable = 0;  // 0 is the active one, k is imms[k - 1].
-    int level = -1;
-    std::vector<const FileMetaData*> files;  // `level`'s candidate runs.
-    size_t next_file = 0;
+    int level = 0;
+    size_t next_file = 0;  // Position of the walk over `level`'s files.
     /// The run being probed; at kNeedBlock, its uncached data block.
     std::shared_ptr<TableReader> reader;
     BlockHandle block;
-    /// At kFound: the newest visible entry.
+    /// At kFound: the newest visible entry's type and value.
     ValueType type = kTypeValue;
-    std::string raw;
-    std::string entry_key;  // The found entry's internal key.
+    Slice raw;
+    std::shared_ptr<const Block> raw_block;  // Holds `raw` if from a run.
   };
   /// The one point-lookup walk: advances `c` until it finds the key's
   /// newest visible entry (kFound), passes the deepest run (kAbsent), or
@@ -455,7 +458,7 @@ class ShardEngine {
   /// resumes a stopped cursor by passing that block, once read, as
   /// `fetched`. Counts filter skips, runs probed and filter false
   /// positives.
-  Status StepLookup(LookupCursor* c, const Block* fetched);
+  Status StepLookup(LookupCursor* c, std::shared_ptr<const Block> fetched);
   /// Get's lookup loop (vlog GC's too): steps `c` to the end of its walk,
   /// reading each uncached block in place with one RandomAccessFile::Read.
   Status LookupInPlace(const ReadOptions& options, LookupCursor* c);
@@ -598,6 +601,9 @@ class ShardEngine {
   /// express, so it carries no GUARDED_BY; the leader protocol in
   /// EnqueueWriter/CommitWriteGroup is its lock.
   WriteBatch group_batch_;
+  /// Leader-only, like group_batch_: the writers of the group being
+  /// committed, reused from group to group so a write allocates no list.
+  std::vector<Writer*> write_group_;
 };
 
 }  // namespace lsmlab

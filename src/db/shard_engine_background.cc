@@ -180,6 +180,16 @@ void ShardEngine::BackgroundFlush() {
   FileMetaData meta;
   Status s = BuildTableFromIterator(&iter, /*level=*/0,
                                     options_.clock->NowMicros(), &meta);
+  if (s.ok() && meta.file_number != 0 && vlog_ != nullptr) {
+    // The table may point into the active vlog, and installing it lets the
+    // WAL that also holds those values go: the values must be durable
+    // first. A failed sync fails the flush like a failed build.
+    s = vlog_->Sync();
+    if (!s.ok()) {
+      // Best effort; a leftover is reclaimed by RemoveObsoleteFiles.
+      (void)options_.env->RemoveFile(TableFileName(dbname_, meta.file_number));
+    }
+  }
   bool manifest_failure = false;
 
   MutexLock lock(&mu_);

@@ -31,6 +31,11 @@ void WriteBatch::PutTyped(ValueType type, const Slice& key,
   PutLengthPrefixedSlice(&rep_, value);
 }
 
+void WriteBatch::ReserveRecord(const Slice& key, const Slice& value) {
+  rep_.reserve(rep_.size() + 1 + VarintLength(key.size()) + key.size() +
+               VarintLength(value.size()) + value.size());
+}
+
 void WriteBatch::Put(const Slice& key, const Slice& value) {
   PutTyped(kTypeValue, key, value);
 }

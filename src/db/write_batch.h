@@ -67,6 +67,9 @@ class WriteBatch {
   Status SetRep(const Slice& contents);
   /// Appends a record with an explicit type tag (used for vlog pointers).
   void PutTyped(ValueType type, const Slice& key, const Slice& value);
+  /// Grows the buffer, at most once, to fit one more record of `key` and
+  /// `value`, so appending it allocates no more.
+  void ReserveRecord(const Slice& key, const Slice& value);
 
  private:
   static constexpr size_t kHeaderSize = 12;  // seq(8) + count(4).

@@ -21,6 +21,15 @@ VlogManager::VlogManager(std::string dbname, Env* env)
 
 Status VlogManager::OpenActive(uint64_t file_number) {
   MutexLock lock(&mu_);
+  // The outgoing log stops being the one Sync() covers, while tables and
+  // WALs may still point into it: make it durable before rolling away.
+  if (active_file_ != nullptr && synced_offset_ != active_offset_) {
+    Status s = active_file_->Sync();
+    if (!s.ok()) {
+      return s;
+    }
+    synced_offset_ = active_offset_;
+  }
   Status s =
       env_->NewWritableFile(VlogFileName(dbname_, file_number), &active_file_);
   if (s.ok()) {

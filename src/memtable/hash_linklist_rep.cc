@@ -16,8 +16,8 @@ class HashLinkListRep final : public MemTableRep {
  public:
   HashLinkListRep(const MemTableKeyComparator& cmp, Arena* arena,
                   size_t bucket_count)
-      : cmp_(cmp),
-        arena_(arena),
+      : MemTableRep(arena),
+        cmp_(cmp),
         buckets_(bucket_count == 0 ? 1 : bucket_count, nullptr) {}
 
   void Insert(const char* entry) override {
@@ -95,7 +95,6 @@ class HashLinkListRep final : public MemTableRep {
   };
 
   MemTableKeyComparator cmp_;
-  Arena* const arena_;
   std::vector<Node*> buckets_;
   size_t count_ = 0;
 };

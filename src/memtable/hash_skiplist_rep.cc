@@ -17,9 +17,15 @@ class HashSkipListRep final : public MemTableRep {
  public:
   HashSkipListRep(const MemTableKeyComparator& cmp, Arena* arena,
                   size_t bucket_count)
-      : cmp_(cmp),
-        arena_(arena),
+      : MemTableRep(arena),
+        cmp_(cmp),
         buckets_(bucket_count == 0 ? 1 : bucket_count) {}
+
+  /// The entry's bucket is not known until it is encoded, so the node's
+  /// height comes from the rep's generator; any bucket's list takes it.
+  char* Allocate(size_t len) override {
+    return ListType::AllocateEntry(arena_, &rnd_, len);
+  }
 
   void Insert(const char* entry) override {
     Bucket(GetLengthPrefixedEntryKey(entry)).Insert(entry);
@@ -54,7 +60,7 @@ class HashSkipListRep final : public MemTableRep {
   }
 
  private:
-  using ListType = SkipList<const char*, MemTableKeyComparator>;
+  using ListType = SkipList<MemTableKeyComparator>;
 
   struct BucketHolder {
     ListType list;
@@ -102,7 +108,7 @@ class HashSkipListRep final : public MemTableRep {
   };
 
   MemTableKeyComparator cmp_;
-  Arena* const arena_;
+  Random rnd_{0xdeadbeef};
   std::vector<Slot> buckets_;
   size_t count_ = 0;
 };

@@ -56,7 +56,7 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   size_t value_size = value.size();
   size_t encoded_len = VarintLength(internal_key_size) + internal_key_size +
                        VarintLength(value_size) + value_size;
-  char* buf = arena_.Allocate(encoded_len);
+  char* buf = rep_->Allocate(encoded_len);
   char* p = buf;
 
   // varint32 internal key size.
@@ -85,8 +85,8 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   data_size_ += user_key_size + value_size;
 }
 
-bool MemTable::Get(const LookupKey& key, std::string* value,
-                   ValueType* type_out, bool* skipped_by_filter) {
+bool MemTable::Get(const LookupKey& key, Slice* value, ValueType* type_out,
+                   bool* skipped_by_filter) {
   const bool may_match = KeyMayMatch(key.user_key());
   if (skipped_by_filter != nullptr) {
     *skipped_by_filter = !may_match;
@@ -111,7 +111,7 @@ bool MemTable::Get(const LookupKey& key, std::string* value,
     const char* value_start = internal_key.data() + internal_key.size();
     uint32_t len;
     const char* p = GetVarint32Ptr(value_start, value_start + 5, &len);
-    value->assign(p, len);
+    *value = Slice(p, len);
   }
   return true;
 }

@@ -42,10 +42,11 @@ class MemTable {
 
   /// Point lookup at `key`'s snapshot. Returns true if this memtable
   /// resolves the key (value found or tombstone hit); the entry type is
-  /// returned through `type_out` and the value (if any) through `value`.
-  /// A key the filter rules out returns false without touching the rep;
-  /// `skipped_by_filter`, when given, says whether that happened.
-  bool Get(const LookupKey& key, std::string* value, ValueType* type_out,
+  /// returned through `type_out` and the value (if any) through `value`,
+  /// which points into the arena and stays valid for the memtable's
+  /// lifetime. A key the filter rules out returns false without touching
+  /// the rep; `skipped_by_filter`, when given, says whether that happened.
+  bool Get(const LookupKey& key, Slice* value, ValueType* type_out,
            bool* skipped_by_filter = nullptr);
 
   /// False only if no version of `user_key` was ever added (the filter has

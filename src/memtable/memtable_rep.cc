@@ -10,7 +10,7 @@ std::unique_ptr<MemTableRep> NewMemTableRep(MemTableRepType type,
     case MemTableRepType::kSkipList:
       return NewSkipListRep(cmp, arena);
     case MemTableRepType::kVector:
-      return NewVectorRep(cmp);
+      return NewVectorRep(cmp, arena);
     case MemTableRepType::kHashSkipList:
       return NewHashSkipListRep(cmp, arena, bucket_count);
     case MemTableRepType::kHashLinkList:

@@ -51,16 +51,17 @@ class MemTableKeyComparator {
 
 /// MemTableRep is the in-memory index over buffered writes — the buffer
 /// implementation knob of tutorial §2.2.1. Entries are immutable,
-/// arena-allocated buffers; the rep stores and orders pointers to them.
+/// arena-allocated buffers that the rep hands out (Allocate) and then
+/// orders (Insert).
 ///
-/// Thread-safety contract: there is one writer at a time (Insert runs under
-/// the DB mutex), and readers take no lock: Get and MultiGet call PointSeek,
-/// and iterators are created, while the writer keeps inserting. Only the
-/// skip-list rep is safe for that. VectorRep::PointSeek and NewIterator
-/// sort the vector in place, HashSkipListRep::PointSeek creates a missing
-/// bucket, and HashLinkListRep links nodes with plain stores, so under
-/// concurrent clients these reps race with the writer and with each other
-/// (ROADMAP item 6 tracks this).
+/// Thread-safety contract: there is one writer at a time (Allocate and
+/// Insert run under the DB mutex), and readers take no lock: Get and
+/// MultiGet call PointSeek, and iterators are created, while the writer
+/// keeps inserting. Only the skip-list rep is safe for that.
+/// VectorRep::PointSeek and NewIterator sort the vector in place,
+/// HashSkipListRep::PointSeek creates a missing bucket, and HashLinkListRep
+/// links nodes with plain stores, so under concurrent clients these reps
+/// race with the writer and with each other (ROADMAP item 8 tracks this).
 class MemTableRep {
  public:
   /// Forward iterator over entries in internal-key order.
@@ -76,9 +77,16 @@ class MemTableRep {
     virtual void Seek(const Slice& internal_key) = 0;
   };
 
+  explicit MemTableRep(Arena* arena) : arena_(arena) {}
   virtual ~MemTableRep() = default;
 
-  /// Inserts an entry allocated from the memtable's arena. The entry must
+  /// Returns `len` bytes for the caller to encode one entry into before it
+  /// Inserts them. By default they come from the memtable's arena; the
+  /// skip-list reps carve them out of the entry's node, so an insert makes
+  /// one allocation.
+  virtual char* Allocate(size_t len) { return arena_->Allocate(len); }
+
+  /// Inserts an entry returned by Allocate and filled since. The entry must
   /// compare unequal to every entry already present.
   virtual void Insert(const char* entry) = 0;
 
@@ -93,13 +101,17 @@ class MemTableRep {
   virtual size_t Count() const = 0;
 
   virtual std::unique_ptr<Iterator> NewIterator() = 0;
+
+ protected:
+  Arena* const arena_;  // The memtable's; owns every entry.
 };
 
 /// Factories; each takes the entry comparator and the arena that owns the
 /// entries. `bucket_count` applies to hashed reps only.
 std::unique_ptr<MemTableRep> NewSkipListRep(const MemTableKeyComparator& cmp,
                                             Arena* arena);
-std::unique_ptr<MemTableRep> NewVectorRep(const MemTableKeyComparator& cmp);
+std::unique_ptr<MemTableRep> NewVectorRep(const MemTableKeyComparator& cmp,
+                                          Arena* arena);
 std::unique_ptr<MemTableRep> NewHashSkipListRep(
     const MemTableKeyComparator& cmp, Arena* arena, size_t bucket_count);
 std::unique_ptr<MemTableRep> NewHashLinkListRep(

@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
+#include <new>
 
 #include "util/arena.h"
 #include "util/random.h"
@@ -11,23 +13,48 @@
 namespace lsmlab {
 
 /// Lock-free-for-readers skip list (single writer, many concurrent readers),
-/// the default memtable index. Keys are immutable after insertion and nodes
+/// the default memtable index. Entries are byte strings the comparator
+/// orders; each node holds its entry inline, as RocksDB's InlineSkipList
+/// does: one arena allocation carries the node's links, highest level
+/// first, and then the entry, so the level-0 link sits right before the
+/// entry's first byte and a descent touches one cache line per node. Nodes
 /// are never deleted until the whole list (and its arena) is dropped.
 ///
-/// Thread-safety contract: Insert() calls must be externally serialized;
-/// readers need no synchronization and may run concurrently with one writer.
-template <typename Key, class Comparator>
+/// Usage: AllocateEntry(n) returns n bytes for the caller to fill, then
+/// Insert(entry) links them in. `Comparator` orders two entries,
+/// `compare_(a, b)`, and may also order an entry against another probe
+/// type (see Iterator::Seek).
+///
+/// Thread-safety contract: AllocateEntry() and Insert() calls must be
+/// externally serialized; readers need no synchronization and may run
+/// concurrently with one writer.
+template <class Comparator>
 class SkipList {
+ private:
+  struct Node;
+
  public:
   SkipList(Comparator cmp, Arena* arena);
 
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
 
-  /// Inserts key. Requires: nothing equal to key is currently in the list.
-  void Insert(const Key& key);
+  /// Allocates a node with a random height for an `entry_bytes`-byte entry
+  /// and returns the entry's bytes, to fill before Insert.
+  char* AllocateEntry(size_t entry_bytes) {
+    return AllocateNode(arena_, entry_bytes, RandomHeight(&rnd_))->Entry();
+  }
+  /// The same, for a caller that draws node heights from its own `rnd`:
+  /// the node may then be inserted into any list over `arena`.
+  static char* AllocateEntry(Arena* arena, Random* rnd, size_t entry_bytes) {
+    return AllocateNode(arena, entry_bytes, RandomHeight(rnd))->Entry();
+  }
 
-  bool Contains(const Key& key) const;
+  /// Links in an entry returned by AllocateEntry and filled since.
+  /// Requires: nothing equal to it is currently in the list.
+  void Insert(const char* entry);
+
+  bool Contains(const char* entry) const;
 
   /// Iteration over the list contents; safe under a concurrent writer.
   class Iterator {
@@ -35,9 +62,9 @@ class SkipList {
     explicit Iterator(const SkipList* list) : list_(list), node_(nullptr) {}
 
     bool Valid() const { return node_ != nullptr; }
-    const Key& key() const {
+    const char* key() const {
       assert(Valid());
-      return node_->key;
+      return node_->Entry();
     }
     void Next() {
       assert(Valid());
@@ -45,15 +72,15 @@ class SkipList {
     }
     void Prev() {
       assert(Valid());
-      node_ = list_->FindLessThan(node_->key);
+      node_ = list_->FindLessThan(node_->Entry());
       if (node_ == list_->head_) {
         node_ = nullptr;
       }
     }
-    /// Positions at the first key >= `target`. `target` is a Key or any
-    /// probe the comparator orders a Key against (`compare_(key, target)`),
-    /// so a caller holding another form of the key descends once without
-    /// building a Key from it.
+    /// Positions at the first entry >= `target`. `target` is an entry or
+    /// any probe the comparator orders an entry against
+    /// (`compare_(entry, target)`), so a caller holding another form of the
+    /// key descends once without building an entry from it.
     template <typename Probe>
     void Seek(const Probe& target) {
       node_ = list_->FindGreaterOrEqual(target, nullptr);
@@ -68,48 +95,61 @@ class SkipList {
 
    private:
     const SkipList* list_;
-    const typename SkipList::Node* node_;
+    const Node* node_;
   };
 
  private:
   static constexpr int kMaxHeight = 12;
 
+  /// A node's address is its level-0 link. Level n's link is n slots
+  /// before it, and the entry starts right after it.
   struct Node {
-    explicit Node(const Key& k) : key(k) {}
-
-    const Key key;
+    const char* Entry() const { return reinterpret_cast<const char*>(this + 1); }
+    char* Entry() { return reinterpret_cast<char*>(this + 1); }
 
     Node* Next(int n) const {
       assert(n >= 0);
-      return next_[n].load(std::memory_order_acquire);
+      return Link(n)->load(std::memory_order_acquire);
     }
     void SetNext(int n, Node* x) {
       assert(n >= 0);
-      next_[n].store(x, std::memory_order_release);
+      Link(n)->store(x, std::memory_order_release);
     }
     Node* NoBarrierNext(int n) const {
-      return next_[n].load(std::memory_order_relaxed);
+      return Link(n)->load(std::memory_order_relaxed);
     }
     void NoBarrierSetNext(int n, Node* x) {
-      next_[n].store(x, std::memory_order_relaxed);
+      Link(n)->store(x, std::memory_order_relaxed);
     }
 
-    // Variable-length: sized at allocation for the node's height.
-    std::atomic<Node*> next_[1];
-  };
+    /// Until Insert links the node, its level-0 link holds its height.
+    void StashHeight(int height) {
+      next0_.store(reinterpret_cast<Node*>(static_cast<uintptr_t>(height)),
+                   std::memory_order_relaxed);
+    }
+    int UnstashHeight() const {
+      return static_cast<int>(reinterpret_cast<uintptr_t>(
+          next0_.load(std::memory_order_relaxed)));
+    }
 
-  Node* NewNode(const Key& key, int height);
-  int RandomHeight();
-  bool Equal(const Key& a, const Key& b) const {
-    return compare_(a, b) == 0;
-  }
+   private:
+    std::atomic<Node*>* Link(int n) const {
+      return const_cast<std::atomic<Node*>*>(&next0_) - n;
+    }
+
+    std::atomic<Node*> next0_;
+  };
+  static_assert(sizeof(Node) == sizeof(std::atomic<Node*>));
+
+  static Node* AllocateNode(Arena* arena, size_t entry_bytes, int height);
+  static int RandomHeight(Random* rnd);
   template <typename Probe>
   bool KeyIsAfterNode(const Probe& key, const Node* n) const {
-    return (n != nullptr) && (compare_(n->key, key) < 0);
+    return (n != nullptr) && (compare_(n->Entry(), key) < 0);
   }
   template <typename Probe>
   Node* FindGreaterOrEqual(const Probe& key, Node** prev) const;
-  Node* FindLessThan(const Key& key) const;
+  Node* FindLessThan(const char* entry) const;
   Node* FindLast() const;
 
   Comparator const compare_;
@@ -119,30 +159,36 @@ class SkipList {
   Random rnd_;
 };
 
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::NewNode(const Key& key, int height) {
-  char* node_memory = arena_->AllocateAligned(
-      sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1));
-  return new (node_memory) Node(key);
+template <class Comparator>
+typename SkipList<Comparator>::Node* SkipList<Comparator>::AllocateNode(
+    Arena* arena, size_t entry_bytes, int height) {
+  const size_t links_before = sizeof(std::atomic<Node*>) * (height - 1);
+  char* raw =
+      arena->AllocateAligned(links_before + sizeof(Node) + entry_bytes);
+  auto* links = reinterpret_cast<std::atomic<Node*>*>(raw);
+  for (int i = 0; i < height; ++i) {
+    new (&links[i]) std::atomic<Node*>(nullptr);
+  }
+  Node* node = reinterpret_cast<Node*>(raw + links_before);
+  node->StashHeight(height);
+  return node;
 }
 
-template <typename Key, class Comparator>
-int SkipList<Key, Comparator>::RandomHeight() {
+template <class Comparator>
+int SkipList<Comparator>::RandomHeight(Random* rnd) {
   static const unsigned int kBranching = 4;
   int height = 1;
-  while (height < kMaxHeight && rnd_.OneIn(kBranching)) {
+  while (height < kMaxHeight && rnd->OneIn(kBranching)) {
     ++height;
   }
   assert(height > 0 && height <= kMaxHeight);
   return height;
 }
 
-template <typename Key, class Comparator>
+template <class Comparator>
 template <typename Probe>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindGreaterOrEqual(const Probe& key,
-                                              Node** prev) const {
+typename SkipList<Comparator>::Node*
+SkipList<Comparator>::FindGreaterOrEqual(const Probe& key, Node** prev) const {
   Node* x = head_;
   int level = max_height_.load(std::memory_order_relaxed) - 1;
   while (true) {
@@ -161,14 +207,14 @@ SkipList<Key, Comparator>::FindGreaterOrEqual(const Probe& key,
   }
 }
 
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindLessThan(const Key& key) const {
+template <class Comparator>
+typename SkipList<Comparator>::Node* SkipList<Comparator>::FindLessThan(
+    const char* entry) const {
   Node* x = head_;
   int level = max_height_.load(std::memory_order_relaxed) - 1;
   while (true) {
     Node* next = x->Next(level);
-    if (next == nullptr || compare_(next->key, key) >= 0) {
+    if (next == nullptr || compare_(next->Entry(), entry) >= 0) {
       if (level == 0) {
         return x;
       }
@@ -179,9 +225,8 @@ SkipList<Key, Comparator>::FindLessThan(const Key& key) const {
   }
 }
 
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindLast() const {
+template <class Comparator>
+typename SkipList<Comparator>::Node* SkipList<Comparator>::FindLast() const {
   Node* x = head_;
   int level = max_height_.load(std::memory_order_relaxed) - 1;
   while (true) {
@@ -197,11 +242,11 @@ SkipList<Key, Comparator>::FindLast() const {
   }
 }
 
-template <typename Key, class Comparator>
-SkipList<Key, Comparator>::SkipList(Comparator cmp, Arena* arena)
+template <class Comparator>
+SkipList<Comparator>::SkipList(Comparator cmp, Arena* arena)
     : compare_(cmp),
       arena_(arena),
-      head_(NewNode(Key() /* any key will do */, kMaxHeight)),
+      head_(AllocateNode(arena, 0, kMaxHeight)),
       max_height_(1),
       rnd_(0xdeadbeef) {
   for (int i = 0; i < kMaxHeight; ++i) {
@@ -209,15 +254,17 @@ SkipList<Key, Comparator>::SkipList(Comparator cmp, Arena* arena)
   }
 }
 
-template <typename Key, class Comparator>
-void SkipList<Key, Comparator>::Insert(const Key& key) {
+template <class Comparator>
+void SkipList<Comparator>::Insert(const char* entry) {
+  Node* x = reinterpret_cast<Node*>(const_cast<char*>(entry)) - 1;
+  const int height = x->UnstashHeight();
+  assert(height > 0 && height <= kMaxHeight);
+
   Node* prev[kMaxHeight];
-  Node* x = FindGreaterOrEqual(key, prev);
-
+  [[maybe_unused]] Node* next = FindGreaterOrEqual(entry, prev);
   // Duplicate insertion is a caller bug (sequence numbers disambiguate).
-  assert(x == nullptr || !Equal(key, x->key));
+  assert(next == nullptr || compare_(entry, next->Entry()) != 0);
 
-  int height = RandomHeight();
   if (height > max_height_.load(std::memory_order_relaxed)) {
     for (int i = max_height_.load(std::memory_order_relaxed); i < height;
          ++i) {
@@ -228,17 +275,16 @@ void SkipList<Key, Comparator>::Insert(const Key& key) {
     max_height_.store(height, std::memory_order_relaxed);
   }
 
-  x = NewNode(key, height);
   for (int i = 0; i < height; ++i) {
     x->NoBarrierSetNext(i, prev[i]->NoBarrierNext(i));
     prev[i]->SetNext(i, x);
   }
 }
 
-template <typename Key, class Comparator>
-bool SkipList<Key, Comparator>::Contains(const Key& key) const {
-  Node* x = FindGreaterOrEqual(key, nullptr);
-  return x != nullptr && Equal(key, x->key);
+template <class Comparator>
+bool SkipList<Comparator>::Contains(const char* entry) const {
+  Node* x = FindGreaterOrEqual(entry, nullptr);
+  return x != nullptr && compare_(entry, x->Entry()) == 0;
 }
 
 }  // namespace lsmlab

@@ -10,7 +10,9 @@ namespace {
 class SkipListRep final : public MemTableRep {
  public:
   SkipListRep(const MemTableKeyComparator& cmp, Arena* arena)
-      : list_(cmp, arena) {}
+      : MemTableRep(arena), list_(cmp, arena) {}
+
+  char* Allocate(size_t len) override { return list_.AllocateEntry(len); }
 
   void Insert(const char* entry) override {
     list_.Insert(entry);
@@ -30,7 +32,7 @@ class SkipListRep final : public MemTableRep {
   }
 
  private:
-  using ListType = SkipList<const char*, MemTableKeyComparator>;
+  using ListType = SkipList<MemTableKeyComparator>;
 
   class IteratorImpl final : public Iterator {
    public:

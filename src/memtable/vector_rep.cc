@@ -14,7 +14,8 @@ namespace {
 /// tutorial calls out.
 class VectorRep final : public MemTableRep {
  public:
-  explicit VectorRep(const MemTableKeyComparator& cmp) : cmp_(cmp) {}
+  VectorRep(const MemTableKeyComparator& cmp, Arena* arena)
+      : MemTableRep(arena), cmp_(cmp) {}
 
   void Insert(const char* entry) override {
     entries_.push_back(entry);
@@ -81,8 +82,9 @@ class VectorRep final : public MemTableRep {
 
 }  // namespace
 
-std::unique_ptr<MemTableRep> NewVectorRep(const MemTableKeyComparator& cmp) {
-  return std::make_unique<VectorRep>(cmp);
+std::unique_ptr<MemTableRep> NewVectorRep(const MemTableKeyComparator& cmp,
+                                          Arena* arena) {
+  return std::make_unique<VectorRep>(cmp, arena);
 }
 
 }  // namespace lsmlab

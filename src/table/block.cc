@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <vector>
 
 #include "util/coding.h"
 
 namespace lsmlab {
+
+void BlockKeyBuffer::Grow(size_t keep, size_t needed) {
+  const size_t capacity = std::max(needed, capacity_ * 2);
+  auto bigger = std::make_unique_for_overwrite<char[]>(capacity);
+  std::memcpy(bigger.get(), data_, keep);
+  heap_ = std::move(bigger);
+  data_ = heap_.get();
+  capacity_ = capacity;
+}
 
 Block::Block(std::string contents) : data_(std::move(contents)) {
   if (data_.size() < sizeof(uint32_t)) {
@@ -26,6 +34,12 @@ Block::Block(std::string contents) : data_(std::move(contents)) {
 
 uint32_t Block::NumRestarts() const {
   return DecodeFixed32(data_.data() + data_.size() - sizeof(uint32_t));
+}
+
+uint32_t Block::RestartPoint(uint32_t index) const {
+  assert(index < NumRestarts());
+  return DecodeFixed32(data_.data() + restart_offset_ +
+                       index * sizeof(uint32_t));
 }
 
 namespace {
@@ -58,24 +72,89 @@ const char* DecodeEntry(const char* p, const char* limit, uint32_t* shared,
   return p;
 }
 
+/// Applies the entry at `p` to `key` (which holds the previous entry's key)
+/// and points `value` at its value. Returns the next entry's start, or
+/// nullptr on corruption.
+const char* ParseEntry(const char* p, const char* limit, BlockKeyBuffer* key,
+                       Slice* value) {
+  uint32_t shared, non_shared, value_length;
+  p = DecodeEntry(p, limit, &shared, &non_shared, &value_length);
+  if (p == nullptr || key->size() < shared) {
+    return nullptr;
+  }
+  key->Rebuild(shared, p, non_shared);
+  *value = Slice(p + non_shared, value_length);
+  return p + non_shared + value_length;
+}
+
+Status BadEntry() { return Status::Corruption("bad entry in block"); }
+
 }  // namespace
+
+template <typename Cmp>
+bool Block::Seek(const Cmp& cmp, const Slice& target, BlockKeyBuffer* key,
+                 Slice* value, Status* s) const {
+  *s = Status::OK();
+  if (malformed_) {
+    *s = Status::Corruption("malformed block");
+    return false;
+  }
+  const uint32_t num_restarts = NumRestarts();
+  if (num_restarts == 0) {
+    return false;
+  }
+  const char* const data = data_.data();
+  const char* const limit = data + restart_offset_;
+  // Restart keys are stored whole (shared == 0), so the binary search
+  // compares them in place.
+  uint32_t left = 0;
+  uint32_t right = num_restarts - 1;
+  while (left < right) {
+    const uint32_t mid = (left + right + 1) / 2;
+    uint32_t shared, non_shared, value_length;
+    const char* key_ptr = DecodeEntry(data + RestartPoint(mid), limit, &shared,
+                                      &non_shared, &value_length);
+    if (key_ptr == nullptr || shared != 0) {
+      *s = BadEntry();
+      return false;
+    }
+    if (cmp.Compare(Slice(key_ptr, non_shared), target) < 0) {
+      left = mid;
+    } else {
+      right = mid - 1;
+    }
+  }
+  key->clear();
+  const char* p = data + RestartPoint(left);
+  while (p < limit) {
+    p = ParseEntry(p, limit, key, value);
+    if (p == nullptr) {
+      *s = BadEntry();
+      return false;
+    }
+    if (cmp.Compare(key->slice(), target) >= 0) {
+      return true;
+    }
+  }
+  return false;  // Ran off the end: no entry >= target.
+}
+
+template bool Block::Seek<Comparator>(const Comparator&, const Slice&,
+                                      BlockKeyBuffer*, Slice*, Status*) const;
+template bool Block::Seek<InternalKeyComparator>(const InternalKeyComparator&,
+                                                 const Slice&, BlockKeyBuffer*,
+                                                 Slice*, Status*) const;
 
 class Block::Iter final : public Iterator {
  public:
-  Iter(const Comparator* comparator, const char* data, uint32_t restart_offset,
-       uint32_t num_restarts)
-      : comparator_(comparator),
-        data_(data),
-        restarts_(restart_offset),
-        num_restarts_(num_restarts),
-        current_(restart_offset),
-        restart_index_(num_restarts) {}
+  Iter(const Comparator* comparator, const Block* block)
+      : comparator_(comparator), block_(block) {}
 
-  bool Valid() const override { return current_ < restarts_; }
+  bool Valid() const override { return valid_; }
   Status status() const override { return status_; }
   Slice key() const override {
     assert(Valid());
-    return Slice(key_);
+    return key_.slice();
   }
   Slice value() const override {
     assert(Valid());
@@ -88,107 +167,36 @@ class Block::Iter final : public Iterator {
   }
 
   void SeekToFirst() override {
-    SeekToRestartPoint(0);
+    status_ = Status::OK();
+    key_.clear();
+    // ParseNextEntry starts where value_ ends.
+    value_ = Slice(block_->data_.data() + block_->RestartPoint(0), 0);
     ParseNextEntry();
   }
 
   void Seek(const Slice& target) override {
-    // Binary-search the restart array for the last restart with key < target
-    // (the fence-pointer search within a block), then scan linearly.
-    uint32_t left = 0;
-    uint32_t right = num_restarts_ - 1;
-    while (left < right) {
-      uint32_t mid = (left + right + 1) / 2;
-      uint32_t region_offset = GetRestartPoint(mid);
-      uint32_t shared, non_shared, value_length;
-      const char* key_ptr =
-          DecodeEntry(data_ + region_offset, data_ + restarts_, &shared,
-                      &non_shared, &value_length);
-      if (key_ptr == nullptr || (shared != 0)) {
-        CorruptionError();
-        return;
-      }
-      Slice mid_key(key_ptr, non_shared);
-      if (comparator_->Compare(mid_key, target) < 0) {
-        left = mid;
-      } else {
-        right = mid - 1;
-      }
-    }
-
-    SeekToRestartPoint(left);
-    while (true) {
-      if (!ParseNextEntry()) {
-        return;  // Ran off the end: leave invalid (no entry >= target).
-      }
-      if (comparator_->Compare(Slice(key_), target) >= 0) {
-        return;
-      }
-    }
+    valid_ = block_->Seek(*comparator_, target, &key_, &value_, &status_);
   }
 
  private:
-  uint32_t GetRestartPoint(uint32_t index) const {
-    assert(index < num_restarts_);
-    return DecodeFixed32(data_ + restarts_ + index * sizeof(uint32_t));
-  }
-
-  void SeekToRestartPoint(uint32_t index) {
-    key_.clear();
-    restart_index_ = index;
-    // ParseNextEntry starts at value_ end; emulate by pointing value_ at the
-    // restart offset with zero length.
-    uint32_t offset = GetRestartPoint(index);
-    value_ = Slice(data_ + offset, 0);
-  }
-
-  uint32_t NextEntryOffset() const {
-    return static_cast<uint32_t>((value_.data() + value_.size()) - data_);
-  }
-
-  void CorruptionError() {
-    current_ = restarts_;
-    restart_index_ = num_restarts_;
-    status_ = Status::Corruption("bad entry in block");
-    key_.clear();
-    value_.clear();
-  }
-
-  bool ParseNextEntry() {
-    current_ = NextEntryOffset();
-    const char* p = data_ + current_;
-    const char* limit = data_ + restarts_;
+  void ParseNextEntry() {
+    const char* limit = block_->data_.data() + block_->restart_offset_;
+    const char* p = value_.data() + value_.size();
     if (p >= limit) {
-      // No more entries; mark invalid.
-      current_ = restarts_;
-      restart_index_ = num_restarts_;
-      return false;
+      valid_ = false;  // No more entries.
+      return;
     }
-
-    uint32_t shared, non_shared, value_length;
-    p = DecodeEntry(p, limit, &shared, &non_shared, &value_length);
-    if (p == nullptr || key_.size() < shared) {
-      CorruptionError();
-      return false;
+    valid_ = ParseEntry(p, limit, &key_, &value_) != nullptr;
+    if (!valid_) {
+      status_ = BadEntry();
     }
-    key_.resize(shared);
-    key_.append(p, non_shared);
-    value_ = Slice(p + non_shared, value_length);
-    while (restart_index_ + 1 < num_restarts_ &&
-           GetRestartPoint(restart_index_ + 1) < current_) {
-      ++restart_index_;
-    }
-    return true;
   }
 
   const Comparator* const comparator_;
-  const char* const data_;
-  const uint32_t restarts_;
-  const uint32_t num_restarts_;
+  const Block* const block_;
 
-  uint32_t current_;  // Offset of the current entry; >= restarts_ if invalid.
-  uint32_t restart_index_;
-  std::string key_;
+  bool valid_ = false;
+  BlockKeyBuffer key_;
   Slice value_;
   Status status_;
 };
@@ -198,12 +206,10 @@ std::unique_ptr<Iterator> Block::NewIterator(
   if (malformed_) {
     return NewEmptyIterator(Status::Corruption("malformed block"));
   }
-  uint32_t num_restarts = NumRestarts();
-  if (num_restarts == 0) {
+  if (NumRestarts() == 0) {
     return NewEmptyIterator();
   }
-  return std::make_unique<Iter>(comparator, data_.data(), restart_offset_,
-                                num_restarts);
+  return std::make_unique<Iter>(comparator, this);
 }
 
 }  // namespace lsmlab

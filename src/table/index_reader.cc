@@ -19,14 +19,11 @@ BinarySearchIndexReader::BinarySearchIndexReader(
 
 bool BinarySearchIndexReader::Locate(const Slice& internal_key,
                                      BlockHandle* handle, Status* s) {
-  *s = Status::OK();
-  auto iter = fence_block_->NewIterator(comparator_);
-  iter->Seek(internal_key);
-  if (!iter->Valid()) {
-    *s = iter->status();
+  BlockKeyBuffer fence_key;
+  Slice input;
+  if (!fence_block_->Seek(*comparator_, internal_key, &fence_key, &input, s)) {
     return false;
   }
-  Slice input = iter->value();
   *s = handle->DecodeFrom(&input);
   return s->ok();
 }
@@ -154,17 +151,15 @@ bool LearnedIndexReader::LocatePosition(const Slice& internal_key,
   if (!s->ok()) {
     return false;
   }
-  auto iter = fence->NewIterator(comparator_);
-  iter->Seek(internal_key);
-  if (!iter->Valid()) {
-    *s = iter->status();
+  BlockKeyBuffer fence_key;
+  Slice input;
+  if (!fence->Seek(*comparator_, internal_key, &fence_key, &input, s)) {
     if (!s->ok()) {
       return false;
     }
     *position = n;  // Past the last block.
     return true;
   }
-  Slice input = iter->value();
   BlockHandle h;
   *s = h.DecodeFrom(&input);
   if (!s->ok()) {

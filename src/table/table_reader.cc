@@ -271,22 +271,14 @@ Status TableReader::FinishBatchedBlockRead(
 }
 
 Status TableReader::SearchBlock(const Block& block, const Slice& internal_key,
-                                bool* found_entry, std::string* entry_key,
-                                std::string* entry_value) {
-  *found_entry = false;
-  auto block_iter = block.NewIterator(options_.comparator);
-  block_iter->Seek(internal_key);
-  if (block_iter->Valid()) {
-    Slice found_key = block_iter->key();
-    if (options_.comparator->user_comparator()->Compare(
-            ExtractUserKey(found_key), ExtractUserKey(internal_key)) == 0) {
-      *found_entry = true;
-      entry_key->assign(found_key.data(), found_key.size());
-      Slice v = block_iter->value();
-      entry_value->assign(v.data(), v.size());
-    }
-  }
-  return block_iter->status();
+                                bool* found_entry, BlockKeyBuffer* entry_key,
+                                Slice* entry_value) const {
+  const InternalKeyComparator& icmp = *options_.comparator;
+  Status s;
+  *found_entry = block.Seek(icmp, internal_key, entry_key, entry_value, &s) &&
+                 icmp.CompareUserKey(ExtractUserKey(entry_key->slice()),
+                                     ExtractUserKey(internal_key)) == 0;
+  return s;
 }
 
 Status TableReader::InternalGet(const ReadOptions& read_options,
@@ -305,8 +297,14 @@ Status TableReader::InternalGet(const ReadOptions& read_options,
   if (!s.ok()) {
     return s;
   }
-  return SearchBlock(*block, internal_key, found_entry, entry_key,
-                     entry_value);
+  BlockKeyBuffer key;
+  Slice value;
+  s = SearchBlock(*block, internal_key, found_entry, &key, &value);
+  if (*found_entry) {
+    entry_key->assign(key.slice().data(), key.slice().size());
+    entry_value->assign(value.data(), value.size());
+  }
+  return s;
 }
 
 /// Classic two-level iteration: an index iterator yields block handles; a

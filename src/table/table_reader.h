@@ -120,11 +120,13 @@ class TableReader : private FenceBlockProvider {
                                 const Slice& contents,
                                 std::shared_ptr<const Block>* block);
 
-  /// Seeks `block` for `internal_key` with InternalGet's exact match
-  /// semantics (first entry >= internal_key whose user key matches).
+  /// Searches `block` for `internal_key` with InternalGet's exact match
+  /// semantics (first entry >= internal_key whose user key matches). On a
+  /// match, `entry_key` holds the entry's internal key and `*entry_value`
+  /// points into `block`. Runs in place: nothing is allocated or copied.
   Status SearchBlock(const Block& block, const Slice& internal_key,
-                     bool* found_entry, std::string* entry_key,
-                     std::string* entry_value);
+                     bool* found_entry, BlockKeyBuffer* entry_key,
+                     Slice* entry_value) const;
 
   /// The underlying table file; ReadRequests against this reader's blocks
   /// target it.

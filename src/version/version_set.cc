@@ -86,38 +86,40 @@ std::vector<SortedRun> Version::SortedRuns() const {
   return runs;
 }
 
-std::vector<const FileMetaData*> Version::FilesContaining(
-    int level, const Slice& user_key) const {
-  std::vector<const FileMetaData*> result;
-  const Comparator* ucmp = icmp_->user_comparator();
+const FileMetaData* Version::NextFileContaining(int level,
+                                               const Slice& user_key,
+                                               size_t* next) const {
+  const std::vector<FileMetaData>& files = files_[level];
   // L0 files overlap in every layout (flushes are not key-partitioned), so
   // L0 is always probed exhaustively, newest file first.
   if (level == 0 || IsTieredLevel(level)) {
-    // Files are kept newest-first; all covering files are candidates.
-    for (const auto& f : files_[level]) {
-      if (ucmp->Compare(user_key, f.smallest.user_key()) >= 0 &&
-          ucmp->Compare(user_key, f.largest.user_key()) <= 0) {
-        result.push_back(&f);
+    // Files are kept newest-first; every covering file is a candidate.
+    while (*next < files.size()) {
+      const FileMetaData& f = files[(*next)++];
+      if (icmp_->CompareUserKey(user_key, f.smallest.user_key()) >= 0 &&
+          icmp_->CompareUserKey(user_key, f.largest.user_key()) <= 0) {
+        return &f;
       }
     }
-  } else {
-    // Files are sorted by smallest key and disjoint: binary search.
-    const auto& files = files_[level];
-    size_t lo = 0, hi = files.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (ucmp->Compare(files[mid].largest.user_key(), user_key) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < files.size() &&
-        ucmp->Compare(user_key, files[lo].smallest.user_key()) >= 0) {
-      result.push_back(&files[lo]);
+    return nullptr;
+  }
+  // Files are sorted by smallest key and disjoint: binary search for the
+  // one covering file, then the level is done.
+  size_t lo = *next, hi = files.size();
+  *next = files.size();
+  while (lo < hi) {
+    size_t mid = (lo + hi) / 2;
+    if (icmp_->CompareUserKey(files[mid].largest.user_key(), user_key) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
-  return result;
+  if (lo < files.size() &&
+      icmp_->CompareUserKey(user_key, files[lo].smallest.user_key()) >= 0) {
+    return &files[lo];
+  }
+  return nullptr;
 }
 
 std::vector<const FileMetaData*> Version::FilesOverlapping(

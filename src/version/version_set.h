@@ -64,10 +64,13 @@ class Version {
   /// True if this level's files may overlap one another.
   bool IsTieredLevel(int level) const;
 
-  /// Files of `level` that could contain `user_key`, in probe order (newest
-  /// run first for tiered levels; the unique covering file for leveled).
-  std::vector<const FileMetaData*> FilesContaining(
-      int level, const Slice& user_key) const;
+  /// The point-lookup walk over `level`'s files, in place: returns the next
+  /// file at or after position `*next` that could contain `user_key`, in
+  /// probe order (newest run first for L0 and tiered levels; the unique
+  /// covering file for leveled), and moves `*next` past it. Returns nullptr
+  /// once the level has no more. Start each level at *next == 0.
+  const FileMetaData* NextFileContaining(int level, const Slice& user_key,
+                                         size_t* next) const;
 
   /// Files of `level` overlapping the user-key range [begin, end]
   /// (inclusive). Null begin/end mean unbounded.

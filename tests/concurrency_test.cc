@@ -35,6 +35,15 @@ class ConcurrencyTest : public ::testing::Test {
   std::unique_ptr<DB> db_;
 };
 
+/// Closes a fixture's DB when a test body ends. A test that opens db_ on an
+/// env declared in its own body declares one of these right after the env:
+/// otherwise db_, a fixture member, outlives that env, and background work
+/// still running at the end of the test touches a destroyed env.
+struct CloseDbFirst {
+  std::unique_ptr<DB>* db;
+  ~CloseDbFirst() { db->reset(); }
+};
+
 TEST_F(ConcurrencyTest, ReadersDuringWrites) {
   ASSERT_TRUE(DB::Open(options_, "/conc", &db_).ok());
 
@@ -449,6 +458,7 @@ TEST_F(ConcurrencyTest, GroupCommitCoalescesUnderContention) {
   device.per_op_latency_micros = 200;
   device.bandwidth_bytes_per_sec = 1ull << 30;
   LatencyEnv lat_env(&env_, device, SystemClock());
+  const CloseDbFirst close_db_first{&db_};
   options_.env = &lat_env;
   options_.write_buffer_size = 1 << 20;  // Keep flush churn out of the way.
   ASSERT_TRUE(DB::Open(options_, "/conc5", &db_).ok());
@@ -652,6 +662,7 @@ TEST_F(ConcurrencyTest, VlogActiveFileNumberIsSafeDuringRollover) {
 // instead surface the error and leave the old log (and its data) intact.
 TEST_F(ConcurrencyTest, VlogGcRelocationFailureDoesNotLoseData) {
   FaultInjectionEnv fault_env(&env_);
+  const CloseDbFirst close_db_first{&db_};
   options_.env = &fault_env;
   options_.kv_separation = true;
   options_.kv_separation_threshold = 64;
@@ -689,6 +700,7 @@ TEST_F(ConcurrencyTest, VlogGcRelocationFailureDoesNotLoseData) {
 // or an explicit Resume().
 TEST_F(ConcurrencyTest, ConcurrentWritersSurviveTransientFlushFailure) {
   FaultInjectionEnv fault_env(&env_);
+  const CloseDbFirst close_db_first{&db_};
   options_.env = &fault_env;
   options_.write_buffer_size = 4 << 10;
   options_.background_error_retry_initial_micros = 500;
@@ -748,6 +760,7 @@ TEST_F(ConcurrencyTest, ConcurrentWritersSurviveTransientFlushFailure) {
 // re-persists its acked contents, and restores write service.
 TEST_F(ConcurrencyTest, WalHardErrorReadOnlyModeAndResume) {
   FaultInjectionEnv fault_env(&env_);
+  const CloseDbFirst close_db_first{&db_};
   options_.env = &fault_env;
   ASSERT_TRUE(DB::Open(options_, "/walhard", &db_).ok());
 

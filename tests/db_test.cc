@@ -1174,6 +1174,44 @@ TEST_F(DBTest, MultiGetReusesValueStringsAndEmptiesMisses) {
   }
 }
 
+// A found value is a slice into its block, and a block read with
+// fill_cache off belongs to nothing but the lookup that read it: the lookup
+// must keep it alive until the value is copied out (under ASan a dangling
+// slice is a use-after-free report).
+TEST_F(DBTest, ValuesFromBlocksOutsideTheCacheOutliveTheLookup) {
+  OpenDB();
+  auto key_of = [](int i) { return "key" + std::to_string(1000 + i); };
+  auto value_of = [](int i) {
+    return std::string(200, static_cast<char>('a' + i % 26)) +
+           std::to_string(i);
+  };
+  constexpr int kKeys = 300;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(Put(key_of(i), value_of(i)).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  Reopen();  // An empty block cache: every block comes from the file.
+  ReadOptions no_fill;
+  no_fill.fill_cache = false;
+  std::string value;
+  for (int i = 0; i < kKeys; ++i) {
+    Status s = db_->Get(no_fill, key_of(i), &value);
+    ASSERT_TRUE(s.ok()) << key_of(i) << " " << s.ToString();
+    EXPECT_EQ(value_of(i), value);
+  }
+  std::vector<std::string> owned;
+  for (int i = 0; i < kKeys; i += 19) {
+    owned.push_back(key_of(i));
+  }
+  const std::vector<Slice> keys(owned.begin(), owned.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses = db_->MultiGet(no_fill, keys, &values);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    ASSERT_TRUE(statuses[j].ok()) << owned[j];
+    EXPECT_EQ(value_of(static_cast<int>(j) * 19), values[j]);
+  }
+}
+
 TEST_F(DBTest, MultiGetSeesDeletionsAndOverwrites) {
   OpenDB();
   ASSERT_TRUE(Put("a", "1").ok());

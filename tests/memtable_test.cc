@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "memtable/memtable.h"
 #include "memtable/skiplist.h"
 #include "util/arena.h"
+#include "util/coding.h"
 #include "util/comparator.h"
 #include "util/options.h"
 #include "util/random.h"
@@ -83,44 +86,65 @@ TEST(DbFormatTest, SeekKeyFindsAllOlderEntries) {
 
 // ------------------------------------------------------------- skiplist ----
 
-struct IntComparator {
-  int operator()(const int& a, const int& b) const {
+// Entries here are 8-byte fixed64 integers; the comparator also orders an
+// entry against a bare integer, the probe form Iterator::Seek takes.
+struct IntEntryComparator {
+  static int Order(uint64_t a, uint64_t b) {
     return (a < b) ? -1 : (a > b) ? 1 : 0;
   }
+  int operator()(const char* a, const char* b) const {
+    return Order(DecodeFixed64(a), DecodeFixed64(b));
+  }
+  int operator()(const char* entry, uint64_t probe) const {
+    return Order(DecodeFixed64(entry), probe);
+  }
 };
+using IntSkipList = SkipList<IntEntryComparator>;
+
+void InsertInt(IntSkipList* list, uint64_t key) {
+  char* entry = list->AllocateEntry(sizeof(uint64_t));
+  EncodeFixed64(entry, key);
+  list->Insert(entry);
+}
+
+bool ContainsInt(const IntSkipList& list, uint64_t key) {
+  char probe[sizeof(uint64_t)];
+  EncodeFixed64(probe, key);
+  return list.Contains(probe);
+}
 
 TEST(SkipListTest, InsertAndContains) {
   Arena arena;
-  SkipList<int, IntComparator> list(IntComparator(), &arena);
+  IntSkipList list(IntEntryComparator(), &arena);
   Random rnd(301);
-  std::set<int> keys;
+  std::set<uint64_t> keys;
   for (int i = 0; i < 2000; ++i) {
-    int key = static_cast<int>(rnd.Uniform(10000));
+    uint64_t key = rnd.Uniform(10000);
     if (keys.insert(key).second) {
-      list.Insert(key);
+      InsertInt(&list, key);
     }
   }
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(keys.count(i) > 0, list.Contains(i)) << i;
+  for (uint64_t i = 0; i < 10000; ++i) {
+    EXPECT_EQ(keys.count(i) > 0, ContainsInt(list, i)) << i;
   }
 }
 
 TEST(SkipListTest, IterationIsSorted) {
   Arena arena;
-  SkipList<int, IntComparator> list(IntComparator(), &arena);
-  std::set<int> keys;
+  IntSkipList list(IntEntryComparator(), &arena);
+  std::set<uint64_t> keys;
   Random rnd(99);
   for (int i = 0; i < 500; ++i) {
-    int key = static_cast<int>(rnd.Uniform(100000));
+    uint64_t key = rnd.Uniform(100000);
     if (keys.insert(key).second) {
-      list.Insert(key);
+      InsertInt(&list, key);
     }
   }
-  SkipList<int, IntComparator>::Iterator iter(&list);
+  IntSkipList::Iterator iter(&list);
   iter.SeekToFirst();
-  for (int expected : keys) {
+  for (uint64_t expected : keys) {
     ASSERT_TRUE(iter.Valid());
-    EXPECT_EQ(expected, iter.key());
+    EXPECT_EQ(expected, DecodeFixed64(iter.key()));
     iter.Next();
   }
   EXPECT_FALSE(iter.Valid());
@@ -128,22 +152,52 @@ TEST(SkipListTest, IterationIsSorted) {
 
 TEST(SkipListTest, SeekSemantics) {
   Arena arena;
-  SkipList<int, IntComparator> list(IntComparator(), &arena);
-  for (int k : {10, 20, 30}) {
-    list.Insert(k);
+  IntSkipList list(IntEntryComparator(), &arena);
+  for (uint64_t k : {10, 20, 30}) {
+    InsertInt(&list, k);
   }
-  SkipList<int, IntComparator>::Iterator iter(&list);
-  iter.Seek(15);
+  IntSkipList::Iterator iter(&list);
+  iter.Seek(uint64_t{15});
   ASSERT_TRUE(iter.Valid());
-  EXPECT_EQ(20, iter.key());
-  iter.Seek(20);
+  EXPECT_EQ(20u, DecodeFixed64(iter.key()));
+  iter.Seek(uint64_t{20});
   ASSERT_TRUE(iter.Valid());
-  EXPECT_EQ(20, iter.key());
-  iter.Seek(31);
+  EXPECT_EQ(20u, DecodeFixed64(iter.key()));
+  iter.Prev();
+  ASSERT_TRUE(iter.Valid());
+  EXPECT_EQ(10u, DecodeFixed64(iter.key()));
+  iter.Seek(uint64_t{31});
   EXPECT_FALSE(iter.Valid());
   iter.SeekToLast();
   ASSERT_TRUE(iter.Valid());
-  EXPECT_EQ(30, iter.key());
+  EXPECT_EQ(30u, DecodeFixed64(iter.key()));
+}
+
+// Entries of every size, each written into the bytes AllocateEntry handed
+// out, read back intact: no node's links overlap a neighbour's entry.
+TEST(SkipListTest, EntriesLiveInsideTheirNodes) {
+  Arena arena;
+  IntSkipList list(IntEntryComparator(), &arena);
+  Random rnd(17);
+  std::map<uint64_t, std::string> model;
+  for (uint64_t k = 0; k < 3000; ++k) {
+    const uint64_t key = (k * 7919) % 3000;
+    std::string tail(rnd.Uniform(300), static_cast<char>('a' + key % 26));
+    char* entry = list.AllocateEntry(sizeof(uint64_t) + tail.size());
+    EncodeFixed64(entry, key);
+    std::memcpy(entry + sizeof(uint64_t), tail.data(), tail.size());
+    list.Insert(entry);
+    model[key] = tail;
+  }
+  IntSkipList::Iterator iter(&list);
+  iter.SeekToFirst();
+  for (const auto& [key, tail] : model) {
+    ASSERT_TRUE(iter.Valid());
+    ASSERT_EQ(key, DecodeFixed64(iter.key()));
+    ASSERT_EQ(tail, std::string(iter.key() + sizeof(uint64_t), tail.size()));
+    iter.Next();
+  }
+  EXPECT_FALSE(iter.Valid());
 }
 
 // ------------------------------------------------------------- memtable ----
@@ -161,7 +215,12 @@ class MemTableTest : public ::testing::TestWithParam<MemTableRepType> {
   bool Get(MemTable* table, const std::string& key, SequenceNumber snapshot,
            std::string* value, ValueType* type) {
     LookupKey lkey(key, snapshot);
-    return table->Get(lkey, value, type);
+    Slice found;
+    if (!table->Get(lkey, &found, type)) {
+      return false;
+    }
+    value->assign(found.data(), found.size());
+    return true;
   }
 
   InternalKeyComparator internal_cmp_;
@@ -324,7 +383,7 @@ TEST_P(MemTableTest, FilterRulesOutKeysNeverWritten) {
     table->Add(static_cast<SequenceNumber>(i + 1), kTypeValue, FilterKey(i),
                "v");
   }
-  std::string value;
+  Slice value;
   ValueType type;
   int passed = 0;
   for (int i = 1; i < 20000; i += 2) {

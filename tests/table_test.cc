@@ -154,6 +154,66 @@ TEST(BlockTest, OverflowingEntryHeaderReportsCorruption) {
   EXPECT_TRUE(iter->status().IsCorruption());
 }
 
+// Block::Seek, the in-place search point lookups run, lands exactly where
+// the iterator's Seek does, with keys long enough to leave BlockKeyBuffer's
+// inline bytes, and through both of its comparator instantiations.
+TEST(BlockTest, InPlaceSeekMatchesIterator) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  const Comparator& virtual_cmp = icmp;
+  auto user_key = [](int i) {
+    char suffix[16];
+    snprintf(suffix, sizeof(suffix), "%06d", i);
+    return std::string(static_cast<size_t>(30 + (i % 7) * 20), 'p') + suffix;
+  };
+  auto internal_key = [](const std::string& user, SequenceNumber seq) {
+    std::string ikey;
+    AppendInternalKey(&ikey, ParsedInternalKey(user, seq, kTypeValue));
+    return ikey;
+  };
+  std::map<std::string, std::string> model;  // User key -> value.
+  for (int i = 0; i < 400; i += 2) {
+    model[user_key(i)] = "v" + std::to_string(i);
+  }
+  BlockBuilder builder(&icmp, 4);
+  for (const auto& [key, value] : model) {
+    builder.Add(internal_key(key, 7), value);
+  }
+  Block block(builder.Finish().ToString());
+  auto iter = block.NewIterator(&icmp);
+
+  Random rnd(77);
+  for (int probe = 0; probe < 600; ++probe) {
+    // Entries carry sequence 7: a target at a higher sequence sorts before
+    // its user key's entry, one at 7 is that entry, one below sorts after.
+    const std::string user = user_key(static_cast<int>(rnd.Uniform(402)));
+    const SequenceNumber seq = (probe % 3 == 0)   ? kMaxSequenceNumber
+                               : (probe % 3 == 1) ? 7
+                                                  : 3;
+    const std::string target = internal_key(user, seq);
+    const auto expect =
+        seq >= 7 ? model.lower_bound(user) : model.upper_bound(user);
+    iter->Seek(target);
+    ASSERT_TRUE(iter->status().ok());
+    ASSERT_EQ(expect != model.end(), iter->Valid()) << probe;
+    for (const bool inlined : {true, false}) {
+      BlockKeyBuffer key;
+      Slice value;
+      Status s;
+      const bool found =
+          inlined ? block.Seek(icmp, target, &key, &value, &s)
+                  : block.Seek(virtual_cmp, target, &key, &value, &s);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_EQ(expect != model.end(), found) << probe;
+      if (found) {
+        EXPECT_EQ(expect->first, ExtractUserKey(key.slice()).ToString());
+        EXPECT_EQ(expect->second, value.ToString());
+        EXPECT_EQ(iter->key(), key.slice());
+        EXPECT_EQ(iter->value(), value);
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------- BlockHandle ----
 
 TEST(FormatTest, BlockHandleRoundTrip) {
@@ -477,6 +537,45 @@ TEST_F(TableTest, CorruptBlockDetectedWithChecksums) {
   read_options.verify_checksums = true;
   Status s = reader->InternalGet(read_options, ikey, &found, &fkey, &value);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// A read that returns fewer bytes than the block and its trailer must be
+// refused, not built into a block: the read buffers are not zero-filled.
+TEST_F(TableTest, ShortBlockReadIsRejected) {
+  std::map<std::string, std::string> entries;
+  for (int i = 0; i < 200; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%06d", i);
+    entries[key] = "value" + std::to_string(i);
+  }
+  BuildTable(entries);
+  std::string ikey;
+  AppendInternalKey(&ikey, ParsedInternalKey("key000100", kMaxSequenceNumber,
+                                             kValueTypeForSeek));
+  BlockHandle handle;
+  Status s;
+  ASSERT_TRUE(reader_->LocateDataBlock(ikey, &handle, &s)) << s.ToString();
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(&env_, "/t.sst", &file).ok());
+  const Slice whole(file.data() + handle.offset(),
+                    handle.size() + kBlockTrailerSize);
+  const auto ctx = reader_->MakeFetchContext(ReadOptions());
+
+  std::shared_ptr<const Block> block;
+  s = reader_->FinishBatchedBlockRead(
+      ctx, handle, Slice(whole.data(), whole.size() - 1), &block);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(nullptr, block);
+
+  s = reader_->FinishBatchedBlockRead(ctx, handle, whole, &block);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_NE(nullptr, block);
+  bool found = false;
+  BlockKeyBuffer key;
+  Slice value;
+  ASSERT_TRUE(reader_->SearchBlock(*block, ikey, &found, &key, &value).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ("value100", value.ToString());
 }
 
 // --------------------------------------------------------- Learned index ----

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "io/counting_env.h"
+#include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "kvsep/vlog.h"
 
@@ -176,6 +177,28 @@ TEST(VlogSyncTest, SyncSkipsALogWithNothingNewSinceTheLastSync) {
   ASSERT_TRUE(vlog.Append("k3", "v3", &ptr).ok());
   ASSERT_TRUE(vlog.Sync().ok());
   EXPECT_EQ(3u, env.GetStats().syncs);
+}
+
+// Tables and WALs keep pointing into a log after it stops being the active
+// one, and Sync() no longer covers it then: the roll makes it durable.
+TEST(VlogSyncTest, RollSyncsTheOutgoingLog) {
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  ASSERT_TRUE(env.CreateDir("/db").ok());
+  VlogPointer ptr;
+  {
+    VlogManager vlog("/db", &env);
+    ASSERT_TRUE(vlog.OpenActive(1).ok());
+    ASSERT_TRUE(vlog.Append("k1", "v1", &ptr).ok());
+    ASSERT_TRUE(vlog.OpenActive(2).ok());
+  }
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+
+  VlogManager reader("/db", &env);
+  std::string value;
+  Status s = reader.Read(ptr, "k1", &value);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ("v1", value);
 }
 
 }  // namespace
