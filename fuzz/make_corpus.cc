@@ -239,6 +239,14 @@ int main(int argc, char** argv) {
             IterOps(13, {{4, 31}, {4, 31}, {5, 0}, {0, 96}, {0, 200},
                          {6, 0}, {3, 5}, {4, 31}, {5, 0}, {7, 0}, {4, 31},
                          {5, 3}, {6, 0}}));
+  // A flush is a merge: it drops the hot key's versions below the oldest
+  // snapshot. A snapshot taken mid-burst must still read its version after
+  // the flush, and once released, a second flush drops that version too.
+  WriteSeed(root, "fuzz_db_iter", "seed-snapshot-mid-burst-flush.bin",
+            IterOps(0, {{0, 1}, {4, 15}, {5, 0}, {4, 15}, {3, 1}, {6, 0}}));
+  WriteSeed(root, "fuzz_db_iter", "seed-snapshot-released-second-flush.bin",
+            IterOps(1, {{0, 1}, {4, 15}, {5, 0}, {4, 15}, {6, 0}, {5, 1},
+                        {4, 15}, {0, 9}, {6, 0}, {7, 0}}));
 
   std::printf("seed corpus written under %s\n", root.c_str());
   return 0;

@@ -62,6 +62,16 @@ Runs over src/ (and any extra paths given) and enforces:
       one file at a time; a per-file table iterator beside it brings back
       the cost of one open file and one block per file.
 
+  table-builder-outside-output-writer
+      Across src/db/ and src/compaction/, outside comments, a TableBuilder
+      is constructed on one line only and `kRateLimitChunk` is defined
+      once. Flush, WAL recovery and compaction run one compaction stream
+      into one output writer (compaction/compaction_stream.cc), which owns
+      a table file's whole lifecycle: pin, create, build under the rate
+      limiter, cut, finish, sync, close, and on error abandon, remove and
+      unpin. A second builder site is a second copy of that lifecycle, and
+      only one copy applies the merge's drop rules.
+
   raw-file-io
       Outside comments, `::write(`, `::pwrite(`, `::fsync(` and
       `::fdatasync(` appear only in io/posix_env.cc, and the CRC
@@ -139,6 +149,15 @@ TABLE_ITER_ALLOWLIST = {
     os.path.join("db", "shard_engine_checkpoint.cc"),
 }
 
+# A table builder's construction and the rate limiter's charge chunk: both
+# live in the one output writer.
+OUTPUT_WRITER_RES = (
+    ("TableBuilder construction",
+     re.compile(r"\bTableBuilder\s*>\s*\(|\bnew\s+TableBuilder\b|"
+                r"\bTableBuilder\s+\w+\s*[({]")),
+    ("kRateLimitChunk definition", re.compile(r"\bkRateLimitChunk\s*=(?!=)")),
+)
+
 # Raw file-write syscalls and CRC intrinsics, each with its one home.
 RAW_FILE_IO_RULES = (
     (re.compile(r"::(?:write|pwrite|fsync|fdatasync)\("),
@@ -165,7 +184,7 @@ def is_comment(line):
     return s.startswith("//") or s.startswith("*") or s.startswith("/*")
 
 
-def lint_file(path, rel, findings, walk_sites):
+def lint_file(path, rel, findings, walk_sites, writer_sites):
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -269,6 +288,12 @@ def lint_file(path, rel, findings, walk_sites):
                  "table iterator opened outside the run iterator — merge "
                  "one NewRunIterator child per sorted run instead"))
 
+        # --- table-builder-outside-output-writer (reported in main) -------
+        if rel.startswith(TABLE_ITER_DIRS) and not is_comment(stripped):
+            for what, pattern in OUTPUT_WRITER_RES:
+                if pattern.search(code):
+                    writer_sites.setdefault(what, []).append((rel, lineno))
+
         # --- raw-file-io --------------------------------------------------
         if not is_comment(stripped):
             for pattern, home, msg in RAW_FILE_IO_RULES:
@@ -322,9 +347,10 @@ def main(argv):
                     files.append(os.path.join(dirpath, name))
     src_root = os.path.join(repo, "src")
     walk_sites = {}
+    writer_sites = {}
     for path in sorted(files):
         rel = os.path.relpath(path, src_root)
-        lint_file(path, rel, findings, walk_sites)
+        lint_file(path, rel, findings, walk_sites, writer_sites)
     for token, sites in sorted(walk_sites.items()):
         if len(sites) > 1:
             for rel, lineno in sites:
@@ -333,6 +359,14 @@ def main(argv):
                      f"{token} appears on {len(sites)} lines in src/db/ — "
                      "the point-lookup walk and the merge-chain resolver "
                      "each have one home"))
+    for what, sites in sorted(writer_sites.items()):
+        if len(sites) > 1:
+            for rel, lineno in sites:
+                findings.append(
+                    (rel, lineno, "table-builder-outside-output-writer",
+                     f"{what} on {len(sites)} lines in src/db/ and "
+                     "src/compaction/ — table files are written by the one "
+                     "OutputWriter"))
 
     for rel, lineno, rule, msg in findings:
         print(f"src/{rel}:{lineno}: [{rule}] {msg}")

@@ -12,14 +12,8 @@
 
 namespace lsmlab {
 
-namespace {
-/// Charge the rate limiter in chunks so throttling is smooth but cheap.
-constexpr uint64_t kRateLimitChunk = 256 << 10;
-/// How many merge-loop iterations between shutdown-abort checks.
-constexpr int kAbortCheckInterval = 512;
-}  // namespace
-
-CompactionJob::CompactionJob(uint64_t id, CompactionPlan plan, Context context)
+CompactionJob::CompactionJob(uint64_t id, CompactionPlan plan,
+                             MergeContext context)
     : id_(id),
       plan_(std::move(plan)),
       ctx_(std::move(context)),
@@ -152,248 +146,20 @@ Status CompactionJob::RunShard(Shard* shard) {
     input->SeekToFirst();
   }
 
-  // Merge loop with the LevelDB drop rules plus single-delete annihilation.
-  TableBuilderOptions topt = ctx_.make_builder_options(plan_.output_level);
-  topt.oldest_tombstone_time_micros = oldest_tombstone_hint;
-
-  std::unique_ptr<WritableFile> out_file;
-  std::unique_ptr<TableBuilder> builder;
-  uint64_t out_file_number = 0;
-  InternalKey out_smallest, out_largest;
-  uint64_t rate_limit_pending = 0;
-
-  std::string current_user_key;
-  bool has_current_user_key = false;
-  // True once a full overwrite (value/tombstone/pointer — NOT a merge
-  // operand) with seq <= oldest_snapshot has been seen for the current
-  // user key: everything older is invisible to every reader and can drop.
-  bool shadowed_below_snapshot = false;
-
-  // Pending single-delete tombstone waiting to annihilate with an older put.
-  bool pending_sd = false;
-  std::string pending_sd_key;   // Internal key bytes.
-  std::string pending_sd_ukey;  // Its user key.
-
-  Status s;
-
-  auto finish_output = [&]() -> Status {
-    if (builder == nullptr) {
-      return Status::OK();
-    }
-    Status fs = builder->Finish();
-    if (fs.ok()) {
-      fs = out_file->Sync();
-    }
-    if (fs.ok()) {
-      fs = out_file->Close();
-    }
-    if (fs.ok()) {
-      FileMetaData meta;
-      meta.file_number = out_file_number;
-      meta.file_size = builder->FileSize();
-      meta.smallest = out_smallest;
-      meta.largest = out_largest;
-      meta.num_entries = builder->properties().num_entries;
-      meta.num_tombstones = builder->properties().num_tombstones;
-      meta.creation_time_micros = builder->properties().creation_time_micros;
-      meta.oldest_tombstone_time_micros =
-          meta.num_tombstones > 0 ? oldest_tombstone_hint : 0;
-      shard->outputs.push_back(meta);
-      shard->bytes_written += meta.file_size;
-      ctx_.stats->compaction_bytes_written.fetch_add(
-          meta.file_size, std::memory_order_relaxed);
-    }
-    builder.reset();
-    out_file.reset();
-    return fs;
-  };
-
-  auto emit = [&](const Slice& internal_key, const Slice& value) -> Status {
-    // Cut outputs only on user-key boundaries: every version and merge
-    // operand of a user key must land in one file, or a leveled level ends
-    // up with two files sharing a boundary key — Get would stop at the
-    // first and miss the entries in the second, and the level invariant
-    // (disjoint user-key ranges) rejects the install.
-    if (builder != nullptr && split_outputs_ &&
-        builder->FileSize() >= ctx_.options->target_file_size &&
-        ctx_.icmp->user_comparator()->Compare(ExtractUserKey(internal_key),
-                                              out_largest.user_key()) != 0) {
-      Status fs = finish_output();
-      if (!fs.ok()) {
-        return fs;
-      }
-    }
-    if (builder == nullptr) {
-      out_file_number = ctx_.pin_new_file_number();
-      Status es = ctx_.options->env->NewWritableFile(
-          TableFileName(ctx_.dbname, out_file_number), &out_file);
-      if (!es.ok()) {
-        ctx_.unpin_output(out_file_number);
-        out_file_number = 0;
-        return es;
-      }
-      builder = std::make_unique<TableBuilder>(topt, out_file.get());
-      out_smallest.DecodeFrom(internal_key);
-    }
-    out_largest.DecodeFrom(internal_key);
-    builder->Add(internal_key, value);
-
-    // SILK-style bandwidth throttling; compactions request at low priority
-    // so flushes pass them under contention.
-    rate_limit_pending += internal_key.size() + value.size();
-    if (rate_limit_pending >= kRateLimitChunk) {
-      if (ctx_.rate_limiter != nullptr) {
-        ctx_.rate_limiter->Request(rate_limit_pending,
-                                   /*high_priority=*/false);
-      }
-      rate_limit_pending = 0;
-    }
-    return Status::OK();
-  };
-
-  auto flush_pending_sd = [&]() -> Status {
-    if (!pending_sd) {
-      return Status::OK();
-    }
-    pending_sd = false;
-    SequenceNumber sd_seq = ExtractSequence(pending_sd_key);
-    if (plan_.bottommost && sd_seq <= ctx_.oldest_snapshot) {
-      // Nothing below can match it: the tombstone itself can go.
-      ++shard->tombstones_dropped;
-      return Status::OK();
-    }
-    return emit(pending_sd_key, Slice());
-  };
-
-  int since_abort_check = 0;
-  for (; s.ok() && input->Valid(); input->Next()) {
-    if (++since_abort_check >= kAbortCheckInterval) {
-      since_abort_check = 0;
-      if (failed_.load(std::memory_order_relaxed) ||
-          (ctx_.should_abort && ctx_.should_abort())) {
-        s = Status::Aborted("compaction job ", std::to_string(id_));
-        break;
-      }
-    }
-
-    Slice internal_key = input->key();
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(internal_key, &parsed)) {
-      s = Status::Corruption("malformed key in compaction input");
-      break;
-    }
-    if (shard->end.has_value() &&
-        ucmp->Compare(parsed.user_key, *shard->end) >= 0) {
-      break;  // Next shard's territory.
-    }
-
-    // Single-delete annihilation: the pending SD meets the next entry.
-    if (pending_sd) {
-      if (ucmp->Compare(parsed.user_key, pending_sd_ukey) == 0) {
-        SequenceNumber sd_seq = ExtractSequence(pending_sd_key);
-        if ((parsed.type == kTypeValue || parsed.type == kTypeVlogPointer) &&
-            parsed.sequence <= ctx_.oldest_snapshot &&
-            sd_seq <= ctx_.oldest_snapshot) {
-          // Annihilate the pair: drop both the SD and the put it deletes,
-          // whose value, when separated, becomes vlog garbage.
-          pending_sd = false;
-          ++shard->tombstones_dropped;
-          ++shard->entries_dropped;
-          if (parsed.type == kTypeVlogPointer && ctx_.vlog != nullptr) {
-            VlogPointer ptr;
-            if (ptr.DecodeFrom(input->value())) {
-              shard->vlog_garbage.emplace_back(ptr.file_number, ptr.size);
-            }
-          }
-          // Older versions of this key fall through to the normal rule
-          // with the annihilated pair acting as the shadow.
-          current_user_key = parsed.user_key.ToString();
-          has_current_user_key = true;
-          shadowed_below_snapshot = true;
-          continue;
-        }
-        // Not annihilable: emit the SD, then process this entry normally.
-        s = flush_pending_sd();
-        if (!s.ok()) {
-          break;
-        }
-      } else {
-        s = flush_pending_sd();
-        if (!s.ok()) {
-          break;
-        }
-      }
-    }
-
-    bool drop = false;
-    if (!has_current_user_key ||
-        ucmp->Compare(parsed.user_key, Slice(current_user_key)) != 0) {
-      // First occurrence (newest version) of this user key.
-      current_user_key = parsed.user_key.ToString();
-      has_current_user_key = true;
-      shadowed_below_snapshot = false;
-    }
-
-    if (shadowed_below_snapshot) {
-      // A newer full overwrite visible to every snapshot shadows this entry
-      // (§2.1.1-B: updates/deletes applied lazily, here at merge time).
-      drop = true;
-      ++shard->entries_dropped;
-      if (parsed.type == kTypeVlogPointer && ctx_.vlog != nullptr) {
-        VlogPointer ptr;
-        if (ptr.DecodeFrom(input->value())) {
-          shard->vlog_garbage.emplace_back(ptr.file_number, ptr.size);
-        }
-      }
-    } else if (parsed.type == kTypeDeletion &&
-               parsed.sequence <= ctx_.oldest_snapshot && plan_.bottommost) {
-      // Tombstone at the bottom: everything it shadows is gone, so the
-      // tombstone itself is garbage (§2.1.2: delete persistence).
-      drop = true;
-      shadowed_below_snapshot = true;
-      ++shard->tombstones_dropped;
-    } else if (parsed.type == kTypeSingleDeletion &&
-               parsed.sequence <= ctx_.oldest_snapshot) {
-      // Buffer: it annihilates with the first older put of the same key.
-      pending_sd = true;
-      pending_sd_key.assign(internal_key.data(), internal_key.size());
-      pending_sd_ukey = parsed.user_key.ToString();
-      shadowed_below_snapshot = true;
-      continue;
-    } else if (parsed.type != kTypeMerge &&
-               parsed.sequence <= ctx_.oldest_snapshot) {
-      // Values, tombstones, and vlog pointers shadow everything older;
-      // merge operands do NOT — they depend on the base value below them.
-      shadowed_below_snapshot = true;
-    }
-
-    if (!drop) {
-      s = emit(internal_key, input->value());
-    }
-  }
-  if (s.ok()) {
-    s = flush_pending_sd();
-  }
-  if (s.ok() && !input->status().ok()) {
-    s = input->status();
-  }
-  if (s.ok()) {
-    s = finish_output();
-  }
-  if (rate_limit_pending > 0 && ctx_.rate_limiter != nullptr) {
-    ctx_.rate_limiter->Request(rate_limit_pending, /*high_priority=*/false);
-  }
-
-  if (!s.ok() && builder != nullptr) {
-    // Abandon the in-progress output; completed shard outputs are removed
-    // by Cleanup().
-    builder->Abandon();
-    builder.reset();
-    out_file.reset();
-    // Best effort; an orphan is reclaimed by RemoveObsoleteFiles.
-    (void)ctx_.options->env->RemoveFile(
-        TableFileName(ctx_.dbname, out_file_number));
-    ctx_.unpin_output(out_file_number);
+  OutputWriter out(ctx_, plan_.output_level, oldest_tombstone_hint,
+                   split_outputs_, /*high_priority=*/false);
+  Status s = RunCompactionStream(
+      ctx_, plan_.bottommost, input.get(), shard->end,
+      [this] {
+        return failed_.load(std::memory_order_relaxed) || ctx_.should_abort();
+      },
+      &out, &shard->dropped);
+  // Finished outputs stay pinned: the job installs them, or Cleanup()
+  // removes them.
+  shard->outputs = out.files();
+  for (const FileMetaData& meta : shard->outputs) {
+    ctx_.stats->compaction_bytes_written.fetch_add(meta.file_size,
+                                                   std::memory_order_relaxed);
   }
   return s;
 }
@@ -498,22 +264,12 @@ Status CompactionJob::Run() {
   // Stitch: shards are key-ordered, so concatenating their outputs yields
   // the sorted output run; one edit installs everything atomically.
   for (auto& shard : shards_) {
-    for (auto& meta : shard.outputs) {
+    for (const FileMetaData& meta : shard.outputs) {
       outputs_.push_back(meta);
+      bytes_written_ += meta.file_size;
     }
-    bytes_written_ += shard.bytes_written;
-    tombstones_dropped_ += shard.tombstones_dropped;
-    entries_dropped_ += shard.entries_dropped;
-    if (ctx_.vlog != nullptr) {
-      for (const auto& [file_number, size] : shard.vlog_garbage) {
-        ctx_.vlog->AddGarbage(file_number, size);
-      }
-    }
+    shard.dropped.RecordIn(ctx_.stats, ctx_.vlog);
   }
-  ctx_.stats->tombstones_dropped.fetch_add(tombstones_dropped_,
-                                           std::memory_order_relaxed);
-  ctx_.stats->entries_dropped_obsolete.fetch_add(entries_dropped_,
-                                                 std::memory_order_relaxed);
 
   for (const auto& f : plan_.inputs) {
     edit_.RemoveFile(plan_.input_level, f.file_number);
@@ -538,12 +294,6 @@ void CompactionJob::Cleanup() {
     shard.outputs.clear();
   }
   outputs_.clear();
-}
-
-void CompactionJob::ReleaseOutputPins() {
-  for (const auto& meta : outputs_) {
-    ctx_.unpin_output(meta.file_number);
-  }
 }
 
 }  // namespace lsmlab

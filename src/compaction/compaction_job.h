@@ -3,25 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "compaction/compaction.h"
-#include "db/dbformat.h"
-#include "db/statistics.h"
-#include "db/table_cache.h"
-#include "kvsep/vlog.h"
-#include "table/table_builder.h"
+#include "compaction/compaction_stream.h"
 #include "util/arena.h"
 #include "util/mutex.h"
-#include "util/options.h"
-#include "util/rate_limiter.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
-#include "version/version_edit.h"
 
 namespace lsmlab {
 
@@ -42,32 +31,7 @@ namespace lsmlab {
 /// kMedium queue, so splitting cannot deadlock even on a 1-thread pool.
 class CompactionJob {
  public:
-  /// Everything a job needs from the engine. Callbacks must be safe to call
-  /// without the DB mutex held (they take it internally).
-  struct Context {
-    const Options* options = nullptr;
-    std::string dbname;
-    const InternalKeyComparator* icmp = nullptr;
-    TableCache* table_cache = nullptr;
-    /// Scope id of `dbname` in the (shared) table cache.
-    uint64_t cache_dir_id = 0;
-    VlogManager* vlog = nullptr;           // Null without kv separation.
-    RateLimiter* rate_limiter = nullptr;   // Null disables throttling.
-    Statistics* stats = nullptr;
-    ThreadPool* pool = nullptr;            // Null disables subcompactions.
-    /// Snapshot floor for the drop rules, fixed at admission time.
-    SequenceNumber oldest_snapshot = 0;
-    /// Allocates a fresh file number and pins it in pending_outputs_.
-    std::function<uint64_t()> pin_new_file_number;
-    /// Erases a pin placed by pin_new_file_number.
-    std::function<void(uint64_t)> unpin_output;
-    /// True when the job should abandon work (engine shutdown).
-    std::function<bool()> should_abort;
-    /// Per-level table-builder options (Monkey filter bits etc.).
-    std::function<TableBuilderOptions(int level)> make_builder_options;
-  };
-
-  CompactionJob(uint64_t id, CompactionPlan plan, Context context);
+  CompactionJob(uint64_t id, CompactionPlan plan, MergeContext context);
 
   CompactionJob(const CompactionJob&) = delete;
   CompactionJob& operator=(const CompactionJob&) = delete;
@@ -81,10 +45,6 @@ class CompactionJob {
   /// Idempotent; for the failure/abort path.
   void Cleanup();
 
-  /// Releases the pending-output pins without removing files; for the
-  /// caller once outputs are installed (or doomed to orphan collection).
-  void ReleaseOutputPins();
-
   uint64_t id() const { return id_; }
   const CompactionPlan& plan() const { return plan_; }
   /// The stitched edit: inputs and overlap removed, outputs added.
@@ -94,8 +54,6 @@ class CompactionJob {
   // Per-job stats, valid after Run().
   uint64_t bytes_read() const { return bytes_read_; }
   uint64_t bytes_written() const { return bytes_written_; }
-  uint64_t tombstones_dropped() const { return tombstones_dropped_; }
-  uint64_t entries_dropped() const { return entries_dropped_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
@@ -105,12 +63,9 @@ class CompactionJob {
     std::optional<Slice> begin;
     std::optional<Slice> end;
     std::vector<FileMetaData> outputs;
-    /// Vlog garbage discovered by the shard, applied after all shards
-    /// finish (VlogManager accounting is not assumed thread-safe).
-    std::vector<std::pair<uint64_t, uint64_t>> vlog_garbage;
-    uint64_t bytes_written = 0;
-    uint64_t tombstones_dropped = 0;
-    uint64_t entries_dropped = 0;
+    /// What the shard's drop rules discarded, recorded only once every
+    /// shard has succeeded: a failed job's drops must not count.
+    Dropped dropped;
     Status status;
   };
 
@@ -122,7 +77,8 @@ class CompactionJob {
   /// Empty result means "run unsharded".
   std::vector<Slice> ComputeShardBoundaries() const;
 
-  /// Runs one shard's merge loop; called concurrently for distinct shards.
+  /// Runs one shard's children through the compaction stream; called
+  /// concurrently for distinct shards.
   Status RunShard(Shard* shard);
 
   /// Pool entry point: runs shard `index`, records its status, and signals
@@ -131,7 +87,7 @@ class CompactionJob {
 
   const uint64_t id_;
   const CompactionPlan plan_;
-  const Context ctx_;
+  const MergeContext ctx_;
   /// Whether output may be split into target_file_size files (leveled
   /// output) — also the precondition for subcompaction splitting.
   const bool split_outputs_;
@@ -149,8 +105,6 @@ class CompactionJob {
 
   uint64_t bytes_read_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t tombstones_dropped_ = 0;
-  uint64_t entries_dropped_ = 0;
   bool ran_ = false;
 };
 

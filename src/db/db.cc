@@ -560,6 +560,7 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   // lock guarantees the cut contains all shards of every cross-shard batch
   // or none of them.
   std::vector<SequenceNumber> cut(static_cast<size_t>(num_shards_), 0);
+  const bool fresh_cut = options.snapshot_seqno == 0;
   if (options.snapshot_seqno & kSnapshotHandleBit) {
     MutexLock lock(&commit_mu_);
     auto it =
@@ -570,10 +571,14 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   } else if (options.snapshot_seqno != 0) {
     cut.assign(static_cast<size_t>(num_shards_), options.snapshot_seqno);
   } else {
+    // Each shard pins its part of the cut as a snapshot until its iterator
+    // holds a read view. Unpinned, a flush or compaction starting in
+    // between could drop a version the cut sees under a newer one it does
+    // not, and the scan would read an older value.
     MutexLock lock(&commit_mu_);
     for (int k = 0; k < num_shards_; ++k) {
       cut[static_cast<size_t>(k)] =
-          shards_[static_cast<size_t>(k)]->LastSequence();
+          shards_[static_cast<size_t>(k)]->GetSnapshot();
     }
   }
   std::vector<std::unique_ptr<Iterator>> children;
@@ -582,6 +587,9 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
     ReadOptions ro = options;
     ro.snapshot_seqno = cut[static_cast<size_t>(k)];
     children.push_back(shards_[static_cast<size_t>(k)]->NewIterator(ro));
+    if (fresh_cut) {
+      shards_[static_cast<size_t>(k)]->ReleaseSnapshot(ro.snapshot_seqno);
+    }
   }
   // Shards hold disjoint key ranges, so the merge degenerates to ordered
   // concatenation — but reusing the merging iterator keeps one code path.

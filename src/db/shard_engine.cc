@@ -272,14 +272,11 @@ Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
       max_sequence = inserter.last_sequence();
     }
     if (mem != nullptr && !mem->Empty()) {
-      MemTableIteratorAdapter iter(std::shared_ptr<MemTable>(std::move(mem)));
-      iter.SeekToFirst();
-      FileMetaData meta;
-      s = BuildTableFromIterator(&iter, 0, options_.clock->NowMicros(), &meta);
+      s = WriteLevel0Table(std::move(mem), kMaxSequenceNumber, &edit,
+                           /*dropped=*/nullptr);
       if (!s.ok()) {
         return s;
       }
-      edit.AddFile(0, meta);
     }
   }
 
@@ -415,16 +412,11 @@ Status ShardEngine::RecoverLogFile(uint64_t log_number, bool tagged_only,
     }
 
     if (mem->DataSize() >= options_.write_buffer_size) {
-      MemTableIteratorAdapter iter(std::shared_ptr<MemTable>(std::move(mem)));
-      iter.SeekToFirst();
-      FileMetaData meta;
-      s = BuildTableFromIterator(&iter, 0,
-                                 options_.clock->NowMicros(), &meta);
+      s = WriteLevel0Table(std::move(mem), kMaxSequenceNumber, edit,
+                           /*dropped=*/nullptr);
       if (!s.ok()) {
         return s;
       }
-      edit->AddFile(0, meta);
-      mem.reset();
     }
   }
   if (!reporter.status.ok() && !tagged_only) {
@@ -437,14 +429,11 @@ Status ShardEngine::RecoverLogFile(uint64_t log_number, bool tagged_only,
   // file's durable prefix, so a torn region can only claim flushed normal
   // records or commit markers (whose ids the facade's commit log re-proves).
   if (mem != nullptr && !mem->Empty()) {
-    MemTableIteratorAdapter iter(std::shared_ptr<MemTable>(std::move(mem)));
-    iter.SeekToFirst();
-    FileMetaData meta;
-    s = BuildTableFromIterator(&iter, 0, options_.clock->NowMicros(), &meta);
+    s = WriteLevel0Table(std::move(mem), kMaxSequenceNumber, edit,
+                         /*dropped=*/nullptr);
     if (!s.ok()) {
       return s;
     }
-    edit->AddFile(0, meta);
   }
   return Status::OK();
 }

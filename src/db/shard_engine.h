@@ -61,7 +61,7 @@ struct ShardResources {
   LruCache* block_cache = nullptr;
   TableCache* table_cache = nullptr;
   ThreadPool* pool = nullptr;
-  RateLimiter* rate_limiter = nullptr;  // Null disables throttling.
+  RateLimiter* rate_limiter = nullptr;
   Statistics* stats = nullptr;
 };
 
@@ -182,10 +182,6 @@ class ShardEngine {
   SequenceNumber GetSnapshot();
   void ReleaseSnapshot(SequenceNumber snapshot);
 
-  /// Newest committed sequence. The facade reads one per shard (under its
-  /// commit lock) to cut a consistent multi-shard snapshot.
-  SequenceNumber LastSequence() const { return versions_->last_sequence(); }
-
   /// Highest cross-shard batch id seen in this shard's WALs during
   /// recovery (0 if none). The facade starts its id counter above the
   /// maximum across shards and the commit log, so a stale prepare record
@@ -277,9 +273,10 @@ class ShardEngine {
 
   Status Initialize(const std::set<uint64_t>* committed_prepares);
   Status Recover(const std::set<uint64_t>* committed_prepares);
-  /// Replays one WAL file into L0 tables. Must be called *without* mu_
-  /// (BuildTableFromIterator takes it internally); recovery is
-  /// single-threaded, so the tables it builds race nothing.
+  /// Replays one WAL file into memtables and flushes each through
+  /// WriteLevel0Table, adding the tables it writes to `edit`. Must be
+  /// called *without* mu_ (the flush pins its output under it); recovery
+  /// is single-threaded, so the tables it builds race nothing.
   /// `*stop_replay` is set when a corrupt record was tolerated under
   /// point-in-time recovery: replay must not continue into later logs
   /// (recovering past the corruption would break prefix consistency).
@@ -349,12 +346,22 @@ class ShardEngine {
   /// mu_ internally around delay sleeps and stall waits.
   Status MakeRoomForWrite(bool no_slowdown) REQUIRES(mu_);
 
-  /// Builds an SSTable at `level` from `iter`; returns its metadata.
-  /// Takes mu_ internally to pin/unpin the output file number.
-  Status BuildTableFromIterator(Iterator* iter, int level,
-                                uint64_t oldest_tombstone_hint,
-                                FileMetaData* meta) EXCLUDES(mu_);
+  /// Flush, the first merge (tutorial §2.1.1): runs `mem` through the
+  /// compaction stream into at most one L0 table, never split, at high
+  /// rate-limiter priority and never aborted by shutdown. The snapshot
+  /// floor is OldestSnapshot() when a live flush starts, and
+  /// kMaxSequenceNumber in recovery, where no reader exists yet. Adds the
+  /// table to `edit` only if the stream wrote one. What the rules dropped
+  /// goes to `dropped` (null in recovery), for the caller to record once
+  /// `edit` installs. Takes mu_ internally to pin the output.
+  Status WriteLevel0Table(std::shared_ptr<MemTable> mem,
+                          SequenceNumber oldest_snapshot, VersionEdit* edit,
+                          Dropped* dropped) EXCLUDES(mu_);
   TableBuilderOptions MakeBuilderOptions(int level) const;
+  /// The engine's side of a merge (flush or compaction job): its files,
+  /// caches, rate limiter and output pins, under snapshot floor
+  /// `oldest_snapshot`.
+  MergeContext MakeMergeContext(SequenceNumber oldest_snapshot);
 
   /// Classifies and records a background error (severity, source, first
   /// cause), bumps the matching stat, and wakes waiters.
@@ -379,8 +386,6 @@ class ShardEngine {
   /// edit (or cleans up), unregisters its claims, and re-runs admission.
   void BackgroundCompaction(std::shared_ptr<CompactionJob> job) EXCLUDES(mu_);
 
-  /// Builds the executor context (callbacks, snapshot floor) for a new job.
-  CompactionJob::Context MakeCompactionContextLocked() REQUIRES(mu_);
   /// Registers `plan`'s files and key-range claims, bumps the running
   /// count, and schedules the job on the pool.
   void AdmitCompactionLocked(CompactionPlan plan) REQUIRES(mu_);
@@ -495,7 +500,7 @@ class ShardEngine {
   LruCache* const block_cache_;
   TableCache* const table_cache_;
   ThreadPool* const pool_;
-  RateLimiter* const compaction_rate_limiter_;  // Null disables throttling.
+  RateLimiter* const compaction_rate_limiter_;
   /// This engine's directory scope in the shared table cache; qualifies
   /// every (file number → reader / block-cache key) translation.
   uint64_t cache_dir_id_ = 0;

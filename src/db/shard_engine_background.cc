@@ -10,17 +10,11 @@
 #include "db/filename.h"
 #include "db/internal_iterators.h"
 #include "table/merging_iterator.h"
-#include "table/table_builder.h"
 #include "util/backoff.h"
 #include "util/clock.h"
 #include "util/logging.h"
 
 namespace lsmlab {
-
-namespace {
-/// Charge the rate limiter in chunks so throttling is smooth but cheap.
-constexpr uint64_t kRateLimitChunk = 256 << 10;
-}  // namespace
 
 TableBuilderOptions ShardEngine::MakeBuilderOptions(int level) const {
   TableBuilderOptions topt;
@@ -48,103 +42,56 @@ TableBuilderOptions ShardEngine::MakeBuilderOptions(int level) const {
   return topt;
 }
 
-Status ShardEngine::BuildTableFromIterator(Iterator* iter, int level,
-                                  uint64_t oldest_tombstone_hint,
-                                  FileMetaData* meta) {
-  uint64_t file_number;
-  {
+MergeContext ShardEngine::MakeMergeContext(SequenceNumber oldest_snapshot) {
+  MergeContext ctx;
+  ctx.options = &options_;
+  ctx.dbname = dbname_;
+  ctx.icmp = &internal_comparator_;
+  ctx.table_cache = table_cache_;
+  ctx.cache_dir_id = cache_dir_id_;
+  ctx.vlog = vlog_.get();
+  ctx.rate_limiter = compaction_rate_limiter_;
+  ctx.stats = stats_;
+  ctx.pool = pool_;
+  ctx.oldest_snapshot = oldest_snapshot;
+  ctx.pin_new_file_number = [this] {
     MutexLock lock(&mu_);
-    file_number = versions_->NewFileNumber();
+    uint64_t number = versions_->NewFileNumber();
     // The file exists on disk before any Version references it; pin it so a
     // concurrent RemoveObsoleteFiles does not garbage-collect it mid-build.
-    // On success the caller erases the pin once the file is installed.
-    pending_outputs_.insert(file_number);
-  }
-  auto unpin = [&] {
-    MutexLock lock(&mu_);
-    pending_outputs_.erase(file_number);
+    pending_outputs_.insert(number);
+    return number;
   };
-  std::string fname = TableFileName(dbname_, file_number);
-  std::unique_ptr<WritableFile> file;
-  Status s = options_.env->NewWritableFile(fname, &file);
-  if (!s.ok()) {
-    unpin();
-    return s;
-  }
+  ctx.unpin_output = [this](uint64_t number) {
+    MutexLock lock(&mu_);
+    pending_outputs_.erase(number);
+  };
+  ctx.should_abort = [this] {
+    MutexLock lock(&mu_);
+    return shutting_down_;
+  };
+  ctx.make_builder_options = [this](int level) {
+    return MakeBuilderOptions(level);
+  };
+  return ctx;
+}
 
-  TableBuilderOptions topt = MakeBuilderOptions(level);
-  topt.oldest_tombstone_time_micros = oldest_tombstone_hint;
-  TableBuilder builder(topt, file.get());
-
-  InternalKey smallest, largest;
-  bool first = true;
-  uint64_t rate_limit_pending = 0;
-  for (; iter->Valid(); iter->Next()) {
-    if (first) {
-      smallest.DecodeFrom(iter->key());
-      first = false;
-    }
-    largest.DecodeFrom(iter->key());
-    builder.Add(iter->key(), iter->value());
-
-    // Flushes and compactions share one background-I/O budget; flushes
-    // request at high priority so a compaction burst cannot stall them
-    // into a write stop (SILK, tutorial §2.2.3).
-    rate_limit_pending += iter->key().size() + iter->value().size();
-    if (rate_limit_pending >= kRateLimitChunk) {
-      compaction_rate_limiter_->Request(rate_limit_pending,
-                                        /*high_priority=*/true);
-      rate_limit_pending = 0;
-    }
+Status ShardEngine::WriteLevel0Table(std::shared_ptr<MemTable> mem,
+                                     SequenceNumber oldest_snapshot,
+                                     VersionEdit* edit, Dropped* dropped) {
+  const MergeContext ctx = MakeMergeContext(oldest_snapshot);
+  OutputWriter out(ctx, /*level=*/0, options_.clock->NowMicros(),
+                   /*split=*/false, /*high_priority=*/true);
+  MemTableIteratorAdapter iter(std::move(mem));
+  iter.SeekToFirst();
+  Dropped unrecorded;
+  Status s = RunCompactionStream(ctx, /*bottommost=*/false, &iter,
+                                 std::nullopt, /*should_abort=*/nullptr, &out,
+                                 dropped != nullptr ? dropped : &unrecorded);
+  if (s.ok() && !out.files().empty()) {
+    edit->AddFile(0, out.files().front());
   }
-  if (rate_limit_pending > 0) {
-    compaction_rate_limiter_->Request(rate_limit_pending,
-                                      /*high_priority=*/true);
-  }
-  if (!iter->status().ok()) {
-    builder.Abandon();
-    // Best-effort cleanup of the abandoned output; a leftover file is
-    // reclaimed by RemoveObsoleteFiles.
-    (void)options_.env->RemoveFile(fname);
-    unpin();
-    return iter->status();
-  }
-  if (first) {
-    // Nothing to write.
-    builder.Abandon();
-    // Best effort; the empty output is orphaned either way.
-    (void)options_.env->RemoveFile(fname);
-    unpin();
-    meta->file_number = 0;
-    return Status::OK();
-  }
-
-  s = builder.Finish();
-  if (s.ok()) {
-    s = file->Sync();
-  }
-  if (s.ok()) {
-    s = file->Close();
-  }
-  if (!s.ok()) {
-    // Best effort; a leftover is reclaimed by RemoveObsoleteFiles.
-    (void)options_.env->RemoveFile(fname);
-    unpin();
-    return s;
-  }
-
-  meta->file_number = file_number;
-  meta->file_size = builder.FileSize();
-  meta->smallest = smallest;
-  meta->largest = largest;
-  meta->num_entries = builder.properties().num_entries;
-  meta->num_tombstones = builder.properties().num_tombstones;
-  meta->creation_time_micros = builder.properties().creation_time_micros;
-  meta->oldest_tombstone_time_micros =
-      builder.properties().num_tombstones > 0
-          ? builder.properties().oldest_tombstone_time_micros
-          : 0;
-  return Status::OK();
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -164,6 +111,7 @@ void ShardEngine::MaybeScheduleFlush() {
 
 void ShardEngine::BackgroundFlush() {
   std::shared_ptr<MemTable> imm;
+  SequenceNumber oldest_snapshot;
   {
     MutexLock lock(&mu_);
     if (shutting_down_ || imms_.empty()) {
@@ -172,14 +120,18 @@ void ShardEngine::BackgroundFlush() {
       return;
     }
     imm = imms_.front();
+    // The floor only rises afterwards, so fixing it here is merely
+    // conservative (drops less).
+    oldest_snapshot = OldestSnapshot();
   }
 
-  // Build the L0 run outside the lock (tutorial §2.1.2: flush).
-  MemTableIteratorAdapter iter(imm);
-  iter.SeekToFirst();
-  FileMetaData meta;
-  Status s = BuildTableFromIterator(&iter, /*level=*/0,
-                                    options_.clock->NowMicros(), &meta);
+  // Build the L0 run outside the lock (tutorial §2.1.2: flush). A flush is
+  // the first merge: it drops what no snapshot can see (§2.1.1).
+  VersionEdit edit;
+  Dropped dropped;
+  Status s = WriteLevel0Table(imm, oldest_snapshot, &edit, &dropped);
+  const FileMetaData meta =
+      edit.new_files().empty() ? FileMetaData() : edit.new_files()[0].second;
   if (s.ok() && meta.file_number != 0 && vlog_ != nullptr) {
     // The table may point into the active vlog, and installing it lets the
     // WAL that also holds those values go: the values must be durable
@@ -199,8 +151,6 @@ void ShardEngine::BackgroundFlush() {
     pending_outputs_.erase(meta.file_number);
   }
   if (s.ok() && meta.file_number != 0) {
-    VersionEdit edit;
-    edit.AddFile(0, meta);
     // Everything in logs older than the next immutable (or the active log)
     // is now durable in SSTables, so the manifest's log number — the "all
     // normal records below this are flushed" watermark — advances to the
@@ -219,11 +169,13 @@ void ShardEngine::BackgroundFlush() {
                                            std::memory_order_relaxed);
     }
   } else if (s.ok()) {
-    // Memtable held nothing (possible after DeleteRange on empty DB).
+    // The stream dropped every entry (a put and its SingleDelete) or the
+    // memtable held nothing (DeleteRange on an empty DB).
     stats_->flushes.fetch_add(1, std::memory_order_relaxed);
   }
 
   if (s.ok()) {
+    dropped.RecordIn(stats_, vlog_.get());
     imms_.pop_front();
     // The flushed memtable left the view's membership (its data now lives
     // in the installed L0 file); readers holding the old view still pin it.
@@ -313,42 +265,6 @@ int ShardEngine::MaxConcurrentCompactions() const {
   return std::max(1, options_.background_threads);
 }
 
-CompactionJob::Context ShardEngine::MakeCompactionContextLocked() {
-  CompactionJob::Context ctx;
-  ctx.options = &options_;
-  ctx.dbname = dbname_;
-  ctx.icmp = &internal_comparator_;
-  ctx.table_cache = table_cache_;
-  ctx.cache_dir_id = cache_dir_id_;
-  ctx.vlog = vlog_.get();
-  ctx.rate_limiter = compaction_rate_limiter_;
-  ctx.stats = stats_;
-  ctx.pool = pool_;
-  // Fixed at admission: the floor only rises afterwards, so using the
-  // admission-time value is merely conservative (drops less).
-  ctx.oldest_snapshot = OldestSnapshot();
-  ctx.pin_new_file_number = [this] {
-    MutexLock lock(&mu_);
-    uint64_t number = versions_->NewFileNumber();
-    // The file exists on disk before any Version references it; pin it so a
-    // concurrent RemoveObsoleteFiles does not garbage-collect it mid-build.
-    pending_outputs_.insert(number);
-    return number;
-  };
-  ctx.unpin_output = [this](uint64_t number) {
-    MutexLock lock(&mu_);
-    pending_outputs_.erase(number);
-  };
-  ctx.should_abort = [this] {
-    MutexLock lock(&mu_);
-    return shutting_down_;
-  };
-  ctx.make_builder_options = [this](int level) {
-    return MakeBuilderOptions(level);
-  };
-  return ctx;
-}
-
 void ShardEngine::AdmitCompactionLocked(CompactionPlan plan) {
   RunningCompaction rc;
   rc.job_id = next_compaction_job_id_++;
@@ -368,8 +284,10 @@ void ShardEngine::AdmitCompactionLocked(CompactionPlan plan) {
     compacting_files_.insert(f.file_number);
   }
 
-  auto job = std::make_shared<CompactionJob>(rc.job_id, std::move(plan),
-                                             MakeCompactionContextLocked());
+  // Fixed at admission: the floor only rises afterwards, so using the
+  // admission-time value is merely conservative (drops less).
+  auto job = std::make_shared<CompactionJob>(
+      rc.job_id, std::move(plan), MakeMergeContext(OldestSnapshot()));
   rc.job = job;
   LSMLAB_LOG_INFO(options_.info_log.get(), "job %llu admitted: %s",
                   static_cast<unsigned long long>(rc.job_id),
@@ -587,9 +505,9 @@ Status ShardEngine::CompactRange() {
       if (!plan.has_value()) {
         break;
       }
-      job = std::make_shared<CompactionJob>(next_compaction_job_id_++,
-                                            std::move(*plan),
-                                            MakeCompactionContextLocked());
+      job = std::make_shared<CompactionJob>(
+          next_compaction_job_id_++, std::move(*plan),
+          MakeMergeContext(OldestSnapshot()));
     }
     s = job->Run();
     if (s.ok()) {

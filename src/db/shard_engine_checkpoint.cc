@@ -133,9 +133,7 @@ Status ShardEngine::VerifyChecksums() {
 
   for (int level = 0; level < version->num_levels(); ++level) {
     for (const FileMetaData& f : version->files(level)) {
-      if (compaction_rate_limiter_ != nullptr) {
-        compaction_rate_limiter_->Request(f.file_size);
-      }
+      compaction_rate_limiter_->Request(f.file_size);
       std::shared_ptr<TableReader> reader;
       Status s = table_cache_->GetReader(cache_dir_id_, f, &reader);
       if (s.ok()) {
@@ -177,9 +175,7 @@ Status ShardEngine::VerifyChecksums() {
     uint64_t bytes = 0;
     // Size is only for rate pacing; a failed stat just skips the pacing.
     (void)options_.env->GetFileSize(dbname_ + "/" + child, &bytes);
-    if (compaction_rate_limiter_ != nullptr && bytes > 0) {
-      compaction_rate_limiter_->Request(bytes);
-    }
+    compaction_rate_limiter_->Request(bytes);
     s = vlog_->ForEachRecord(
         number,
         [](const Slice&, const Slice&, const VlogPointer&) { return true; });

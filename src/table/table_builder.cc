@@ -240,9 +240,4 @@ Status TableBuilder::Finish() {
   return status_;
 }
 
-void TableBuilder::Abandon() {
-  assert(!closed_);
-  closed_ = true;
-}
-
 }  // namespace lsmlab

@@ -58,9 +58,6 @@ class TableBuilder {
   /// Writes all trailing metadata. No Add() calls may follow.
   Status Finish();
 
-  /// Abandons the table (the caller deletes the file).
-  void Abandon();
-
   Status status() const { return status_; }
   uint64_t NumEntries() const { return properties_.num_entries; }
   /// File size so far (final only after Finish()).

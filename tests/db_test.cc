@@ -13,6 +13,7 @@
 #include "db/db.h"
 #include "db/filename.h"
 #include "db/merge_operator.h"
+#include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "util/random.h"
 
@@ -93,8 +94,10 @@ class DBTest : public ::testing::Test {
 
   /// Paths of every table file, in the DB directory and in shard
   /// directories.
-  std::set<std::string> TableFiles() {
-    std::set<std::string> tables;
+  std::set<std::string> TableFiles() { return FilesOfType(FileType::kTableFile); }
+
+  std::set<std::string> FilesOfType(FileType want) {
+    std::set<std::string> files;
     std::vector<std::string> dirs = {"/db"};
     for (int k = 0; k < options_.num_shards; ++k) {
       dirs.push_back("/db/shard-" + std::to_string(k));
@@ -107,13 +110,24 @@ class DBTest : public ::testing::Test {
       for (const auto& child : children) {
         uint64_t number;
         FileType type;
-        if (ParseFileName(child, &number, &type) &&
-            type == FileType::kTableFile) {
-          tables.insert(dir + "/" + child);
+        if (ParseFileName(child, &number, &type) && type == want) {
+          files.insert(dir + "/" + child);
         }
       }
     }
-    return tables;
+    return files;
+  }
+
+  /// True when some table file holds `bytes` (tables are not compressed).
+  bool SomeTableHolds(const std::string& bytes) {
+    for (const std::string& path : TableFiles()) {
+      std::string contents;
+      EXPECT_TRUE(ReadFileToString(&env_, path, &contents).ok()) << path;
+      if (contents.find(bytes) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
   }
 
   MemEnv env_;
@@ -697,9 +711,10 @@ TEST_F(DBTest, ScanHidesOlderVersionsOfTheEmptyKey) {
   db_->ReleaseSnapshot(snapshot);
 }
 
-// A hot key's out-of-place updates pile up in the memtable and, since flush
-// copies every version, in L0 files. A scan steps over kMaxSequentialSkip
-// (8) of a key's hidden versions, then reseeks past the rest.
+// A hot key's out-of-place updates pile up in the memtable and, while a
+// snapshot older than them is held, in L0 files: a flush drops only the
+// versions no snapshot can see. A scan steps over kMaxSequentialSkip (8) of
+// a key's hidden versions, then reseeks past the rest.
 TEST_F(DBTest, ScanReseeksPastHotKeyHistory) {
   options_.write_buffer_size = 1 << 20;  // The history fits one memtable.
   OpenDB();
@@ -747,7 +762,9 @@ TEST_F(DBTest, ScanReseeksPastHotKeyHistory) {
     ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
   };
 
-  // In the memtable.
+  // In the memtable. The snapshot keeps the whole history in the flushed
+  // run below.
+  const SequenceNumber before_history = db_->GetSnapshot();
   write_history(1000, 0, 1);
   uint64_t before = reseeks();
   scan_from_first(ReadOptions(), model);
@@ -786,6 +803,7 @@ TEST_F(DBTest, ScanReseeksPastHotKeyHistory) {
   EXPECT_GT(reseeks(), before);
   scan_from_first(ReadOptions(), model);
   db_->ReleaseSnapshot(snapshot);
+  db_->ReleaseSnapshot(before_history);
 
   // A short history is stepped through: 8 versions per key never reseek.
   db_.reset();
@@ -803,6 +821,125 @@ TEST_F(DBTest, ScanReseeksPastHotKeyHistory) {
   ASSERT_TRUE(db_->Flush().ok());
   scan_from_first(ReadOptions(), model);
   EXPECT_EQ(before, reseeks());
+}
+
+// A flush is the first merge (tutorial §2.1.1): versions shadowed below the
+// oldest snapshot never reach L0. Each memtable holds ~170 versions of 100
+// keys, so a flush that copied every version would write ~6x the live bytes.
+TEST_F(DBTest, FlushDropsShadowedVersions) {
+  options_.write_buffer_size = 64 << 10;
+  OpenDB();
+  const int kKeys = 100;
+  const std::string value(100, 'v');
+  char key[16];
+  for (int i = 0; i < 20000; ++i) {
+    std::snprintf(key, sizeof(key), "key%012d", i % kKeys);
+    ASSERT_TRUE(Put(key, value).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  const Statistics* stats = db_->statistics();
+  const uint64_t flushes = stats->flushes.load();
+  ASSERT_GE(flushes, 20u);
+  // Each flush writes each live key once, plus the table's index, filter
+  // and properties.
+  const uint64_t live_bytes = kKeys * (15 + value.size());
+  EXPECT_LE(stats->flush_bytes_written.load(), flushes * 2 * live_bytes);
+  EXPECT_GE(stats->entries_dropped_obsolete.load(),
+            20000u - flushes * kKeys);
+  EXPECT_EQ(value, Get("key000000000042"));
+}
+
+// A snapshot held across a flush pins the version it sees, and only that
+// one: the version below it is shadowed for every reader and goes.
+TEST_F(DBTest, SnapshotHeldAcrossFlushKeepsItsVersion) {
+  OpenDB();
+  ASSERT_TRUE(Put("k", "first-version-shadowed").ok());
+  ASSERT_TRUE(Put("k", "second-version-at-snapshot").ok());
+  const SequenceNumber snapshot = db_->GetSnapshot();
+  ASSERT_TRUE(Put("k", "third-version").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_FALSE(SomeTableHolds("first-version-shadowed"));
+  EXPECT_TRUE(SomeTableHolds("second-version-at-snapshot"));
+
+  ReadOptions at;
+  at.snapshot_seqno = snapshot;
+  std::string value;
+  ASSERT_TRUE(db_->Get(at, "k", &value).ok());
+  EXPECT_EQ("second-version-at-snapshot", value);
+  std::vector<std::string> values;
+  std::vector<Status> statuses =
+      db_->MultiGet(at, std::vector<Slice>{"k"}, &values);
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_EQ("second-version-at-snapshot", values[0]);
+  auto iter = db_->NewIterator(at);
+  iter->SeekToFirst();
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ("second-version-at-snapshot", iter->value().ToString());
+  iter.reset();
+  EXPECT_EQ("third-version", Get("k"));
+
+  // Released, the snapshot's version goes at the next merge that sees it.
+  db_->ReleaseSnapshot(snapshot);
+  ASSERT_TRUE(Put("k", "fourth-version").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactRange().ok());
+  EXPECT_FALSE(SomeTableHolds("second-version-at-snapshot"));
+  EXPECT_FALSE(SomeTableHolds("third-version"));
+  EXPECT_EQ("fourth-version", Get("k"));
+}
+
+// A put and its SingleDelete in one memtable annihilate at flush: the flush
+// counts, installs no table and lets its WAL go.
+TEST_F(DBTest, FlushOfAnnihilatedPairInstallsNothing) {
+  OpenDB();
+  ASSERT_TRUE(Put("k", "v").ok());
+  ASSERT_TRUE(db_->SingleDelete(WriteOptions(), "k").ok());
+  const Statistics* stats = db_->statistics();
+  const uint64_t flushes = stats->flushes.load();
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(flushes + 1, stats->flushes.load());
+  EXPECT_EQ(1u, stats->tombstones_dropped.load());
+  EXPECT_EQ(0, db_->TotalSortedRuns()) << db_->LevelsDebugString();
+  EXPECT_TRUE(TableFiles().empty());
+  // Each engine keeps only its active WAL.
+  EXPECT_EQ(static_cast<size_t>(options_.num_shards),
+            FilesOfType(FileType::kLogFile).size());
+  EXPECT_EQ("NOT_FOUND", Get("k"));
+  Reopen();
+  EXPECT_EQ("NOT_FOUND", Get("k"));
+  EXPECT_EQ(0, db_->TotalSortedRuns());
+}
+
+// A merge output whose sync fails is removed and unpinned at once, by the
+// one output writer, whether a flush or a compaction wrote it.
+TEST_F(DBTest, FailedCompactionOutputIsRemoved) {
+  FaultInjectionEnv fault_env(&env_);
+  options_.env = &fault_env;
+  std::unique_ptr<DB> db;  // Declared after the env it uses.
+  ASSERT_TRUE(DB::Open(options_, "/db", &db).ok());
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(i),
+                          "value" + std::to_string(round))
+                      .ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  const std::set<std::string> before = TableFiles();
+  FaultRule rule;
+  rule.file_kinds = kFaultTable;
+  rule.ops = kFaultOpSync;
+  rule.at_op_index = 0;
+  rule.max_failures = 1;
+  fault_env.AddRule(rule);
+  EXPECT_FALSE(db->CompactRange().ok());
+  EXPECT_EQ(1u, fault_env.injected_faults());
+  EXPECT_EQ(before, TableFiles());
+  ASSERT_TRUE(db->CompactRange().ok());
+  std::string value;
+  ASSERT_TRUE(db->Get(ReadOptions(), "key7", &value).ok());
+  EXPECT_EQ("value1", value);
 }
 
 // ---------------------------------------------------------------------------
@@ -1098,6 +1235,41 @@ TEST_F(KvSepTest, SingleDeleteAnnihilatesSeparatedPut) {
   EXPECT_GE(db_->vlog()->GarbageBytes(), garbage_before + 400);
   std::string value;
   EXPECT_TRUE(db_->Get(ReadOptions(), "k", &value).IsNotFound());
+}
+
+// A separated value overwritten in the memtable is garbage once the flush
+// that drops its pointer installs, before any compaction runs.
+TEST_F(KvSepTest, FlushCountsOverwrittenValueAsGarbage) {
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(400, 'a')).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(300, 'b')).ok());
+  EXPECT_EQ(0u, db_->vlog()->GarbageBytes());
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(0u, db_->statistics()->compactions.load());
+  EXPECT_EQ(400u, db_->vlog()->GarbageBytes());
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), "k", &value).ok());
+  EXPECT_EQ(std::string(300, 'b'), value);
+}
+
+// A flush whose table fails once and is retried counts its garbage once.
+TEST_F(KvSepTest, RetriedFlushCountsGarbageOnce) {
+  FaultInjectionEnv fault_env(&env_);
+  options_.env = &fault_env;
+  std::unique_ptr<DB> db;  // Declared after the env it uses.
+  ASSERT_TRUE(DB::Open(options_, "/db", &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", std::string(400, 'a')).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", std::string(300, 'b')).ok());
+  FaultRule rule;
+  rule.file_kinds = kFaultTable;
+  rule.ops = kFaultOpSync;
+  rule.at_op_index = 0;
+  rule.max_failures = 1;
+  fault_env.AddRule(rule);
+  ASSERT_TRUE(db->Flush().ok());
+  EXPECT_EQ(1u, fault_env.injected_faults());
+  EXPECT_EQ(1u, db->statistics()->bg_retry_success.load());
+  EXPECT_EQ(400u, db->vlog()->GarbageBytes());
 }
 
 // ---------------------------------------------------------------------------

@@ -462,6 +462,22 @@ TEST_F(RecoveryTest, LargeWalRecoverySpillsToL0) {
   EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
 }
 
+// Recovery's flush is a merge too: a WAL that holds only a put and its
+// SingleDelete recovers to no table, and the manifest names none.
+TEST_F(RecoveryTest, WalOfAnnihilatedPairRecoversToNoTable) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v").ok());
+  ASSERT_TRUE(db_->SingleDelete(WriteOptions(), "k").ok());
+  Reopen();
+  EXPECT_EQ(0, db_->TotalSortedRuns()) << db_->LevelsDebugString();
+  EXPECT_TRUE(FilesOfType(FileType::kTableFile).empty());
+  EXPECT_EQ("NOT_FOUND", Get("k"));
+  Reopen();
+  EXPECT_EQ(0, db_->TotalSortedRuns()) << db_->LevelsDebugString();
+  EXPECT_EQ("NOT_FOUND", Get("k"));
+  EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+}
+
 TEST_F(RecoveryTest, VersionEditRoundTrip) {
   VersionEdit edit;
   edit.SetComparatorName("cmp-name");
