@@ -8,18 +8,14 @@
 // op-latency-bound devices, and iterator readahead turns a scan's one-pread-
 // per-block pattern into a few large reads.
 //
-// Three measurements, the first two in deterministic virtual time
-// (LatencyEnv over MockClock, SSD model):
+// Two measurements, in deterministic virtual time (LatencyEnv over
+// MockClock, SSD model):
 //   1. Cold-cache MultiGet in 16-key batches against a Get loop over the
 //      same keys — the acceptance gate is >= 1.5x.
 //   2. Cold full scan, readahead on vs off, plus a warm-cache scan pair
 //      (wall time) to show readahead costs ~nothing once blocks are cached.
-//   3. Real-file backend matrix: the same 16-read batches through
-//      PosixEnvWithBackend serial / io_uring (when available), in wall time.
 //
 // Run with --smoke for a seconds-scale CI sanity pass (same code paths).
-
-#include <unistd.h>
 
 #include <cstring>
 #include <memory>
@@ -36,12 +32,11 @@ namespace {
 
 struct Scale {
   uint64_t keys;
-  uint64_t batches;         // MultiGet batches per configuration.
-  uint64_t backend_rounds;  // Batches per backend in the matrix.
+  uint64_t batches;  // MultiGet batches per configuration.
 };
 
-constexpr Scale kFull = {20000, 400, 2000};
-constexpr Scale kSmoke = {4000, 50, 100};
+constexpr Scale kFull = {20000, 400};
+constexpr Scale kSmoke = {4000, 50};
 constexpr size_t kBatchKeys = 16;
 
 /// DB over MemEnv -> LatencyEnv(SSD, MockClock): I/O cost is virtual and
@@ -229,70 +224,12 @@ void RunScanExperiment(const Scale& scale) {
               static_cast<unsigned long long>(misses));
 }
 
-void RunBackendMatrix(const Scale& scale) {
-  std::printf("\nbackend matrix: %llu rounds of %zu x 4KB real-file reads "
-              "(wall time; page-cache hot)\n",
-              static_cast<unsigned long long>(scale.backend_rounds),
-              kBatchKeys);
-
-  Env* posix = Env::Default();
-  const std::string dir = "/tmp/lsmlab_bench_a6_" + std::to_string(::getpid());
-  BenchCheck(posix->CreateDir(dir), "CreateDir");
-  const std::string fname = dir + "/data";
-  constexpr size_t kFileSize = 8 << 20;
-  {
-    std::string content(kFileSize, 'x');
-    BenchCheck(WriteStringToFile(posix, content, fname), "write data file");
-  }
-
-  PrintHeader({"backend", "wall ms", "us/batch"});
-  const struct {
-    BatchIoBackend backend;
-    const char* name;
-  } kBackends[] = {{BatchIoBackend::kSerial, "serial"},
-                   {BatchIoBackend::kIoUring, "io_uring"}};
-  for (const auto& entry : kBackends) {
-    Env* env = PosixEnvWithBackend(entry.backend);
-    if (env == nullptr) {
-      PrintRow({entry.name, "unavailable", "-"});
-      continue;
-    }
-    std::unique_ptr<RandomAccessFile> file;
-    BenchCheck(env->NewRandomAccessFile(fname, &file), "open data file");
-    Random rnd(0xa6);
-    std::vector<std::string> bufs(kBatchKeys, std::string(4096, '\0'));
-    const uint64_t start = SystemClock()->NowMicros();
-    for (uint64_t round = 0; round < scale.backend_rounds; ++round) {
-      std::vector<ReadRequest> reqs(kBatchKeys);
-      for (size_t i = 0; i < kBatchKeys; ++i) {
-        reqs[i].file = file.get();
-        reqs[i].offset = rnd.Uniform(kFileSize - 4096);
-        reqs[i].len = 4096;
-        reqs[i].scratch = bufs[i].data();
-      }
-      file->MultiRead(reqs.data(), kBatchKeys);
-      for (const auto& req : reqs) {
-        BenchCheck(req.status, "MultiRead");
-      }
-    }
-    const uint64_t wall = SystemClock()->NowMicros() - start;
-    PrintRow({entry.name, Fmt(wall / 1000.0, 1),
-              Fmt(static_cast<double>(wall) / scale.backend_rounds, 1)});
-  }
-
-  (void)posix->RemoveFile(fname);
-  (void)posix->RemoveDir(dir);
-}
-
 void Run(const Scale& scale) {
   Banner("A6 — batched I/O: MultiRead submission vs one pread per block",
          "a queued device charges a batch one op cost + total transfer; the "
          "serial loop pays the op cost per read");
-  std::printf("io_uring backend: %s\n",
-              IoUringAvailable() ? "available" : "unavailable (fallback)");
   RunMultiGetExperiment(scale);
   RunScanExperiment(scale);
-  RunBackendMatrix(scale);
 }
 
 }  // namespace

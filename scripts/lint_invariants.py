@@ -73,13 +73,13 @@ Runs over src/ (and any extra paths given) and enforces:
       only one copy applies the merge's drop rules.
 
   raw-file-io
-      Outside comments, `::write(`, `::pwrite(`, `::fsync(` and
-      `::fdatasync(` appear only in io/posix_env.cc, and the CRC
-      intrinsics (`_mm_crc32_`, `__crc32c`) only in util/crc32c.cc. Every
-      byte the engine writes goes through an Env file, so CountingEnv,
-      FaultInjectionEnv and the POSIX write buffer all see it, and every
-      checksum goes through crc32c::Extend, which picks the hardware or
-      table path once.
+      Outside comments, `::read(`, `::pread(`, `::write(`, `::pwrite(`,
+      `::fsync(`, `::fdatasync(` and `syscall(` appear only in
+      io/posix_env.cc, and the CRC intrinsics (`_mm_crc32_`, `__crc32c`)
+      only in util/crc32c.cc. Every byte the engine reads or writes goes
+      through an Env file, so CountingEnv, FaultInjectionEnv and the POSIX
+      write buffer all see it, and every checksum goes through
+      crc32c::Extend, which picks the hardware or table path once.
 
   bloom-probe-copy
       Outside comments, the Bloom probe loop's pieces appear only in
@@ -158,11 +158,12 @@ OUTPUT_WRITER_RES = (
     ("kRateLimitChunk definition", re.compile(r"\bkRateLimitChunk\s*=(?!=)")),
 )
 
-# Raw file-write syscalls and CRC intrinsics, each with its one home.
+# Raw file syscalls and CRC intrinsics, each with its one home.
 RAW_FILE_IO_RULES = (
-    (re.compile(r"::(?:write|pwrite|fsync|fdatasync)\("),
+    (re.compile(r"::(?:read|pread|write|pwrite|fsync|fdatasync)\(|"
+                r"\bsyscall\("),
      os.path.join("io", "posix_env.cc"),
-     "raw write/sync syscall outside io/posix_env.cc — write through an "
+     "raw read/write/sync syscall outside io/posix_env.cc — go through an "
      "Env file so the decorators and the write buffer see it"),
     (re.compile(r"\b(?:_mm_crc32_\w*|__crc32c\w*)\b"),
      os.path.join("util", "crc32c.cc"),

@@ -21,10 +21,9 @@ const char* CompactionTriggerName(CompactionTrigger trigger) {
   return "unknown";
 }
 
-void CompactionPlan::KeyRange(std::string* smallest,
+void CompactionPlan::KeyRange(const Comparator* ucmp, std::string* smallest,
                               std::string* largest) const {
   assert(!inputs.empty());
-  const Comparator* ucmp = BytewiseComparator();
   bool first = true;
   auto widen = [&](const FileMetaData& f) {
     if (first || ucmp->Compare(f.smallest.user_key(), *smallest) < 0) {

@@ -45,10 +45,11 @@ struct CompactionPlan {
     return total;
   }
 
-  /// Inclusive user-key hull over inputs and overlap — the key range this
-  /// plan claims at both its levels for conflict tracking. Requires at
-  /// least one input file.
-  void KeyRange(std::string* smallest, std::string* largest) const;
+  /// Inclusive user-key hull over inputs and overlap under `ucmp` — the key
+  /// range this plan claims at both its levels for conflict tracking.
+  /// Requires at least one input file.
+  void KeyRange(const Comparator* ucmp, std::string* smallest,
+                std::string* largest) const;
 
   std::string DebugString() const;
 };

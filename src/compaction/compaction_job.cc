@@ -88,6 +88,13 @@ std::vector<Slice> CompactionJob::ComputeShardBoundaries() const {
   return boundaries;
 }
 
+namespace {
+
+/// Readahead window of each compaction input run.
+constexpr size_t kCompactionReadaheadBytes = 1 << 20;
+
+}  // namespace
+
 Status CompactionJob::RunShard(Shard* shard) {
   const Comparator* ucmp = ctx_.options->comparator;
 
@@ -101,7 +108,7 @@ Status CompactionJob::RunShard(Shard* shard) {
   ReadOptions read_options;
   read_options.fill_cache = false;  // Compactions must not wipe the cache.
   // Prefetch input blocks so merge work overlaps the sequential reads.
-  read_options.readahead_bytes = ctx_.options->compaction_readahead_bytes;
+  read_options.readahead_bytes = kCompactionReadaheadBytes;
   std::vector<std::unique_ptr<Iterator>> children;
   uint64_t oldest_tombstone_hint = 0;
   for (SortedRun run : runs) {
@@ -126,8 +133,7 @@ Status CompactionJob::RunShard(Shard* shard) {
     // The job owns its input metadata and the inputs stay live until it
     // installs, so no Version pin is needed.
     children.push_back(NewRunIterator(nullptr, run, ctx_.icmp,
-                                      ctx_.table_cache, ctx_.cache_dir_id,
-                                      read_options));
+                                      ctx_.table_cache, read_options));
   }
   if (oldest_tombstone_hint == 0) {
     oldest_tombstone_hint = ctx_.options->clock->NowMicros();

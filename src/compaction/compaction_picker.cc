@@ -9,6 +9,8 @@ namespace lsmlab {
 
 CompactionPicker::CompactionPicker(const Options* options)
     : options_(options),
+      ucmp_(options->comparator != nullptr ? options->comparator
+                                           : BytewiseComparator()),
       cursor_(static_cast<size_t>(options->num_levels)) {}
 
 uint64_t CompactionPicker::MaxBytesForLevel(int level) const {
@@ -62,17 +64,16 @@ bool CompactionPicker::PlanAdmissible(CompactionPlan* plan,
     }
   }
   if (ctx.claimed != nullptr && !ctx.claimed->empty()) {
-    const Comparator* ucmp = BytewiseComparator();
     std::string smallest, largest;
-    plan->KeyRange(&smallest, &largest);
+    plan->KeyRange(ucmp_, &smallest, &largest);
     for (const auto& claim : *ctx.claimed) {
       if (claim.level != plan->input_level &&
           claim.level != plan->output_level) {
         continue;
       }
-      bool disjoint = ucmp->Compare(Slice(claim.largest), Slice(smallest)) <
-                          0 ||
-                      ucmp->Compare(Slice(largest), Slice(claim.smallest)) < 0;
+      bool disjoint =
+          ucmp_->Compare(Slice(claim.largest), Slice(smallest)) < 0 ||
+          ucmp_->Compare(Slice(largest), Slice(claim.smallest)) < 0;
       if (!disjoint) {
         return false;
       }
@@ -134,7 +135,6 @@ const FileMetaData* CompactionPicker::ChooseByPolicy(
     const Version& version, int level,
     const std::vector<const FileMetaData*>& candidates) const {
   assert(!candidates.empty());
-  const Comparator* ucmp = BytewiseComparator();
   auto overlap_bytes = [&](const FileMetaData& f) {
     uint64_t total = 0;
     Slice smallest = f.smallest.user_key();
@@ -155,7 +155,7 @@ const FileMetaData* CompactionPicker::ChooseByPolicy(
       const std::string& cursor = cursor_[static_cast<size_t>(level)];
       for (const auto* f : candidates) {
         if (cursor.empty() ||
-            ucmp->Compare(f->smallest.user_key(), cursor) > 0) {
+            ucmp_->Compare(f->smallest.user_key(), cursor) > 0) {
           picked = f;
           break;
         }
@@ -244,13 +244,12 @@ CompactionPlan CompactionPicker::BuildPlan(const Version& version,
     Slice smallest, largest;
     bool first = true;
     std::string smallest_buf, largest_buf;
-    const Comparator* ucmp = BytewiseComparator();
     for (const auto& f : plan.inputs) {
-      if (first || ucmp->Compare(f.smallest.user_key(), smallest) < 0) {
+      if (first || ucmp_->Compare(f.smallest.user_key(), smallest) < 0) {
         smallest_buf = f.smallest.user_key().ToString();
         smallest = Slice(smallest_buf);
       }
-      if (first || ucmp->Compare(f.largest.user_key(), largest) > 0) {
+      if (first || ucmp_->Compare(f.largest.user_key(), largest) > 0) {
         largest_buf = f.largest.user_key().ToString();
         largest = Slice(largest_buf);
       }

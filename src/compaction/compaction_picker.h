@@ -100,6 +100,8 @@ class CompactionPicker {
   bool PlanAdmissible(CompactionPlan* plan, const PickContext& ctx) const;
 
   const Options* const options_;
+  /// Orders user keys: options_->comparator, or bytewise when unset.
+  const Comparator* const ucmp_;
   /// Leaf lock for the picker's only mutable state.
   mutable Mutex mu_{LockRank::kCompactionPicker, "compaction_picker.mu"};
   /// Round-robin cursors: the largest user key compacted so far per level.

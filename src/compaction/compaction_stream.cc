@@ -82,6 +82,9 @@ Status OutputWriter::FinishFile() {
   meta.creation_time_micros = props.creation_time_micros;
   meta.oldest_tombstone_time_micros =
       props.num_tombstones > 0 ? props.oldest_tombstone_time_micros : 0;
+  // The reader pin travels with the metadata into the installed Version,
+  // so the reader the compaction re-warm opens is the one lookups find.
+  meta.table_handle = std::make_shared<TableHandle>();
   files_.push_back(std::move(meta));
   builder_.reset();
   file_.reset();

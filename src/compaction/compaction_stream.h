@@ -30,8 +30,6 @@ struct MergeContext {
   std::string dbname;
   const InternalKeyComparator* icmp = nullptr;
   TableCache* table_cache = nullptr;
-  /// Scope id of `dbname` in the (shared) table cache.
-  uint64_t cache_dir_id = 0;
   VlogManager* vlog = nullptr;  // Null without kv separation.
   RateLimiter* rate_limiter = nullptr;  // Never null.
   Statistics* stats = nullptr;

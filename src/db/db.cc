@@ -101,9 +101,7 @@ class MergeFinder : public WriteBatch::Handler {
 // ---------------------------------------------------------------------------
 
 ShardedDB::ShardedDB(const Options& options, std::string dbname)
-    : options_(NormalizeOptions(options)),
-      dbname_(std::move(dbname)),
-      internal_comparator_(options_.comparator) {}
+    : options_(NormalizeOptions(options)), dbname_(std::move(dbname)) {}
 
 ShardedDB::~ShardedDB() {
   // Stop every shard's background admission first so one shard's queued
@@ -239,13 +237,11 @@ Status ShardedDB::Initialize() {
     return s;
   }
 
-  // Process-wide resources: one block cache, one (dir-scoped) table cache,
-  // one compaction rate budget, one background pool for all shards.
+  // Process-wide resources: one block cache, one compaction rate budget,
+  // one background pool for all shards.
   if (options_.block_cache_capacity > 0) {
     block_cache_ = std::make_unique<LruCache>(options_.block_cache_capacity);
   }
-  table_cache_ = std::make_unique<TableCache>(&options_, &internal_comparator_,
-                                              block_cache_.get(), &stats_);
   compaction_rate_limiter_ = std::make_unique<RateLimiter>(
       options_.compaction_rate_limit_bytes_per_sec, options_.clock);
   pool_ =
@@ -253,7 +249,6 @@ Status ShardedDB::Initialize() {
 
   ShardResources resources;
   resources.block_cache = block_cache_.get();
-  resources.table_cache = table_cache_.get();
   resources.pool = pool_.get();
   resources.rate_limiter = compaction_rate_limiter_.get();
   resources.stats = &stats_;
@@ -270,7 +265,8 @@ Status ShardedDB::Initialize() {
   for (int k = 0; k < num_shards_; ++k) {
     const std::string shard_dir =
         num_shards_ == 1 ? dbname_ : ShardDirectory::ShardDirName(dbname_, k);
-    s = ShardEngine::Open(options_, shard_dir, resources,
+    s = ShardEngine::Open(options_, shard_dir, static_cast<uint64_t>(k),
+                          resources,
                           num_shards_ > 1 ? &committed : nullptr,
                           &shards_[static_cast<size_t>(k)]);
     if (!s.ok()) {
@@ -556,40 +552,27 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   }
   // Resolve one sequence per shard: a snapshot handle's pinned cut, a raw
   // sequence passed through verbatim (callers at N > 1 should prefer
-  // GetSnapshot), or a fresh consistent cut under the commit lock — the
-  // lock guarantees the cut contains all shards of every cross-shard batch
-  // or none of them.
-  std::vector<SequenceNumber> cut(static_cast<size_t>(num_shards_), 0);
-  const bool fresh_cut = options.snapshot_seqno == 0;
-  if (options.snapshot_seqno & kSnapshotHandleBit) {
-    MutexLock lock(&commit_mu_);
-    auto it =
-        snapshot_handles_.find(options.snapshot_seqno & ~kSnapshotHandleBit);
-    if (it != snapshot_handles_.end()) {
-      cut = it->second;
-    }
-  } else if (options.snapshot_seqno != 0) {
-    cut.assign(static_cast<size_t>(num_shards_), options.snapshot_seqno);
-  } else {
-    // Each shard pins its part of the cut as a snapshot until its iterator
-    // holds a read view. Unpinned, a flush or compaction starting in
-    // between could drop a version the cut sees under a newer one it does
-    // not, and the scan would read an older value.
-    MutexLock lock(&commit_mu_);
-    for (int k = 0; k < num_shards_; ++k) {
-      cut[static_cast<size_t>(k)] =
-          shards_[static_cast<size_t>(k)]->GetSnapshot();
-    }
-  }
+  // GetSnapshot), or 0 everywhere for a fresh cut. The children are built
+  // under the commit lock, so a fresh cut holds all shards of every
+  // cross-shard batch or none of them. Each shard takes its read view
+  // before its sequence, so, as at N = 1, no flush that starts later can
+  // drop a version the cut sees.
+  std::vector<SequenceNumber> cut(static_cast<size_t>(num_shards_),
+                                  options.snapshot_seqno);
   std::vector<std::unique_ptr<Iterator>> children;
   children.reserve(static_cast<size_t>(num_shards_));
+  MutexLock lock(&commit_mu_);
+  if (options.snapshot_seqno & kSnapshotHandleBit) {
+    auto it =
+        snapshot_handles_.find(options.snapshot_seqno & ~kSnapshotHandleBit);
+    cut = it != snapshot_handles_.end()
+              ? it->second
+              : std::vector<SequenceNumber>(cut.size(), 0);
+  }
   for (int k = 0; k < num_shards_; ++k) {
     ReadOptions ro = options;
     ro.snapshot_seqno = cut[static_cast<size_t>(k)];
     children.push_back(shards_[static_cast<size_t>(k)]->NewIterator(ro));
-    if (fresh_cut) {
-      shards_[static_cast<size_t>(k)]->ReleaseSnapshot(ro.snapshot_seqno);
-    }
   }
   // Shards hold disjoint key ranges, so the merge degenerates to ordered
   // concatenation — but reusing the merging iterator keeps one code path.

@@ -11,7 +11,6 @@
 #include "db/error_state.h"
 #include "db/shard_engine.h"
 #include "db/statistics.h"
-#include "db/table_cache.h"
 #include "db/write_batch.h"
 #include "io/env.h"
 #include "io/wal_writer.h"
@@ -29,10 +28,10 @@ namespace lsmlab {
 /// range-partitioned facade over Options::num_shards independent ShardEngine
 /// cores (DESIGN.md, "Sharding architecture"). Each engine owns one
 /// directory — its WAL, memtables, manifest, error state — while the
-/// process-wide resources (block cache, sharded table cache, background
-/// thread pool, compaction rate limiter, Statistics) live here and are
-/// shared by every shard, so an N-shard DB is still one database: one
-/// memory budget, one background-I/O budget, one stats block.
+/// process-wide resources (block cache, background thread pool, compaction
+/// rate limiter, Statistics) live here and are shared by every shard, so an
+/// N-shard DB is still one database: one memory budget, one background-I/O
+/// budget, one stats block.
 ///
 /// With num_shards == 1 (the default) the facade is a pass-through and the
 /// on-disk layout is the historical flat single-engine directory,
@@ -225,7 +224,6 @@ class ShardedDB {
   // ---------------------------------------------------------------------
   const Options options_;  // Normalized copy (env/clock/comparator filled).
   const std::string dbname_;
-  InternalKeyComparator internal_comparator_;
   Statistics stats_;
 
   int num_shards_ = 1;
@@ -233,7 +231,6 @@ class ShardedDB {
 
   // Process-wide resources, shared by every shard (see ShardResources).
   std::unique_ptr<LruCache> block_cache_;
-  std::unique_ptr<TableCache> table_cache_;
   std::unique_ptr<RateLimiter> compaction_rate_limiter_;
   std::unique_ptr<ThreadPool> pool_;
 
@@ -242,7 +239,8 @@ class ShardedDB {
   /// Serializes cross-shard commits, snapshot cuts, and consistent
   /// iterator cuts at N > 1. Leaf lock of the facade: never held while a
   /// caller is inside a single-shard engine operation, only around the
-  /// 2PC fan-out and per-shard sequence reads.
+  /// 2PC fan-out, per-shard sequence reads and building a scan's
+  /// per-shard iterators.
   mutable Mutex commit_mu_{LockRank::kCommitMu, "sharded_db.commit_mu"};
   uint64_t next_batch_id_ GUARDED_BY(commit_mu_) = 1;
   std::unique_ptr<WritableFile> commit_log_file_ GUARDED_BY(commit_mu_);

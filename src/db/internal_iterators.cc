@@ -11,12 +11,11 @@ class RunIterator final : public Iterator {
  public:
   RunIterator(std::shared_ptr<const Version> version, SortedRun files,
               const InternalKeyComparator* icmp, TableCache* table_cache,
-              uint64_t cache_dir_id, const ReadOptions& read_options)
+              const ReadOptions& read_options)
       : version_(std::move(version)),
         files_(files),
         icmp_(icmp),
         table_cache_(table_cache),
-        cache_dir_id_(cache_dir_id),
         read_options_(read_options) {}
 
   bool Valid() const override { return valid_; }
@@ -74,8 +73,7 @@ class RunIterator final : public Iterator {
     reader_.reset();
     index_ = index;
     if (index_ < files_.size()) {
-      status_ = table_cache_->GetReader(cache_dir_id_, files_[index_],
-                                        &reader_);
+      status_ = table_cache_->GetReader(files_[index_], &reader_);
       if (status_.ok()) {
         table_iter_ = reader_->NewIterator(read_options_);
       }
@@ -111,7 +109,6 @@ class RunIterator final : public Iterator {
   const SortedRun files_;
   const InternalKeyComparator* const icmp_;
   TableCache* const table_cache_;
-  const uint64_t cache_dir_id_;
   const ReadOptions read_options_;
   size_t index_ = 0;  // The file table_iter_ reads, when it is set.
   std::shared_ptr<TableReader> reader_;
@@ -126,10 +123,9 @@ class RunIterator final : public Iterator {
 std::unique_ptr<Iterator> NewRunIterator(
     std::shared_ptr<const Version> version, SortedRun files,
     const InternalKeyComparator* icmp, TableCache* table_cache,
-    uint64_t cache_dir_id, const ReadOptions& read_options) {
+    const ReadOptions& read_options) {
   return std::make_unique<RunIterator>(std::move(version), files, icmp,
-                                       table_cache, cache_dir_id,
-                                       read_options);
+                                       table_cache, read_options);
 }
 
 }  // namespace lsmlab

@@ -50,7 +50,7 @@ class MemTableIteratorAdapter final : public Iterator {
 std::unique_ptr<Iterator> NewRunIterator(
     std::shared_ptr<const Version> version, SortedRun files,
     const InternalKeyComparator* icmp, TableCache* table_cache,
-    uint64_t cache_dir_id, const ReadOptions& read_options);
+    const ReadOptions& read_options);
 
 }  // namespace lsmlab
 

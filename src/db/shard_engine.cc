@@ -21,21 +21,6 @@ namespace lsmlab {
 
 namespace {
 
-/// Fills unset substrate pointers with the defaults.
-Options NormalizeOptions(const Options& options) {
-  Options result = options;
-  if (result.env == nullptr) {
-    result.env = Env::Default();
-  }
-  if (result.clock == nullptr) {
-    result.clock = SystemClock();
-  }
-  if (result.comparator == nullptr) {
-    result.comparator = BytewiseComparator();
-  }
-  return result;
-}
-
 /// Cross-shard 2PC record tags, stored in byte 7 of the record's leading
 /// fixed64. Normal WAL records start with a sequence number whose byte 7 is
 /// always zero (kMaxSequenceNumber = 2^56 - 1), so tagged records are
@@ -71,15 +56,16 @@ class BatchInserter : public WriteBatch::Handler {
 // ---------------------------------------------------------------------------
 
 ShardEngine::ShardEngine(const Options& options, std::string dbname,
-                         const ShardResources& resources)
-    : options_(NormalizeOptions(options)),
+                         uint64_t cache_scope, const ShardResources& resources)
+    : options_(options),
       dbname_(std::move(dbname)),
       internal_comparator_(options_.comparator),
       stats_(resources.stats),
       block_cache_(resources.block_cache),
-      table_cache_(resources.table_cache),
       pool_(resources.pool),
-      compaction_rate_limiter_(resources.rate_limiter) {}
+      compaction_rate_limiter_(resources.rate_limiter),
+      table_cache_(&options_, dbname_, &internal_comparator_, block_cache_,
+                   stats_, cache_scope) {}
 
 ShardEngine::~ShardEngine() {
   BeginShutdown();
@@ -95,13 +81,13 @@ void ShardEngine::BeginShutdown() {
 }
 
 Status ShardEngine::Open(const Options& options, const std::string& name,
-                         const ShardResources& resources,
+                         uint64_t cache_scope, const ShardResources& resources,
                          const std::set<uint64_t>* committed_prepares,
                          std::unique_ptr<ShardEngine>* dbptr) {
-  // Options were validated by the facade.
+  // Options were validated and normalized by the facade.
   dbptr->reset();
-  auto db =
-      std::unique_ptr<ShardEngine>(new ShardEngine(options, name, resources));
+  auto db = std::unique_ptr<ShardEngine>(
+      new ShardEngine(options, name, cache_scope, resources));
   Status s = db->Initialize(committed_prepares);
   if (!s.ok()) {
     return s;
@@ -117,7 +103,6 @@ Status ShardEngine::Initialize(const std::set<uint64_t>* committed_prepares) {
     return s;
   }
 
-  cache_dir_id_ = table_cache_->RegisterDir(dbname_);
   versions_ = std::make_unique<VersionSet>(dbname_, &options_,
                                            &internal_comparator_);
   picker_ = std::make_unique<CompactionPicker>(&options_);
@@ -152,7 +137,10 @@ Status ShardEngine::Initialize(const std::set<uint64_t>* committed_prepares) {
 
   if (options_.kv_separation) {
     vlog_ = std::make_unique<VlogManager>(dbname_, env);
-    s = vlog_->OpenActive(versions_->NewFileNumber());
+    s = vlog_->CountExistingLogs();
+    if (s.ok()) {
+      s = vlog_->OpenActive(versions_->NewFileNumber());
+    }
     if (!s.ok()) {
       return s;
     }
@@ -1200,7 +1188,7 @@ Status ShardEngine::StepLookup(LookupCursor* c,
         c->state = LookupCursor::kAbsent;
         return Status::OK();
       }
-      Status s = table_cache_->GetReader(cache_dir_id_, *file, &c->reader);
+      Status s = table_cache_.GetReader(*file, &c->reader);
       if (!s.ok()) {
         return s;
       }
@@ -1435,7 +1423,7 @@ std::unique_ptr<Iterator> ShardEngine::NewInternalIterator(
   }
   for (SortedRun run : runs) {
     children.push_back(NewRunIterator(view.version, run, &internal_comparator_,
-                                      table_cache_, cache_dir_id_, options));
+                                      &table_cache_, options));
   }
   return NewMergingIterator(&internal_comparator_, std::move(children));
 }

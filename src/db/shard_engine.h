@@ -59,7 +59,6 @@ struct ReadView {
 /// background pool, one compaction rate budget, one Statistics block.
 struct ShardResources {
   LruCache* block_cache = nullptr;
-  TableCache* table_cache = nullptr;
   ThreadPool* pool = nullptr;
   RateLimiter* rate_limiter = nullptr;
   Statistics* stats = nullptr;
@@ -101,13 +100,14 @@ struct ShardResources {
 class ShardEngine {
  public:
   /// Opens (creating if configured) the engine at `name`, borrowing the
-  /// facade's shared `resources`. `committed_prepares` lists cross-shard
-  /// batch ids whose facade commit record survived — prepares for these
-  /// ids are applied during recovery even when their commit marker was
-  /// lost; it is read only during Open. Assumes `options` were already
-  /// validated by the facade.
+  /// facade's shared `resources`. `cache_scope` (the shard index) names
+  /// the engine's tables in the shared block cache. `committed_prepares`
+  /// lists cross-shard batch ids whose facade commit record survived —
+  /// prepares for these ids are applied during recovery even when their
+  /// commit marker was lost; it is read only during Open. Assumes
+  /// `options` were already validated and normalized by the facade.
   static Status Open(const Options& options, const std::string& name,
-                     const ShardResources& resources,
+                     uint64_t cache_scope, const ShardResources& resources,
                      const std::set<uint64_t>* committed_prepares,
                      std::unique_ptr<ShardEngine>* dbptr);
 
@@ -267,7 +267,7 @@ class ShardEngine {
 
  private:
   ShardEngine(const Options& options, std::string dbname,
-              const ShardResources& resources);
+              uint64_t cache_scope, const ShardResources& resources);
 
   struct Writer;
 
@@ -394,9 +394,6 @@ class ShardEngine {
   /// Applies a finished job's edit atomically, releases its output pins,
   /// records per-level stats, and collects obsolete inputs.
   Status InstallCompactionLocked(CompactionJob* job) REQUIRES(mu_);
-  /// Concurrency cap: max_background_compactions, defaulting to the pool
-  /// size when 0.
-  int MaxConcurrentCompactions() const;
 
   void RemoveObsoleteFiles() REQUIRES(mu_);
 
@@ -491,19 +488,16 @@ class ShardEngine {
                                                 const ReadView& view);
 
   // ---------------------------------------------------------------------
-  const Options options_;  // Normalized copy (env/clock/comparator filled).
+  const Options options_;  // The facade's normalized copy.
   const std::string dbname_;
   InternalKeyComparator internal_comparator_;
 
   // Facade-owned shared resources (see ShardResources). Never null.
   Statistics* const stats_;
   LruCache* const block_cache_;
-  TableCache* const table_cache_;
   ThreadPool* const pool_;
   RateLimiter* const compaction_rate_limiter_;
-  /// This engine's directory scope in the shared table cache; qualifies
-  /// every (file number → reader / block-cache key) translation.
-  uint64_t cache_dir_id_ = 0;
+  TableCache table_cache_;
 
   std::unique_ptr<VersionSet> versions_;
   std::unique_ptr<CompactionPicker> picker_;

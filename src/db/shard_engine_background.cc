@@ -47,8 +47,7 @@ MergeContext ShardEngine::MakeMergeContext(SequenceNumber oldest_snapshot) {
   ctx.options = &options_;
   ctx.dbname = dbname_;
   ctx.icmp = &internal_comparator_;
-  ctx.table_cache = table_cache_;
-  ctx.cache_dir_id = cache_dir_id_;
+  ctx.table_cache = &table_cache_;
   ctx.vlog = vlog_.get();
   ctx.rate_limiter = compaction_rate_limiter_;
   ctx.stats = stats_;
@@ -258,13 +257,6 @@ Status ShardEngine::Flush() {
 // its VersionEdit without coordinating with its siblings.
 // ---------------------------------------------------------------------------
 
-int ShardEngine::MaxConcurrentCompactions() const {
-  if (options_.max_background_compactions > 0) {
-    return options_.max_background_compactions;
-  }
-  return std::max(1, options_.background_threads);
-}
-
 void ShardEngine::AdmitCompactionLocked(CompactionPlan plan) {
   RunningCompaction rc;
   rc.job_id = next_compaction_job_id_++;
@@ -272,7 +264,7 @@ void ShardEngine::AdmitCompactionLocked(CompactionPlan plan) {
   // Claim the plan's user-key hull at both levels it touches; the picker
   // rejects any overlapping plan until the claims are dropped.
   std::string smallest, largest;
-  plan.KeyRange(&smallest, &largest);
+  plan.KeyRange(options_.comparator, &smallest, &largest);
   rc.claims.push_back({plan.input_level, smallest, largest});
   if (plan.output_level != plan.input_level) {
     rc.claims.push_back({plan.output_level, smallest, largest});
@@ -330,7 +322,8 @@ void ShardEngine::MaybeScheduleCompaction() {
       compaction_retry_pending_) {
     return;
   }
-  const int limit = MaxConcurrentCompactions();
+  // At most one running job per pool thread.
+  const int limit = std::max(1, options_.background_threads);
   while (compactions_running_ < limit) {
     std::vector<ClaimedRange> claims;
     int deepest_output = -1;
@@ -383,7 +376,7 @@ void ShardEngine::BackgroundCompaction(std::shared_ptr<CompactionJob> job) {
       block_cache_ != nullptr) {
     for (const auto& meta : job->outputs()) {
       std::shared_ptr<TableReader> reader;
-      if (table_cache_->GetReader(cache_dir_id_, meta, &reader).ok()) {
+      if (table_cache_.GetReader(meta, &reader).ok()) {
         reader->WarmCache();
       }
     }
@@ -823,9 +816,6 @@ void ShardEngine::RemoveObsoleteFiles() {
         break;
     }
     if (!keep) {
-      if (type == FileType::kTableFile) {
-        table_cache_->Evict(cache_dir_id_, number);
-      }
       // Best effort: a file that survives is retried on the next pass.
       (void)options_.env->RemoveFile(dbname_ + "/" + child);
     }

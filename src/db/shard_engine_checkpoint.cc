@@ -135,7 +135,7 @@ Status ShardEngine::VerifyChecksums() {
     for (const FileMetaData& f : version->files(level)) {
       compaction_rate_limiter_->Request(f.file_size);
       std::shared_ptr<TableReader> reader;
-      Status s = table_cache_->GetReader(cache_dir_id_, f, &reader);
+      Status s = table_cache_.GetReader(f, &reader);
       if (s.ok()) {
         std::unique_ptr<Iterator> iter = reader->NewIterator(scrub_options);
         for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {

@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/lock_rank.h"
+
 namespace lsmlab {
 
 void RandomAccessFile::MultiRead(ReadRequest* reqs, size_t n) const {
@@ -13,6 +15,9 @@ void RandomAccessFile::MultiRead(ReadRequest* reqs, size_t n) const {
 }
 
 void Env::MultiRead(ReadRequest* reqs, size_t n) {
+  // Checked once per batch, before any file is touched, so a report names
+  // the batch rather than its first request.
+  LSMLAB_CHECK_IO_UNDER_LOCK("MultiRead", "batch");
   // Group by file in order of first appearance. Batches are small (tens of
   // requests), so a linear scan beats a hash map.
   std::vector<std::pair<RandomAccessFile*, std::vector<size_t>>> groups;

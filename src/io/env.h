@@ -60,8 +60,7 @@ class RandomAccessFile {
   /// Reads `n` requests from this file as one batch (`req.file` is
   /// ignored). The base implementation is a serial loop over Read();
   /// decorator files forward the whole batch to their target so counters
-  /// and fault rules observe each request, and backends with real
-  /// submission queues complete the batch with one kernel round trip.
+  /// and fault rules observe each request.
   virtual void MultiRead(ReadRequest* reqs, size_t n) const;
 };
 
@@ -142,30 +141,14 @@ class Env {
   /// default groups requests by file — in order of first appearance, each
   /// group in request order, so scripted fault rules fire on the same
   /// per-file op index as a serial loop — and forwards each group to
-  /// RandomAccessFile::MultiRead. All requests are complete when the call
-  /// returns; per-request outcomes are in ReadRequest::status.
+  /// RandomAccessFile::MultiRead. The POSIX env runs this default, so a
+  /// batch costs one pread per request. All requests are complete when the
+  /// call returns; per-request outcomes are in ReadRequest::status.
   virtual void MultiRead(ReadRequest* reqs, size_t n);
 };
 
-/// Which mechanism the POSIX env uses to execute MultiRead batches.
-enum class BatchIoBackend {
-  /// One blocking pread per request, in order. The portable fallback.
-  kSerial,
-  /// One io_uring submission (single io_uring_enter) for the whole batch.
-  /// Linux-only; requires LSMLAB_IO_URING at build time and a kernel that
-  /// accepts io_uring_setup at run time.
-  kIoUring,
-};
-
-/// The POSIX substrate with a pinned batch backend, for tests and benches.
-/// Returns a process-wide singleton (do not delete), or nullptr for
-/// kIoUring when unavailable (compiled out, or the kernel / container
-/// seccomp profile refuses io_uring_setup — probed once).
-/// Env::Default() is the io_uring env where available, else the serial one.
-Env* PosixEnvWithBackend(BatchIoBackend backend);
-
-/// True when the io_uring backend is compiled in and the kernel accepts
-/// io_uring_setup (ENOSYS/EPERM fallback detection; result is cached).
+/// Always false: a POSIX batch runs one pread per request. Kept for the
+/// machine note lsmbench prints.
 bool IoUringAvailable();
 
 // ---------------------------------------------------------------------------

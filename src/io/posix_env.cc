@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "io/env.h"
-#include "io/uring_io.h"
 #include "util/lock_rank.h"
 
 namespace lsmlab {
@@ -69,77 +68,10 @@ class PosixSequentialFile final : public SequentialFile {
   const int fd_;
 };
 
-/// One ReadRequest bound to its target fd, ready for any backend.
-struct BoundRead {
-  int fd = -1;
-  const std::string* fname = nullptr;
-  ReadRequest* req = nullptr;
-};
-
-void ExecuteOne(const BoundRead& op) {
-  ::ssize_t r = ::pread(op.fd, op.req->scratch, op.req->len,
-                        static_cast<off_t>(op.req->offset));
-  if (r < 0) {
-    op.req->result = Slice();
-    op.req->status = PosixError(*op.fname, errno);
-    return;
-  }
-  op.req->result = Slice(op.req->scratch, static_cast<size_t>(r));
-  op.req->status = Status::OK();
-}
-
-/// One io_uring submission for the whole batch. Returns false when no ring
-/// is available on this thread (caller falls back to the serial loop).
-bool UringBatch(BoundRead* ops, size_t n) {
-  // One ring per thread: rings are single-threaded by design and a
-  // thread_local avoids locking around the submission queue.
-  static thread_local std::unique_ptr<UringQueue> ring =
-      UringQueue::Create(64);
-  if (ring == nullptr) {
-    return false;
-  }
-  std::vector<UringPread> preads(n);
-  for (size_t i = 0; i < n; ++i) {
-    preads[i].fd = ops[i].fd;
-    preads[i].offset = ops[i].req->offset;
-    preads[i].len = ops[i].req->len;
-    preads[i].buf = ops[i].req->scratch;
-  }
-  if (!ring->PreadBatch(preads.data(), n)) {
-    return false;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    ReadRequest* req = ops[i].req;
-    if (preads[i].result < 0) {
-      req->result = Slice();
-      req->status =
-          PosixError(*ops[i].fname, static_cast<int>(-preads[i].result));
-    } else {
-      req->result =
-          Slice(req->scratch, static_cast<size_t>(preads[i].result));
-      req->status = Status::OK();
-    }
-  }
-  return true;
-}
-
-void DispatchBatch(BatchIoBackend backend, BoundRead* ops, size_t n) {
-  if (n == 0) {
-    return;
-  }
-  if (backend == BatchIoBackend::kIoUring && UringBatch(ops, n)) {
-    return;
-  }
-  // Serial backend, or no ring on this thread: the portable path.
-  for (size_t i = 0; i < n; ++i) {
-    ExecuteOne(ops[i]);
-  }
-}
-
 class PosixRandomAccessFile final : public RandomAccessFile {
  public:
-  PosixRandomAccessFile(std::string fname, int fd, BatchIoBackend backend)
-      : fname_(std::move(fname)), fd_(fd), backend_(backend) {}
+  PosixRandomAccessFile(std::string fname, int fd)
+      : fname_(std::move(fname)), fd_(fd) {}
   ~PosixRandomAccessFile() override { ::close(fd_); }
 
   Status Read(uint64_t offset, size_t n, Slice* result,
@@ -153,22 +85,9 @@ class PosixRandomAccessFile final : public RandomAccessFile {
     return Status::OK();
   }
 
-  void MultiRead(ReadRequest* reqs, size_t n) const override {
-    LSMLAB_CHECK_IO_UNDER_LOCK("MultiRead", fname_.c_str());
-    std::vector<BoundRead> ops(n);
-    for (size_t i = 0; i < n; ++i) {
-      ops[i] = {fd_, &fname_, &reqs[i]};
-    }
-    DispatchBatch(backend_, ops.data(), n);
-  }
-
-  int fd() const { return fd_; }
-  const std::string& fname() const { return fname_; }
-
  private:
   const std::string fname_;
   const int fd_;
-  const BatchIoBackend backend_;
 };
 
 // Appends collect in a buffer of this size (LevelDB's
@@ -319,8 +238,6 @@ class PosixRandomRWFile final : public RandomRWFile {
 
 class PosixEnv final : public Env {
  public:
-  explicit PosixEnv(BatchIoBackend backend) : backend_(backend) {}
-
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override {
     int fd = ::open(fname.c_str(), O_RDONLY | O_CLOEXEC);
@@ -340,7 +257,7 @@ class PosixEnv final : public Env {
       result->reset();
       return PosixError(fname, errno);
     }
-    *result = std::make_unique<PosixRandomAccessFile>(fname, fd, backend_);
+    *result = std::make_unique<PosixRandomAccessFile>(fname, fd);
     return Status::OK();
   }
 
@@ -442,47 +359,14 @@ class PosixEnv final : public Env {
     }
     return Status::OK();
   }
-
-  void MultiRead(ReadRequest* reqs, size_t n) override {
-    LSMLAB_CHECK_IO_UNDER_LOCK("MultiRead", "batch");
-    // Cross-file batches go down as one backend submission. Files not
-    // opened through this env (no fd to extract) execute individually via
-    // their own MultiRead.
-    std::vector<BoundRead> ops;
-    ops.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (reqs[i].file == nullptr) {
-        reqs[i].status = Status::InvalidArgument("ReadRequest without a file");
-        continue;
-      }
-      auto* pf = dynamic_cast<const PosixRandomAccessFile*>(reqs[i].file);
-      if (pf == nullptr) {
-        reqs[i].file->MultiRead(&reqs[i], 1);
-        continue;
-      }
-      ops.push_back({pf->fd(), &pf->fname(), &reqs[i]});
-    }
-    DispatchBatch(backend_, ops.data(), ops.size());
-  }
-
- private:
-  const BatchIoBackend backend_;
 };
 
 }  // namespace
 
-bool IoUringAvailable() { return UringQueue::KernelSupported(); }
-
-Env* PosixEnvWithBackend(BatchIoBackend backend) {
-  static PosixEnv* serial = new PosixEnv(BatchIoBackend::kSerial);
-  static PosixEnv* uring =
-      IoUringAvailable() ? new PosixEnv(BatchIoBackend::kIoUring) : nullptr;
-  return backend == BatchIoBackend::kIoUring ? uring : serial;
-}
+bool IoUringAvailable() { return false; }
 
 Env* Env::Default() {
-  static Env* env = PosixEnvWithBackend(
-      IoUringAvailable() ? BatchIoBackend::kIoUring : BatchIoBackend::kSerial);
+  static Env* env = new PosixEnv();
   return env;
 }
 

@@ -1,5 +1,7 @@
 #include "kvsep/vlog.h"
 
+#include <algorithm>
+
 #include "db/filename.h"
 #include "util/coding.h"
 
@@ -18,6 +20,29 @@ bool VlogPointer::DecodeFrom(Slice input) {
 
 VlogManager::VlogManager(std::string dbname, Env* env)
     : dbname_(std::move(dbname)), env_(env) {}
+
+Status VlogManager::CountExistingLogs() {
+  std::vector<std::string> children;
+  Status s = env_->GetChildren(dbname_, &children);
+  if (!s.ok()) {
+    return s;
+  }
+  uint64_t bytes = 0;
+  for (const auto& child : children) {
+    uint64_t number = 0, size = 0;
+    FileType type;
+    if (ParseFileName(child, &number, &type) && type == FileType::kVlogFile) {
+      s = env_->GetFileSize(dbname_ + "/" + child, &size);
+      if (!s.ok()) {
+        return s;
+      }
+      bytes += size;
+    }
+  }
+  MutexLock lock(&mu_);
+  total_bytes_ += bytes;
+  return Status::OK();
+}
 
 Status VlogManager::OpenActive(uint64_t file_number) {
   MutexLock lock(&mu_);
@@ -170,11 +195,18 @@ Status VlogManager::ForEachRecord(
 }
 
 Status VlogManager::DeleteLog(uint64_t file_number) {
-  {
+  const std::string fname = VlogFileName(dbname_, file_number);
+  uint64_t size = 0;
+  Status s = env_->GetFileSize(fname, &size);
+  if (s.ok()) {
+    s = env_->RemoveFile(fname);
+  }
+  if (s.ok()) {
     MutexLock lock(&mu_);
     garbage_bytes_.erase(file_number);
+    total_bytes_ -= std::min(size, total_bytes_);
   }
-  return env_->RemoveFile(VlogFileName(dbname_, file_number));
+  return s;
 }
 
 Status VlogManager::Sync() {

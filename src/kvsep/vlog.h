@@ -38,6 +38,11 @@ class VlogManager {
   VlogManager(const VlogManager&) = delete;
   VlogManager& operator=(const VlogManager&) = delete;
 
+  /// Adds the logs already in the directory to TotalBytes(): garbage
+  /// counts dead values in every log, not only in this process's appends.
+  /// Called once at open, before the first OpenActive.
+  Status CountExistingLogs() EXCLUDES(mu_);
+
   /// Opens (or rolls to) the active log numbered `file_number`.
   Status OpenActive(uint64_t file_number) EXCLUDES(mu_);
 
@@ -52,9 +57,11 @@ class VlogManager {
   /// Accounts `bytes` of a now-dead value (its LSM pointer was dropped).
   void AddGarbage(uint64_t file_number, uint64_t bytes) EXCLUDES(mu_);
 
-  /// Fraction of appended bytes known dead, across all logs.
+  /// Fraction of TotalBytes() known dead, across all logs.
   double GarbageRatio() const EXCLUDES(mu_);
 
+  /// Bytes in the live logs: those found at open, plus appends, less the
+  /// logs deleted since.
   uint64_t TotalBytes() const EXCLUDES(mu_);
   uint64_t GarbageBytes() const EXCLUDES(mu_);
   uint64_t active_file_number() const EXCLUDES(mu_) {
@@ -72,7 +79,7 @@ class VlogManager {
       const std::function<bool(const Slice& key, const Slice& value,
                                const VlogPointer& ptr)>& callback);
 
-  /// Removes a fully rewritten log file.
+  /// Removes a fully rewritten log file and its bytes from TotalBytes().
   Status DeleteLog(uint64_t file_number) EXCLUDES(mu_);
 
   /// Makes the active log durable; a no-op when nothing was appended since

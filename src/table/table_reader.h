@@ -168,9 +168,6 @@ class TableReader : private FenceBlockProvider {
   std::string filter_data_;
   bool has_filter_ = false;
   TableProperties properties_;
-
-  // Cached ReadOptions defaults used by WarmCache.
-  friend class TableCache;
 };
 
 }  // namespace lsmlab

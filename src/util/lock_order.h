@@ -16,8 +16,8 @@ namespace lsmlab {
 /// `ACQUIRED_BEFORE` annotations still hold for the static pairs they can
 /// express (writer_queue_mu_ before mu_); the ranks cover what they cannot:
 /// a dynamic array of N ShardEngine lock sets under one facade commit lock,
-/// and the shared leaf resources (block cache, table cache, rate limiter,
-/// thread pool, statistics) reachable from every shard.
+/// and the shared leaf resources (block cache, rate limiter, thread pool,
+/// statistics) reachable from every shard.
 ///
 ///   ShardedDB::commit_mu_                               (kCommitMu)
 ///     └─ ShardEngine::writer_queue_mu_  [× N shards]    (kWriterQueue)
@@ -27,8 +27,6 @@ namespace lsmlab {
 ///               ├─ CompactionPicker::mu_                (kCompactionPicker)
 ///               ├─ CompactionJob::shard_mu_             (kCompactionJob)
 ///               ├─ ShardEngine::read_view_mu_           (kReadView)
-///               ├─ TableCache::dirs_mu_                 (kTableCacheDirs)
-///               ├─ TableCache::Shard::mu                (kTableCacheShard)
 ///               ├─ TableHandle::mu                      (kTableHandle)
 ///               ├─ LruCache::Shard::mu                  (kBlockCacheShard)
 ///               ├─ RateLimiter::mu_                     (kRateLimiter)
@@ -84,11 +82,6 @@ enum class LockRank : uint16_t {
   // --- Read-path leaf locks -------------------------------------------
   /// ShardEngine::read_view_mu_: published ReadView pointer swap.
   kReadView = 500,
-  /// TableCache::dirs_mu_: directory registration table.
-  kTableCacheDirs = 510,
-  /// TableCache::Shard::mu: open-reader stripe. Cold-file resolution
-  /// deliberately drops this lock around the file open + footer read.
-  kTableCacheShard = 520,
   /// TableHandle::mu: per-file reader pin (pointer copy only).
   kTableHandle = 530,
   /// LruCache::Shard::mu: block-cache stripe.

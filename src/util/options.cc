@@ -40,9 +40,6 @@ Status Options::Validate() const {
   if (block_restart_interval < 1) {
     return Status::InvalidArgument("block_restart_interval must be >= 1");
   }
-  if (max_background_compactions < 0) {
-    return Status::InvalidArgument("max_background_compactions must be >= 0");
-  }
   if (max_subcompactions < 1) {
     return Status::InvalidArgument("max_subcompactions must be >= 1");
   }

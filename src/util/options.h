@@ -150,10 +150,6 @@ struct Options {
   FilePickPolicy file_pick_policy = FilePickPolicy::kLeastOverlap;
   /// Background threads shared by flushes and compactions.
   int background_threads = 1;
-  /// Maximum compactions admitted concurrently by the job scheduler; jobs
-  /// run together only when their key ranges and levels are disjoint.
-  /// 0 means "as many as background_threads".
-  int max_background_compactions = 0;
   /// Maximum key-range shards a single large compaction may be split into
   /// and executed in parallel on the background pool (subcompactions).
   /// 1 disables splitting. Only compactions writing to a leveled level are
@@ -167,9 +163,6 @@ struct Options {
   /// many microseconds becomes the top compaction priority, bounding delete
   /// persistence latency.
   uint64_t tombstone_ttl_micros = 0;
-  /// Readahead window for compaction input readers, so merge work overlaps
-  /// the sequential input reads. 0 disables compaction readahead.
-  size_t compaction_readahead_bytes = 1 << 20;
 
   // --- Read path (§2.1.3) ---------------------------------------------------
   /// Point-query filter; nullptr disables filtering.
@@ -233,7 +226,7 @@ struct Options {
   /// Number of range-partitioned shards the DB is split into. Each shard is
   /// an independent LSM engine (own WAL, memtables, version set, background
   /// scheduling) behind one facade; process-wide resources (block cache,
-  /// table cache, thread pool, rate limiter, statistics) are shared. 1 (the
+  /// thread pool, rate limiter, statistics) are shared. 1 (the
   /// default) is the classic single-engine layout, byte-for-byte unchanged.
   /// The topology is fixed at creation (persisted in a SHARDS file) and
   /// wins over these options on reopen.

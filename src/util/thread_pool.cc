@@ -80,11 +80,6 @@ void ThreadPool::WaitForIdle() {
   }
 }
 
-size_t ThreadPool::QueueDepth() const {
-  MutexLock lock(&mu_);
-  return high_queue_.size() + medium_queue_.size() + low_queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   mu_.Lock();
   while (true) {

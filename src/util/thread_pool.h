@@ -39,9 +39,6 @@ class ThreadPool {
   /// Blocks until all queued and running tasks have finished.
   void WaitForIdle() EXCLUDES(mu_);
 
-  /// Number of tasks queued but not yet started.
-  size_t QueueDepth() const EXCLUDES(mu_);
-
  private:
   void WorkerLoop() EXCLUDES(mu_);
   std::deque<std::function<void()>>* QueueFor(Priority priority)

@@ -19,13 +19,12 @@ class TableReader;
 
 /// Lazily resolved pin on a file's open TableReader, shared by every
 /// Version (and FileMetaData copy) that references the file. The first
-/// lookup resolves the reader through the sharded TableCache and publishes
-/// it here; steady-state reads then copy the pin under this handle's own
-/// pointer-sized lock and touch no cache shard at all — contention exists
-/// only among readers of the same file, never across files. The pin dies
-/// with the last Version that references the file (version GC), which is
-/// what bounds its lifetime — TableCache::Evict removes only the cache's
-/// own reference.
+/// lookup opens the file through the engine's TableCache and publishes the
+/// reader here; later reads copy the pin under this handle's own
+/// pointer-sized lock — contention exists only among readers of the same
+/// file, never across files. The pin is the only reference the engine
+/// keeps, so the reader closes with the last Version that references the
+/// file.
 struct TableHandle {
   Mutex mu{LockRank::kTableHandle, "table_handle.mu"};
   std::shared_ptr<TableReader> reader GUARDED_BY(mu);
@@ -47,9 +46,10 @@ struct FileMetaData {
   /// Creation time of the oldest ancestor run that contributed a tombstone
   /// still present in this file; 0 when the file holds no tombstones.
   uint64_t oldest_tombstone_time_micros = 0;
-  /// Runtime-only reader pin (see TableHandle); never serialized. Assigned
-  /// by VersionSetBuilder::Build, so every file in an installed Version has
-  /// one, and copies of the metadata share it.
+  /// Runtime-only reader pin (see TableHandle); never serialized. Attached
+  /// by the OutputWriter that wrote the file, or by VersionSetBuilder::Build
+  /// on manifest replay, so every file in an installed Version has one, and
+  /// copies of the metadata share it.
   std::shared_ptr<TableHandle> table_handle;
 };
 

@@ -212,10 +212,11 @@ class VersionSetBuilder {
       for (const auto& [number, f] : levels_[level]) {
         out.push_back(f);
         if (out.back().table_handle == nullptr) {
-          // Fresh file (flush/compaction output or manifest replay): give it
-          // a reader pin. Files carried over from the base version share
-          // their existing handle, so a reader resolved under any version
-          // stays pinned in every later one.
+          // A file from manifest replay: give it a reader pin. Outputs
+          // arrive with the pin their writer attached, and files carried
+          // over from the base version share their existing one, so a
+          // reader resolved under any version stays pinned in every later
+          // one.
           out.back().table_handle = std::make_shared<TableHandle>();
         }
       }

@@ -354,7 +354,7 @@ TEST_F(PickerTest, PlanKeyRangeIsInputOverlapHull) {
   auto plan = picker.Pick(*version, 0);
   ASSERT_TRUE(plan.has_value());
   std::string smallest, largest;
-  plan->KeyRange(&smallest, &largest);
+  plan->KeyRange(BytewiseComparator(), &smallest, &largest);
   EXPECT_EQ("a", smallest) << "hull must include the overlap files";
   EXPECT_EQ("z", largest);
 }

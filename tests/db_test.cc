@@ -1272,6 +1272,52 @@ TEST_F(KvSepTest, RetriedFlushCountsGarbageOnce) {
   EXPECT_EQ(400u, db->vlog()->GarbageBytes());
 }
 
+// The value log counts the logs an earlier open wrote, so garbage found in
+// them never exceeds the total.
+TEST_F(KvSepTest, TotalBytesCountsLogsFromEarlierOpens) {
+  auto vlog_file_bytes = [&] {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_.GetChildren("/db", &children).ok());
+    uint64_t total = 0;
+    for (const auto& child : children) {
+      uint64_t number, size;
+      FileType type;
+      if (ParseFileName(child, &number, &type) &&
+          type == FileType::kVlogFile) {
+        EXPECT_TRUE(env_.GetFileSize("/db/" + child, &size).ok());
+        total += size;
+      }
+    }
+    return total;
+  };
+  auto key_of = [](int i) { return "k" + std::to_string(i); };
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(400, 'a')).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  EXPECT_EQ(vlog_file_bytes(), db_->vlog()->TotalBytes());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(150, 'b')).ok());
+  }
+  ASSERT_TRUE(db_->CompactRange().ok());
+  EXPECT_EQ(vlog_file_bytes(), db_->vlog()->TotalBytes());
+  EXPECT_GE(db_->vlog()->GarbageBytes(), 100u * 400);
+  EXPECT_LE(db_->vlog()->GarbageBytes(), db_->vlog()->TotalBytes());
+
+  ASSERT_TRUE(db_->GarbageCollectVlog().ok());
+  EXPECT_EQ(vlog_file_bytes(), db_->vlog()->TotalBytes());
+  EXPECT_LE(db_->vlog()->GarbageBytes(), db_->vlog()->TotalBytes());
+  std::string value;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Get(ReadOptions(), key_of(i), &value).ok()) << i;
+    EXPECT_EQ(std::string(150, 'b'), value);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MultiGet: the batched lookup must agree with per-key Get everywhere.
 // ---------------------------------------------------------------------------
@@ -1755,6 +1801,35 @@ TEST_F(DBTest, ReverseComparatorOrdersGetMultiGetAndScans) {
   ASSERT_NE(model.end(), expected_it);
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(expected_it->first, iter->key().ToString());
+}
+
+// Compaction plans order user keys with the DB's comparator. Taken
+// bytewise under a reversed order, the hull of several inputs shrinks to
+// their intersection, the plan misses overlapping L1 files, and its output
+// overlaps them.
+TEST_F(DBTest, ReverseComparatorCompactionsKeepLevelsDisjoint) {
+  static const ReverseBytewiseComparator reverse;
+  options_.comparator = &reverse;
+  options_.num_shards = 1;  // Default split keys assume bytewise order.
+  OpenDB();
+  constexpr uint32_t kKeys = 4000;
+  auto key_of = [](uint32_t k) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%06u", k);
+    return std::string(buf);
+  };
+  // Five ascending passes over the keys; pass p writes 100 bytes of 'a'+p.
+  for (uint32_t i = 0; i < 5 * kKeys; ++i) {
+    const char fill = static_cast<char>('a' + i / kKeys);
+    const Status s = Put(key_of(i % kKeys), std::string(100, fill));
+    ASSERT_TRUE(s.ok()) << "put " << i << ": " << s.ToString();
+  }
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  const Status s = db_->ValidateTreeInvariants();
+  ASSERT_TRUE(s.ok()) << s.ToString() << "\n" << db_->LevelsDebugString();
+  for (uint32_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(std::string(100, 'e'), Get(key_of(k))) << k;
+  }
 }
 
 TEST_F(DBTest, ScanReadaheadMovesStatsAndPreservesContents) {

@@ -747,60 +747,44 @@ TEST_P(EnvTest, EnvMultiReadRejectsNullFilePerRequest) {
   EXPECT_EQ("payload", reqs[1].result.ToString());
 }
 
-TEST(PosixBackendTest, AllBackendsAgreeOnBatchResults) {
-  Env* posix = Env::Default();
-  const std::string dir = ::testing::TempDir() + "lsmlab_backend_test_" +
+TEST(PosixMultiReadTest, LongBatchMatchesFileContents) {
+  Env* env = Env::Default();
+  const std::string dir = ::testing::TempDir() + "lsmlab_multiread_test_" +
                           std::to_string(::getpid());
-  ASSERT_TRUE(posix->CreateDir(dir).ok());
+  ASSERT_TRUE(env->CreateDir(dir).ok());
   const std::string fname = dir + "/data";
   std::string content(8192, '\0');
   for (size_t i = 0; i < content.size(); ++i) {
     content[i] = static_cast<char>('a' + (i % 26));
   }
-  ASSERT_TRUE(WriteStringToFile(posix, content, fname).ok());
+  ASSERT_TRUE(WriteStringToFile(env, content, fname).ok());
 
-  // kIoUring may legitimately be unavailable (compiled out or refused by
-  // the kernel); then the accessor returns nullptr and we skip it.
-  EXPECT_EQ(IoUringAvailable(),
-            PosixEnvWithBackend(BatchIoBackend::kIoUring) != nullptr);
-
-  // 70 requests exceeds the uring submission-queue size (64), so chunked
-  // submission is exercised too. Offsets hash around the file; the last few
-  // land near/past EOF to cover short reads on every backend.
+  // Offsets hash around the file; the last few land near or past EOF to
+  // cover short reads.
   constexpr size_t kReqs = 70;
-  for (BatchIoBackend backend :
-       {BatchIoBackend::kSerial, BatchIoBackend::kIoUring}) {
-    Env* env = PosixEnvWithBackend(backend);
-    if (env == nullptr) {
-      ASSERT_EQ(BatchIoBackend::kIoUring, backend);
-      continue;
-    }
-    std::unique_ptr<RandomAccessFile> file;
-    ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
-
-    std::vector<std::string> bufs(kReqs, std::string(32, '\0'));
-    std::vector<ReadRequest> reqs(kReqs);
-    for (size_t i = 0; i < kReqs; ++i) {
-      reqs[i].file = file.get();
-      reqs[i].offset = (i * 997) % 8300;  // A few past 8192 - 32.
-      reqs[i].len = 32;
-      reqs[i].scratch = bufs[i].data();
-    }
-    file->MultiRead(reqs.data(), kReqs);
-    for (size_t i = 0; i < kReqs; ++i) {
-      ASSERT_TRUE(reqs[i].status.ok())
-          << "backend " << static_cast<int>(backend) << " request " << i
-          << ": " << reqs[i].status.ToString();
-      const uint64_t off = reqs[i].offset;
-      const std::string expected =
-          off >= content.size() ? "" : content.substr(off, 32);
-      EXPECT_EQ(expected, reqs[i].result.ToString())
-          << "backend " << static_cast<int>(backend) << " request " << i;
-    }
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
+  std::vector<std::string> bufs(kReqs, std::string(32, '\0'));
+  std::vector<ReadRequest> reqs(kReqs);
+  for (size_t i = 0; i < kReqs; ++i) {
+    reqs[i].file = file.get();
+    reqs[i].offset = (i * 997) % 8300;  // A few past 8192 - 32.
+    reqs[i].len = 32;
+    reqs[i].scratch = bufs[i].data();
+  }
+  env->MultiRead(reqs.data(), kReqs);
+  for (size_t i = 0; i < kReqs; ++i) {
+    ASSERT_TRUE(reqs[i].status.ok())
+        << "request " << i << ": " << reqs[i].status.ToString();
+    const uint64_t off = reqs[i].offset;
+    const std::string expected =
+        off >= content.size() ? "" : content.substr(off, 32);
+    EXPECT_EQ(expected, reqs[i].result.ToString()) << "request " << i;
   }
 
-  (void)posix->RemoveFile(fname);
-  (void)posix->RemoveDir(dir);
+  file.reset();
+  (void)env->RemoveFile(fname);
+  (void)env->RemoveDir(dir);
 }
 
 TEST(CountingEnvTest, MultiReadCountsRequestsAndBatches) {
