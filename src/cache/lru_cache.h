@@ -1,19 +1,11 @@
 #ifndef LSMLAB_CACHE_LRU_CACHE_H_
 #define LSMLAB_CACHE_LRU_CACHE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
-#include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
 
-#include "util/mutex.h"
 #include "util/slice.h"
-#include "util/thread_annotations.h"
 
 namespace lsmlab {
 
@@ -35,6 +27,13 @@ struct CacheStats {
 /// Sharded LRU cache charging entries by byte size — the block cache of
 /// tutorial §2.1.3. Values are type-erased shared_ptrs so evicted entries
 /// stay alive while readers hold them. Thread-safe.
+///
+/// Built the way LevelDB builds its LRU cache: an entry is one allocation
+/// holding its key bytes, linked into its shard's LRU list and into a
+/// chained hash table. One 64-bit hash per call picks the shard (low bits)
+/// and the bucket (high bits). Insert allocates once; Lookup, Erase and
+/// eviction allocate nothing, and entries leave the shard lock before they
+/// are freed.
 class LruCache {
  public:
   /// Shard count used when the caller passes 0: the smallest power of two
@@ -45,6 +44,7 @@ class LruCache {
   /// is rounded up to a power of two (shards are mask-indexed); 0 means
   /// DefaultShardCount().
   explicit LruCache(size_t capacity, int num_shards = 0);
+  ~LruCache();
 
   LruCache(const LruCache&) = delete;
   LruCache& operator=(const LruCache&) = delete;
@@ -63,49 +63,22 @@ class LruCache {
 
   size_t usage() const;
   size_t capacity() const { return capacity_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return num_shards_; }
   /// Entries currently held by shard `index`; for shard-distribution tests.
   size_t ShardEntryCount(int index) const;
   CacheStats GetStats() const;
   void ResetStats();
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const void> value;
-    size_t charge;
-  };
+  struct Entry;
+  struct Shard;
 
-  /// Transparent, so lookups hash a Slice's bytes in place: a block-cache
-  /// key is 16 bytes, past the 15-byte small-string buffer, and building a
-  /// std::string for each probe would cost a malloc and a free.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view key) const {
-      return std::hash<std::string_view>{}(key);
-    }
-  };
-
-  struct Shard {
-    mutable Mutex mu{LockRank::kBlockCacheShard, "block_cache.shard.mu"};
-    std::list<Entry> lru GUARDED_BY(mu);  // Front = MRU.
-    std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash,
-                       std::equal_to<>>
-        index GUARDED_BY(mu);
-    size_t usage GUARDED_BY(mu) = 0;
-    size_t capacity = 0;  // Set once at construction; read-only afterwards.
-    uint64_t hits GUARDED_BY(mu) = 0;
-    uint64_t misses GUARDED_BY(mu) = 0;
-    uint64_t inserts GUARDED_BY(mu) = 0;
-    uint64_t evictions GUARDED_BY(mu) = 0;
-
-    void EvictIfNeeded() REQUIRES(mu);
-  };
-
-  Shard& ShardFor(const Slice& key);
+  /// The shard `hash` maps to; its high bits are left for the bucket.
+  Shard& ShardFor(uint64_t hash) const;
 
   const size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const int num_shards_;
+  const std::unique_ptr<Shard[]> shards_;
 };
 
 }  // namespace lsmlab

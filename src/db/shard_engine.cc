@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <optional>
 
 #include "db/filename.h"
@@ -1234,22 +1233,18 @@ Status ShardEngine::StepLookup(LookupCursor* c,
 Status ShardEngine::LookupInPlace(const ReadOptions& options,
                                   LookupCursor* c) {
   Status s = StepLookup(c, nullptr);
-  std::unique_ptr<char[]> scratch;
-  size_t scratch_size = 0;
   while (s.ok() && c->state == LookupCursor::kNeedBlock) {
-    const size_t len = static_cast<size_t>(c->block.size()) + kBlockTrailerSize;
-    if (scratch_size < len) {
-      // The read overwrites the buffer: no need to zero it first.
-      scratch = std::make_unique_for_overwrite<char[]>(len);
-      scratch_size = len;
-    }
+    std::unique_ptr<char[]> buf = TableReader::NewReadBuffer(c->block);
     Slice contents;
-    s = c->reader->file()->Read(c->block.offset(), len, &contents,
-                                scratch.get());
+    s = c->reader->file()->Read(
+        c->block.offset(),
+        static_cast<size_t>(c->block.size()) + kBlockTrailerSize, &contents,
+        buf.get());
     std::shared_ptr<const Block> block;
     if (s.ok()) {
       s = c->reader->FinishBatchedBlockRead(
-          c->reader->MakeFetchContext(options), c->block, contents, &block);
+          c->reader->MakeFetchContext(options), c->block, contents, &buf,
+          &block);
     }
     if (s.ok()) {
       s = StepLookup(c, std::move(block));
@@ -1317,11 +1312,18 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   SequenceNumber snapshot = options.snapshot_seqno != 0
                                 ? options.snapshot_seqno
                                 : versions_->last_sequence();
-  // One allocation for the batch's cursors, each built in place: a
-  // cursor's LookupKey is neither copyable nor movable.
-  std::vector<std::optional<LookupCursor>> cursors(n);
+  // Every key's walk in one allocation: its cursor, built in place (a
+  // cursor's LookupKey is neither copyable nor movable), the block its next
+  // step starts from, and the round read it waits on.
+  struct KeyWalk {
+    std::optional<LookupCursor> cursor;
+    std::shared_ptr<const Block> fetched;
+    size_t read = 0;
+    bool done = false;
+  };
+  std::vector<KeyWalk> walks(n);
   for (size_t i = 0; i < n; ++i) {
-    cursors[i].emplace(*view, keys[i], snapshot);
+    walks[i].cursor.emplace(*view, keys[i], snapshot);
   }
 
   // Wavefront: each round steps every unfinished cursor until it finishes
@@ -1329,20 +1331,27 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   // deduped by (file, offset) — in one Env::MultiRead, and hands each
   // cursor its block for the next round. A key reads run k+1 only after
   // its run-k probe missed: Get's walk, with a round's device trips
-  // collapsed into one submission.
-  std::vector<size_t> active(n);
-  std::iota(active.begin(), active.end(), size_t{0});
-  std::vector<std::shared_ptr<const Block>> fetched(n);
-  while (!active.empty()) {
-    std::vector<ReadRequest> reqs;  // The round's unique block reads...
-    std::vector<std::unique_ptr<char[]>> bufs;
-    std::vector<size_t> owner;  // ...and the first cursor to ask for each.
-    std::vector<std::pair<size_t, size_t>> waiting;  // (cursor, read).
-    for (size_t i : active) {
-      LookupCursor& c = *cursors[i];
-      Status s = StepLookup(&c, std::move(fetched[i]));
+  // collapsed into one submission. The round arrays are sized once per
+  // batch, by the first round that reads.
+  struct RoundRead {
+    std::unique_ptr<char[]> buf;  // Adopted by the block built from it.
+    size_t asker;                 // The first key to ask for the block.
+  };
+  std::vector<ReadRequest> reqs;
+  std::vector<RoundRead> reads;
+  while (true) {
+    reqs.clear();
+    reads.clear();
+    for (size_t i = 0; i < n; ++i) {
+      KeyWalk& w = walks[i];
+      if (w.done) {
+        continue;
+      }
+      LookupCursor& c = *w.cursor;
+      Status s = StepLookup(&c, std::move(w.fetched));
       if (!s.ok() || c.state != LookupCursor::kNeedBlock) {
         statuses[i] = s.ok() ? FinishLookup(options, c, &(*values)[i]) : s;
+        w.done = true;
         continue;
       }
       size_t r = 0;
@@ -1351,21 +1360,18 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
         ++r;
       }
       if (r == reqs.size()) {
-        const size_t len =
-            static_cast<size_t>(c.block.size()) + kBlockTrailerSize;
-        // The read overwrites the buffer: no need to zero it first.
-        bufs.push_back(std::make_unique_for_overwrite<char[]>(len));
+        reqs.reserve(n);
+        reads.reserve(n);
+        reads.push_back(RoundRead{TableReader::NewReadBuffer(c.block), i});
         ReadRequest req;
         req.file = c.reader->file();
         req.offset = c.block.offset();
-        req.len = len;
-        req.scratch = bufs.back().get();
+        req.len = static_cast<size_t>(c.block.size()) + kBlockTrailerSize;
+        req.scratch = reads.back().buf.get();
         reqs.push_back(req);
-        owner.push_back(i);
       }
-      waiting.emplace_back(i, r);
+      w.read = r;
     }
-    active.clear();
     if (reqs.empty()) {
       break;
     }
@@ -1373,26 +1379,31 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
     options_.env->MultiRead(reqs.data(), reqs.size());
     stats_->io_batches.fetch_add(1, std::memory_order_relaxed);
     stats_->io_batch_reads.fetch_add(reqs.size(), std::memory_order_relaxed);
-    // Materialize each unique block once (verified, built and cached the
-    // way the reader's fetch context says).
-    std::vector<std::shared_ptr<const Block>> blocks(reqs.size());
+    // Materialize each unique block once, into its asker's walk (verified,
+    // built and cached the way the reader's fetch context says).
     uint64_t bytes = 0;
     for (size_t r = 0; r < reqs.size(); ++r) {
       if (reqs[r].status.ok()) {
         bytes += reqs[r].result.size();
-        const LookupCursor& c = *cursors[owner[r]];
+        KeyWalk& asker = walks[reads[r].asker];
+        const LookupCursor& c = *asker.cursor;
         reqs[r].status = c.reader->FinishBatchedBlockRead(
             c.reader->MakeFetchContext(options), c.block, reqs[r].result,
-            &blocks[r]);
+            &reads[r].buf, &asker.fetched);
       }
     }
     stats_->io_batch_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    for (const auto& [i, r] : waiting) {
-      if (reqs[r].status.ok()) {
-        fetched[i] = blocks[r];
-        active.push_back(i);
-      } else {
-        statuses[i] = reqs[r].status;
+    for (size_t i = 0; i < n; ++i) {
+      KeyWalk& w = walks[i];
+      if (w.done) {
+        continue;
+      }
+      const Status& read_status = reqs[w.read].status;
+      if (!read_status.ok()) {
+        statuses[i] = read_status;
+        w.done = true;
+      } else if (reads[w.read].asker != i) {
+        w.fetched = walks[reads[w.read].asker].fetched;
       }
     }
   }

@@ -391,6 +391,10 @@ class ShardEngine {
   void AdmitCompactionLocked(CompactionPlan plan) REQUIRES(mu_);
   /// Drops a finished job's file and range claims.
   void UnregisterCompactionLocked(uint64_t job_id) REQUIRES(mu_);
+  /// The one install step of background and manual compactions: installs
+  /// a finished job under mu_, then, when the options ask for it, re-warms
+  /// the block cache with its outputs with no lock held.
+  Status InstallCompaction(CompactionJob* job) EXCLUDES(mu_);
   /// Applies a finished job's edit atomically, releases its output pins,
   /// records per-level stats, and collects obsolete inputs.
   Status InstallCompactionLocked(CompactionJob* job) REQUIRES(mu_);

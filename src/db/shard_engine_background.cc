@@ -363,23 +363,10 @@ void ShardEngine::BackgroundCompaction(std::shared_ptr<CompactionJob> job) {
 
   bool installed = false;
   if (s.ok()) {
-    MutexLock lock(&mu_);
-    s = InstallCompactionLocked(job.get());
+    s = InstallCompaction(job.get());
     installed = s.ok();
   } else {
     job->Cleanup();
-  }
-
-  // Leaper-inspired cache re-warm: immediately reload the hot region that
-  // the compaction displaced (tutorial §2.1.3). Outside the lock.
-  if (installed && options_.cache_rewarm_after_compaction &&
-      block_cache_ != nullptr) {
-    for (const auto& meta : job->outputs()) {
-      std::shared_ptr<TableReader> reader;
-      if (table_cache_.GetReader(meta, &reader).ok()) {
-        reader->WarmCache();
-      }
-    }
   }
 
   const uint64_t duration_micros = options_.clock->NowMicros() - start_micros;
@@ -423,6 +410,26 @@ void ShardEngine::BackgroundCompaction(std::shared_ptr<CompactionJob> job) {
   UnregisterCompactionLocked(job->id());
   MaybeScheduleCompaction();  // The freed claims may unblock more work.
   background_cv_.SignalAll();
+}
+
+Status ShardEngine::InstallCompaction(CompactionJob* job) {
+  Status s;
+  {
+    MutexLock lock(&mu_);
+    s = InstallCompactionLocked(job);
+  }
+  // Leaper-inspired cache re-warm: immediately reload the hot region that
+  // the compaction displaced (tutorial §2.1.3). Outside the lock.
+  if (s.ok() && options_.cache_rewarm_after_compaction &&
+      block_cache_ != nullptr) {
+    for (const auto& meta : job->outputs()) {
+      std::shared_ptr<TableReader> reader;
+      if (table_cache_.GetReader(meta, &reader).ok()) {
+        reader->WarmCache();
+      }
+    }
+  }
+  return s;
 }
 
 Status ShardEngine::InstallCompactionLocked(CompactionJob* job) {
@@ -504,11 +511,11 @@ Status ShardEngine::CompactRange() {
     }
     s = job->Run();
     if (s.ok()) {
-      MutexLock lock(&mu_);
-      s = InstallCompactionLocked(job.get());
+      s = InstallCompaction(job.get());
       if (!s.ok()) {
         // Manifest append failed mid-manual-compaction: same torn-record
         // hazard as the background path, and equally hard.
+        MutexLock lock(&mu_);
         RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kManifest);
       }
     } else {

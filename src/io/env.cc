@@ -1,6 +1,5 @@
 #include "io/env.h"
 
-#include <utility>
 #include <vector>
 
 #include "util/lock_rank.h"
@@ -18,40 +17,51 @@ void Env::MultiRead(ReadRequest* reqs, size_t n) {
   // Checked once per batch, before any file is touched, so a report names
   // the batch rather than its first request.
   LSMLAB_CHECK_IO_UNDER_LOCK("MultiRead", "batch");
-  // Group by file in order of first appearance. Batches are small (tens of
-  // requests), so a linear scan beats a hash map.
-  std::vector<std::pair<RandomAccessFile*, std::vector<size_t>>> groups;
+  // One RandomAccessFile::MultiRead per file, in order of the file's first
+  // appearance, with its requests in batch order. A file whose requests sit
+  // side by side reads them in place; others are gathered into `gathered`,
+  // sized once per call. Batches are small (tens of requests), so linear
+  // scans beat a hash map.
+  std::vector<ReadRequest> gathered;
   for (size_t i = 0; i < n; ++i) {
-    if (reqs[i].file == nullptr) {
+    RandomAccessFile* const file = reqs[i].file;
+    if (file == nullptr) {
       reqs[i].status = Status::InvalidArgument("ReadRequest without a file");
       continue;
     }
-    bool found = false;
-    for (auto& g : groups) {
-      if (g.first == reqs[i].file) {
-        g.second.push_back(i);
-        found = true;
-        break;
+    bool seen = false;
+    for (size_t j = i; j > 0 && !seen; --j) {
+      seen = reqs[j - 1].file == file;
+    }
+    if (seen) {
+      continue;  // Read with the file's first request.
+    }
+    size_t count = 0;
+    size_t last = i;
+    for (size_t j = i; j < n; ++j) {
+      if (reqs[j].file == file) {
+        ++count;
+        last = j;
       }
     }
-    if (!found) {
-      groups.emplace_back(reqs[i].file, std::vector<size_t>{i});
-    }
-  }
-  std::vector<ReadRequest> batch;
-  for (auto& g : groups) {
-    if (g.second.size() == 1) {
-      g.first->MultiRead(&reqs[g.second[0]], 1);
+    if (last - i + 1 == count) {
+      file->MultiRead(&reqs[i], count);
       continue;
     }
-    batch.clear();
-    for (size_t idx : g.second) {
-      batch.push_back(reqs[idx]);
+    gathered.reserve(n);
+    gathered.clear();
+    for (size_t j = i; j <= last; ++j) {
+      if (reqs[j].file == file) {
+        gathered.push_back(reqs[j]);
+      }
     }
-    g.first->MultiRead(batch.data(), batch.size());
-    for (size_t k = 0; k < g.second.size(); ++k) {
-      reqs[g.second[k]].result = batch[k].result;
-      reqs[g.second[k]].status = batch[k].status;
+    file->MultiRead(gathered.data(), count);
+    for (size_t j = i, k = 0; j <= last; ++j) {
+      if (reqs[j].file == file) {
+        reqs[j].result = gathered[k].result;
+        reqs[j].status = gathered[k].status;
+        ++k;
+      }
     }
   }
 }

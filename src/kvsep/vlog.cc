@@ -1,6 +1,7 @@
 #include "kvsep/vlog.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "db/filename.h"
 #include "util/coding.h"
@@ -28,6 +29,7 @@ Status VlogManager::CountExistingLogs() {
     return s;
   }
   uint64_t bytes = 0;
+  std::vector<uint64_t> logs;
   for (const auto& child : children) {
     uint64_t number = 0, size = 0;
     FileType type;
@@ -37,10 +39,14 @@ Status VlogManager::CountExistingLogs() {
         return s;
       }
       bytes += size;
+      logs.push_back(number);
     }
   }
   MutexLock lock(&mu_);
   total_bytes_ += bytes;
+  for (uint64_t number : logs) {
+    garbage_bytes_.try_emplace(number, 0);
+  }
   return Status::OK();
 }
 
@@ -61,6 +67,7 @@ Status VlogManager::OpenActive(uint64_t file_number) {
     active_file_number_ = file_number;
     active_offset_ = 0;
     synced_offset_ = 0;
+    garbage_bytes_.try_emplace(file_number, 0);
   }
   return s;
 }
@@ -130,7 +137,11 @@ Status VlogManager::Read(const VlogPointer& ptr, const Slice& expected_key,
 
 void VlogManager::AddGarbage(uint64_t file_number, uint64_t bytes) {
   MutexLock lock(&mu_);
-  garbage_bytes_[file_number] += bytes;
+  // A pointer into a log GC already deleted is no longer in TotalBytes().
+  auto it = garbage_bytes_.find(file_number);
+  if (it != garbage_bytes_.end()) {
+    it->second += bytes;
+  }
 }
 
 double VlogManager::GarbageRatio() const {

@@ -55,6 +55,8 @@ class VlogManager {
               std::string* value);
 
   /// Accounts `bytes` of a now-dead value (its LSM pointer was dropped).
+  /// Ignored unless `file_number` is a live log: one found at open or
+  /// opened since, and not deleted.
   void AddGarbage(uint64_t file_number, uint64_t bytes) EXCLUDES(mu_);
 
   /// Fraction of TotalBytes() known dead, across all logs.
@@ -96,6 +98,7 @@ class VlogManager {
   uint64_t active_offset_ GUARDED_BY(mu_) = 0;
   uint64_t synced_offset_ GUARDED_BY(mu_) = 0;  // Durable prefix of active.
   uint64_t total_bytes_ GUARDED_BY(mu_) = 0;
+  /// Dead bytes per live log; its keys are the set of live logs.
   std::unordered_map<uint64_t, uint64_t> garbage_bytes_ GUARDED_BY(mu_);
 };
 

@@ -16,29 +16,41 @@ void BlockKeyBuffer::Grow(size_t keep, size_t needed) {
   capacity_ = capacity;
 }
 
-Block::Block(std::string contents) : data_(std::move(contents)) {
-  if (data_.size() < sizeof(uint32_t)) {
+namespace {
+
+std::unique_ptr<char[]> CopyOf(const Slice& contents) {
+  auto buf = std::make_unique_for_overwrite<char[]>(contents.size());
+  std::memcpy(buf.get(), contents.data(), contents.size());
+  return buf;
+}
+
+}  // namespace
+
+Block::Block(const Slice& contents) : Block(CopyOf(contents), contents.size()) {}
+
+Block::Block(std::unique_ptr<char[]> buf, size_t size)
+    : data_(std::move(buf)), size_(size) {
+  if (size_ < sizeof(uint32_t)) {
     malformed_ = true;
     return;
   }
   uint32_t num_restarts = NumRestarts();
   uint64_t restart_bytes =
       (static_cast<uint64_t>(num_restarts) + 1) * sizeof(uint32_t);
-  if (restart_bytes > data_.size()) {
+  if (restart_bytes > size_) {
     malformed_ = true;
     return;
   }
-  restart_offset_ =
-      static_cast<uint32_t>(data_.size() - restart_bytes);
+  restart_offset_ = static_cast<uint32_t>(size_ - restart_bytes);
 }
 
 uint32_t Block::NumRestarts() const {
-  return DecodeFixed32(data_.data() + data_.size() - sizeof(uint32_t));
+  return DecodeFixed32(data_.get() + size_ - sizeof(uint32_t));
 }
 
 uint32_t Block::RestartPoint(uint32_t index) const {
   assert(index < NumRestarts());
-  return DecodeFixed32(data_.data() + restart_offset_ +
+  return DecodeFixed32(data_.get() + restart_offset_ +
                        index * sizeof(uint32_t));
 }
 
@@ -103,7 +115,7 @@ bool Block::Seek(const Cmp& cmp, const Slice& target, BlockKeyBuffer* key,
   if (num_restarts == 0) {
     return false;
   }
-  const char* const data = data_.data();
+  const char* const data = data_.get();
   const char* const limit = data + restart_offset_;
   // Restart keys are stored whole (shared == 0), so the binary search
   // compares them in place.
@@ -170,7 +182,7 @@ class Block::Iter final : public Iterator {
     status_ = Status::OK();
     key_.clear();
     // ParseNextEntry starts where value_ ends.
-    value_ = Slice(block_->data_.data() + block_->RestartPoint(0), 0);
+    value_ = Slice(block_->data_.get() + block_->RestartPoint(0), 0);
     ParseNextEntry();
   }
 
@@ -180,7 +192,7 @@ class Block::Iter final : public Iterator {
 
  private:
   void ParseNextEntry() {
-    const char* limit = block_->data_.data() + block_->restart_offset_;
+    const char* limit = block_->data_.get() + block_->restart_offset_;
     const char* p = value_.data() + value_.size();
     if (p >= limit) {
       valid_ = false;  // No more entries.

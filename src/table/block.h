@@ -55,13 +55,16 @@ class BlockKeyBuffer {
 /// shared between the block cache and live iterators.
 class Block {
  public:
-  /// Takes ownership of `contents`.
-  explicit Block(std::string contents);
+  /// Copies `contents`.
+  explicit Block(const Slice& contents);
+  /// Adopts `buf`, whose first `size` bytes are the block: a data block
+  /// keeps the buffer its read filled (the trailer after them included).
+  Block(std::unique_ptr<char[]> buf, size_t size);
 
   Block(const Block&) = delete;
   Block& operator=(const Block&) = delete;
 
-  size_t size() const { return data_.size(); }
+  size_t size() const { return size_; }
 
   /// Iterator over the block's entries; keeps the Block alive via the
   /// owner pointer held by the caller.
@@ -86,7 +89,8 @@ class Block {
   uint32_t NumRestarts() const;
   uint32_t RestartPoint(uint32_t index) const;
 
-  std::string data_;
+  const std::unique_ptr<char[]> data_;
+  const size_t size_;
   uint32_t restart_offset_ = 0;  // Offset of the restart array.
   bool malformed_ = false;
 };

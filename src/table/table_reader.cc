@@ -51,7 +51,7 @@ Status TableReader::Open(const TableReaderOptions& options,
   if (!s.ok()) {
     return s;
   }
-  Block metaindex_block(std::move(metaindex_contents.data));
+  Block metaindex_block(metaindex_contents.data);
   auto meta_iter = metaindex_block.NewIterator(BytewiseComparator());
 
   if (options.filter_policy != nullptr) {
@@ -139,7 +139,7 @@ Status TableReader::Open(const TableReaderOptions& options,
           index_contents.data.size(), std::memory_order_relaxed);
     }
     reader->index_reader_ = std::make_unique<BinarySearchIndexReader>(
-        std::make_unique<Block>(std::move(index_contents.data)),
+        std::make_unique<Block>(index_contents.data),
         options.comparator);
   }
 
@@ -159,7 +159,7 @@ Status TableReader::GetFenceIndexBlock(const Block** block) {
   if (!s.ok()) {
     return s;
   }
-  const Block* fresh = new Block(std::move(contents.data));
+  const Block* fresh = new Block(contents.data);
   const Block* expected = nullptr;
   if (fence_index_block_.compare_exchange_strong(expected, fresh,
                                                  std::memory_order_acq_rel,
@@ -207,27 +207,30 @@ void MakeBlockCacheKey(uint64_t file_number, uint64_t offset, char* buf) {
 std::shared_ptr<const Block> TableReader::GetDataBlock(
     const BlockHandle& handle, const ReadOptions& read_options, Status* s) {
   return FetchDataBlock(handle, MakeFetchContext(read_options), file_.get(),
-                        nullptr, s);
+                        s);
+}
+
+std::unique_ptr<char[]> TableReader::NewReadBuffer(const BlockHandle& handle) {
+  // The read overwrites the buffer: no need to zero it first.
+  return std::make_unique_for_overwrite<char[]>(
+      static_cast<size_t>(handle.size()) + kBlockTrailerSize);
 }
 
 std::shared_ptr<const Block> TableReader::FetchDataBlock(
     const BlockHandle& handle, const BlockFetchContext& ctx,
-    const RandomAccessFile* file, std::string* scratch, Status* s) {
+    const RandomAccessFile* file, Status* s) {
   *s = Status::OK();
   std::shared_ptr<const Block> block = LookupCachedBlock(handle.offset());
   if (block != nullptr) {
     return block;
   }
-  const size_t len = static_cast<size_t>(handle.size()) + kBlockTrailerSize;
-  std::string local_buf;
-  std::string* buf = scratch != nullptr ? scratch : &local_buf;
-  if (buf->size() < len) {
-    buf->resize(len);
-  }
+  std::unique_ptr<char[]> buf = NewReadBuffer(handle);
   Slice contents;
-  *s = file->Read(handle.offset(), len, &contents, buf->data());
+  *s = file->Read(handle.offset(),
+                  static_cast<size_t>(handle.size()) + kBlockTrailerSize,
+                  &contents, buf.get());
   if (s->ok()) {
-    *s = FinishBatchedBlockRead(ctx, handle, contents, &block);
+    *s = FinishBatchedBlockRead(ctx, handle, contents, &buf, &block);
   }
   return block;
 }
@@ -243,13 +246,14 @@ std::shared_ptr<const Block> TableReader::LookupCachedBlock(uint64_t offset) {
   }
   char cache_key[16];
   MakeBlockCacheKey(file_number_, offset, cache_key);
-  auto cached = options_.block_cache->Lookup(Slice(cache_key, 16));
-  return std::static_pointer_cast<const Block>(cached);
+  return std::static_pointer_cast<const Block>(
+      options_.block_cache->Lookup(Slice(cache_key, 16)));
 }
 
 Status TableReader::FinishBatchedBlockRead(
     const BlockFetchContext& ctx, const BlockHandle& handle,
-    const Slice& contents, std::shared_ptr<const Block>* block) {
+    const Slice& contents, std::unique_ptr<char[]>* buf,
+    std::shared_ptr<const Block>* block) {
   block->reset();
   size_t n = static_cast<size_t>(handle.size());
   if (contents.size() != n + kBlockTrailerSize) {
@@ -259,8 +263,9 @@ Status TableReader::FinishBatchedBlockRead(
   if (!s.ok()) {
     return s;
   }
-  auto built =
-      std::make_shared<const Block>(std::string(contents.data(), n));
+  auto built = buf != nullptr && contents.data() == buf->get()
+                   ? std::make_shared<const Block>(std::move(*buf), n)
+                   : std::make_shared<const Block>(Slice(contents.data(), n));
   if (ctx.fill_cache) {
     char cache_key[16];
     MakeBlockCacheKey(file_number_, handle.offset(), cache_key);
@@ -377,8 +382,7 @@ class TableReader::TwoLevelIterator final : public Iterator {
       return;
     }
     Status s;
-    data_block_ = table_->FetchDataBlock(handle, ctx_, ReadFile(),
-                                         &block_scratch_, &s);
+    data_block_ = table_->FetchDataBlock(handle, ctx_, ReadFile(), &s);
     if (!s.ok()) {
       status_ = s;
       data_iter_.reset();
@@ -434,7 +438,6 @@ class TableReader::TwoLevelIterator final : public Iterator {
   const BlockFetchContext ctx_;  // Fetch decision taken once per iterator.
   std::unique_ptr<IndexIterator> index_iter_;
   std::unique_ptr<ReadaheadRandomAccessFile> readahead_;  // Lazy.
-  std::string block_scratch_;  // Reused across block reads (no per-block alloc).
   std::shared_ptr<const Block> data_block_;  // Keeps the block alive.
   uint64_t data_block_offset_ = 0;  // Where data_block_ starts.
   std::unique_ptr<Iterator> data_iter_;

@@ -111,13 +111,20 @@ class TableReader : private FenceBlockProvider {
   /// Cache-only lookup for the data block at `offset`; nullptr on miss.
   std::shared_ptr<const Block> LookupCachedBlock(uint64_t offset);
 
+  /// A buffer for one read of the block at `handle`: handle.size() +
+  /// kBlockTrailerSize bytes, not zeroed.
+  static std::unique_ptr<char[]> NewReadBuffer(const BlockHandle& handle);
+
   /// Completes one block read: `contents` is the raw handle.size() +
-  /// kBlockTrailerSize bytes read (alone or in a MultiRead) for `handle`.
-  /// Verifies the trailer per `ctx`, materializes the Block, and inserts it
+  /// kBlockTrailerSize bytes read (alone or in a MultiRead) for `handle`,
+  /// into `*buf` (a NewReadBuffer; nullable). Verifies the trailer per
+  /// `ctx` and materializes the Block: it adopts *buf when the read
+  /// returned its bytes there, and copies them otherwise. Inserts the block
   /// into the cache when ctx.fill_cache.
   Status FinishBatchedBlockRead(const BlockFetchContext& ctx,
                                 const BlockHandle& handle,
                                 const Slice& contents,
+                                std::unique_ptr<char[]>* buf,
                                 std::shared_ptr<const Block>* block);
 
   /// Searches `block` for `internal_key` with InternalGet's exact match
@@ -143,12 +150,12 @@ class TableReader : private FenceBlockProvider {
                                             Status* s);
 
   /// Core fetch: cache lookup, then — on miss — a read through `file`
-  /// (the table file, or an iterator's readahead wrapper) using the
-  /// caller's reusable `scratch` buffer (nullable).
+  /// (the table file, or an iterator's readahead wrapper) into a fresh
+  /// buffer that the block keeps.
   std::shared_ptr<const Block> FetchDataBlock(const BlockHandle& handle,
                                               const BlockFetchContext& ctx,
                                               const RandomAccessFile* file,
-                                              std::string* scratch, Status* s);
+                                              Status* s);
 
   /// FenceBlockProvider: lazily loads and pins the classic fence block for
   /// a learned table's fallback path. Lock-free (CAS publish), so no lock

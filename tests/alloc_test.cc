@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/lru_cache.h"
 #include "db/db.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
@@ -208,7 +209,61 @@ TEST_F(AllocTest, MultiGetAllocationsDoNotGrowWithTheBatch) {
   const uint64_t one = allocations_for(1);
   const uint64_t sixteen = allocations_for(16);
   EXPECT_EQ(one, sixteen);
-  EXPECT_LE(one, 4u);
+  // The returned statuses and the batch's per-key walks.
+  EXPECT_LE(one, 2u);
+}
+
+// With a cache too small to keep any block, every lookup reads its block:
+// the read buffer, which the block adopts, the block, and its cache entry.
+TEST_F(AllocTest, ColdGetAllocatesThreeTimesPerBlockRead) {
+  options_.block_cache_capacity = 1;
+  Open();
+  Fill();
+  ASSERT_TRUE(db_->Flush().ok());
+  const std::vector<std::string> keys = PresentKeys();
+  const CacheStats before = db_->block_cache()->GetStats();
+  const uint64_t made = AllocationsPerPass(keys, true);
+  const CacheStats after = db_->block_cache()->GetStats();
+  // Both passes (the untimed one too) missed on every key.
+  EXPECT_EQ(2 * keys.size(), after.misses - before.misses);
+  EXPECT_EQ(0u, after.hits - before.hits);
+  EXPECT_LE(made, 3 * keys.size());
+}
+
+// A cold batch pays 3 allocations per block it reads and a constant per
+// batch, whatever its size.
+TEST_F(AllocTest, ColdMultiGetAllocationsBeyondBlockReadsDoNotGrow) {
+  options_.block_cache_capacity = 1;
+  Open();
+  Fill();
+  ASSERT_TRUE(db_->Flush().ok());
+  auto allocations_beyond_reads = [&](size_t batch) {
+    std::vector<std::string> owned;
+    for (size_t i = 0; i < batch; ++i) {
+      owned.push_back(Key(static_cast<int>(i * 97 % kNumKeys)));
+    }
+    std::vector<Slice> keys(owned.begin(), owned.end());
+    std::vector<std::string> values;
+    std::vector<Status> warm = db_->MultiGet(ReadOptions(), keys, &values);
+    for (const Status& s : warm) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+    const uint64_t reads_before = db_->statistics()->io_batch_reads.load();
+    const uint64_t before = t_allocations;
+    std::vector<Status> statuses = db_->MultiGet(ReadOptions(), keys, &values);
+    const uint64_t made = t_allocations - before;
+    const uint64_t reads = db_->statistics()->io_batch_reads.load() -
+                           reads_before;
+    for (const Status& s : statuses) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+    EXPECT_GE(reads, 1u);
+    EXPECT_GE(made, 3 * reads);
+    return made - 3 * reads;
+  };
+  const uint64_t one = allocations_beyond_reads(1);
+  const uint64_t sixteen = allocations_beyond_reads(16);
+  EXPECT_EQ(one, sixteen);
 }
 
 TEST_F(AllocTest, PutAllocatesAboutOnce) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/lru_cache.h"
@@ -203,6 +207,154 @@ TEST(LruCacheTest, ConcurrentHitMissAccountingIsExact) {
   EXPECT_EQ(kTotal, stats.hits + stats.misses);
   EXPECT_EQ(kTotal / 2, stats.hits);
   EXPECT_EQ(kTotal / 2, stats.misses);
+}
+
+/// The LRU policy the cache implements, kept as plainly as it can be
+/// written: a list in recency order (front = most recently used) and an
+/// ordered map from key to list position.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  void Insert(const std::string& key, int value, size_t charge) {
+    Remove(key);
+    lru_.push_front({key, {value, charge}});
+    index_[key] = lru_.begin();
+    usage_ += charge;
+    ++stats_.inserts;
+    while (usage_ > capacity_ && !lru_.empty()) {
+      usage_ -= lru_.back().second.second;
+      index_.erase(lru_.back().first);
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+  }
+
+  /// The value, or -1 on a miss.
+  int Lookup(const std::string& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++stats_.misses;
+      return -1;
+    }
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second.first;
+  }
+
+  void Remove(const std::string& key) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      usage_ -= it->second->second.second;
+      lru_.erase(it->second);
+      index_.erase(it);
+    }
+  }
+
+  size_t usage() const { return usage_; }
+  size_t size() const { return index_.size(); }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  using Node = std::pair<std::string, std::pair<int, size_t>>;
+  const size_t capacity_;
+  std::list<Node> lru_;
+  std::map<std::string, std::list<Node>::iterator> index_;
+  size_t usage_ = 0;
+  CacheStats stats_;
+};
+
+// 10,000 seeded calls on a one-shard cache agree with the reference LRU
+// after every call: results, counters and usage. Keys of 0 to 40 bytes
+// (block-cache keys are 16) over a space small enough that entries are
+// replaced, hit, erased and evicted, and enough of them live at once that
+// the hash table grows.
+TEST(LruCacheTest, MatchesReferenceLruOnSeededCalls) {
+  constexpr size_t kCapacity = 4000;
+  LruCache cache(kCapacity, 1);
+  ReferenceLru reference(kCapacity);
+  std::mt19937 rng(2024);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 300; ++i) {
+    std::string key(static_cast<size_t>(i % 41), '\0');
+    for (char& c : key) {
+      c = static_cast<char>(rng());
+    }
+    key += std::to_string(i);  // Distinct, even where the random part is not.
+    keys.push_back(key);
+  }
+  for (int call = 0; call < 10000; ++call) {
+    const std::string& key = keys[rng() % keys.size()];
+    const uint32_t op = rng() % 10;
+    if (op < 4) {
+      const int value = static_cast<int>(rng() % 1000);
+      const size_t charge = 1 + rng() % 120;
+      cache.Insert(key, Val(value), charge);
+      reference.Insert(key, value, charge);
+    } else if (op < 9) {
+      auto hit = cache.Lookup(key);
+      const int expected = reference.Lookup(key);
+      ASSERT_EQ(expected, hit == nullptr ? -1 : Get(hit)) << "call " << call;
+    } else {
+      cache.Erase(key);
+      reference.Remove(key);
+    }
+    const CacheStats stats = cache.GetStats();
+    ASSERT_EQ(reference.stats().hits, stats.hits) << "call " << call;
+    ASSERT_EQ(reference.stats().misses, stats.misses) << "call " << call;
+    ASSERT_EQ(reference.stats().inserts, stats.inserts) << "call " << call;
+    ASSERT_EQ(reference.stats().evictions, stats.evictions) << "call " << call;
+    ASSERT_EQ(reference.usage(), cache.usage()) << "call " << call;
+    ASSERT_EQ(reference.size(), cache.ShardEntryCount(0)) << "call " << call;
+  }
+  EXPECT_GT(reference.stats().evictions, 0u);
+  EXPECT_GT(reference.stats().hits, 0u);
+}
+
+// Four threads insert, look up and erase 64 keys on a small two-shard cache
+// that evicts constantly. Every value names its key, so a hit that returns
+// another key's value (a torn entry or a broken chain) fails.
+TEST(LruCacheTest, ConcurrentInsertLookupEraseReturnTheirOwnValues) {
+  LruCache cache(400, 2);
+  constexpr int kKeys = 64;
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 20000;
+  std::vector<uint64_t> lookups(kThreads, 0);
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(t + 1));
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        const int k = static_cast<int>(rng() % kKeys);
+        const std::string key = "key" + std::to_string(k);
+        const uint32_t op = rng() % 8;
+        if (op < 3) {
+          cache.Insert(key, Val(k), 1 + rng() % 30);
+        } else if (op < 7) {
+          ++lookups[t];
+          auto hit = cache.Lookup(key);
+          wrong[t] += hit != nullptr && Get(hit) != k;
+        } else {
+          cache.Erase(key);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  uint64_t total_lookups = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(0, wrong[t]) << "thread " << t;
+    total_lookups += lookups[t];
+  }
+  const CacheStats stats = cache.GetStats();
+  EXPECT_EQ(total_lookups, stats.hits + stats.misses);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(cache.usage(), 400u);
+  EXPECT_LE(cache.ShardEntryCount(0) + cache.ShardEntryCount(1),
+            static_cast<size_t>(kKeys));
 }
 
 }  // namespace

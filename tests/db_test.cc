@@ -1318,6 +1318,57 @@ TEST_F(KvSepTest, TotalBytesCountsLogsFromEarlierOpens) {
   }
 }
 
+// A compaction that drops pointers into a log GC already deleted counts no
+// garbage for it: every value left in the surviving log is live.
+TEST_F(KvSepTest, GarbageInDeletedLogsIsNotCounted) {
+  auto key_of = [](int i) { return "k" + std::to_string(i); };
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(400, 'a')).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(150, 'b')).ok());
+  }
+  ASSERT_TRUE(db_->CompactRange().ok());
+  ASSERT_TRUE(db_->GarbageCollectVlog().ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactRange().ok());
+  EXPECT_EQ(0u, db_->vlog()->GarbageBytes());
+  EXPECT_GT(db_->vlog()->TotalBytes(), 0u);
+  std::string value;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Get(ReadOptions(), key_of(i), &value).ok()) << i;
+    EXPECT_EQ(std::string(150, 'b'), value);
+  }
+}
+
+// A manual compaction re-warms the block cache with its outputs, as a
+// background one does: with re-warm on, reading every key after
+// CompactRange() misses no block.
+TEST_F(DBTest, CompactRangeRewarmsTheBlockCache) {
+  auto key_of = [](int i) { return "key" + std::to_string(1000 + i); };
+  auto misses_after_compaction = [&](bool rewarm, const std::string& path) {
+    options_.cache_rewarm_after_compaction = rewarm;
+    db_.reset();
+    EXPECT_TRUE(DB::Open(options_, path, &db_).ok());
+    const int kKeys = 1000;
+    for (int i = 0; i < kKeys; ++i) {
+      EXPECT_TRUE(Put(key_of(i), "value-" + std::to_string(i)).ok());
+    }
+    EXPECT_TRUE(db_->CompactRange().ok());
+    db_->block_cache()->ResetStats();
+    for (int i = 0; i < kKeys; ++i) {
+      EXPECT_EQ("value-" + std::to_string(i), Get(key_of(i)));
+    }
+    return db_->block_cache()->GetStats().misses;
+  };
+  EXPECT_EQ(0u, misses_after_compaction(true, "/rewarm"));
+  EXPECT_GT(misses_after_compaction(false, "/cold"), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // MultiGet: the batched lookup must agree with per-key Get everywhere.
 // ---------------------------------------------------------------------------

@@ -563,11 +563,11 @@ TEST_F(TableTest, ShortBlockReadIsRejected) {
 
   std::shared_ptr<const Block> block;
   s = reader_->FinishBatchedBlockRead(
-      ctx, handle, Slice(whole.data(), whole.size() - 1), &block);
+      ctx, handle, Slice(whole.data(), whole.size() - 1), nullptr, &block);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(nullptr, block);
 
-  s = reader_->FinishBatchedBlockRead(ctx, handle, whole, &block);
+  s = reader_->FinishBatchedBlockRead(ctx, handle, whole, nullptr, &block);
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_NE(nullptr, block);
   bool found = false;
