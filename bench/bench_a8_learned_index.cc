@@ -1,5 +1,6 @@
 // A8 — Pluggable per-SSTable learned indexes: PLR models vs binary-searched
-// fence pointers (ROADMAP item 4; paper §2.1.3's index block made pluggable).
+// fence pointers (DESIGN.md, "Pluggable per-table indexes"; paper §2.1.3's
+// index block made pluggable).
 //
 // Claim: once a table's data blocks are hot in cache, the per-lookup index
 // cost is what separates point-read configurations. A fence index pays a

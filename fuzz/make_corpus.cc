@@ -140,6 +140,7 @@ int main(int argc, char** argv) {
     f.largest = InternalKey("zebra", 90, kTypeDeletion);
     f.num_entries = 12;
     f.num_tombstones = 1;
+    f.oldest_vlog = 11;
     edit.AddFile(2, f);
     edit.RemoveFile(1, 7);
     std::string bytes;

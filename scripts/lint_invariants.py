@@ -47,11 +47,20 @@ Runs over src/ (and any extra paths given) and enforces:
   point-lookup-walk-copy
       Across src/db/, outside comments, each of `NextFileContaining(`,
       `KeyDefinitelyAbsent(`, `LookupCachedBlock(` and
-      `merge_operator->Merge(` appears on at most one line. Get, MultiGet
-      and vlog GC share one point-lookup walk (ShardEngine::StepLookup);
+      `merge_operator->Merge(` appears on at most one line. Get and
+      MultiGet share one point-lookup walk (ShardEngine::StepLookup);
       point lookups and iterators share one merge-chain resolver
       (ShardEngine::ResolveMerge). A second call site is a copy of one of
       them, and copies drift.
+
+  vlog-append-copy
+      Outside comments, a value log's `Append(` (a receiver named like
+      `vlog`) appears on one line of db/shard_engine.cc, the write-group
+      leader's separation, and one line of compaction/compaction_stream.cc,
+      the compaction stream's relocation, and nowhere else. A value
+      appended anywhere else can land in a log that no memtable or table
+      file names, which the engine may then delete under it, or behind a
+      pointer that a concurrent write does not shadow.
 
   table-iterator-outside-run-iterator
       Across src/db/ and src/compaction/, outside comments, a table
@@ -139,6 +148,13 @@ WALK_DIR = "db" + os.sep
 WALK_TOKENS = ("NextFileContaining(", "KeyDefinitelyAbsent(",
                "LookupCachedBlock(", "merge_operator->Merge(")
 
+# A value log's Append, and the one line each of its two homes may hold.
+VLOG_APPEND_RE = re.compile(r"\bvlog\w*\s*(?:->|\.)\s*Append\(")
+VLOG_APPEND_HOMES = {
+    os.path.join("db", "shard_engine.cc"),
+    os.path.join("compaction", "compaction_stream.cc"),
+}
+
 # A table reader's iterator; the engine opens one only inside the run
 # iterator (and the whole-file scrub).
 TABLE_ITER_DIRS = ("db" + os.sep, "compaction" + os.sep)
@@ -185,7 +201,8 @@ def is_comment(line):
     return s.startswith("//") or s.startswith("*") or s.startswith("/*")
 
 
-def lint_file(path, rel, findings, walk_sites, writer_sites):
+def lint_file(path, rel, findings, walk_sites, writer_sites,
+              vlog_append_sites):
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -280,6 +297,10 @@ def lint_file(path, rel, findings, walk_sites, writer_sites):
                 if token in code:
                     walk_sites.setdefault(token, []).append((rel, lineno))
 
+        # --- vlog-append-copy (reported in main) ---------------------------
+        if not is_comment(stripped) and VLOG_APPEND_RE.search(code):
+            vlog_append_sites.setdefault(rel, []).append(lineno)
+
         # --- table-iterator-outside-run-iterator ---------------------------
         if (rel.startswith(TABLE_ITER_DIRS)
                 and rel not in TABLE_ITER_ALLOWLIST
@@ -349,9 +370,11 @@ def main(argv):
     src_root = os.path.join(repo, "src")
     walk_sites = {}
     writer_sites = {}
+    vlog_append_sites = {}
     for path in sorted(files):
         rel = os.path.relpath(path, src_root)
-        lint_file(path, rel, findings, walk_sites, writer_sites)
+        lint_file(path, rel, findings, walk_sites, writer_sites,
+                  vlog_append_sites)
     for token, sites in sorted(walk_sites.items()):
         if len(sites) > 1:
             for rel, lineno in sites:
@@ -360,6 +383,14 @@ def main(argv):
                      f"{token} appears on {len(sites)} lines in src/db/ — "
                      "the point-lookup walk and the merge-chain resolver "
                      "each have one home"))
+    for rel, linenos in sorted(vlog_append_sites.items()):
+        if rel in VLOG_APPEND_HOMES and len(linenos) == 1:
+            continue
+        for lineno in linenos:
+            findings.append(
+                (rel, lineno, "vlog-append-copy",
+                 "value-log Append outside the leader's separation and the "
+                 "compaction stream's relocation (one line each)"))
     for what, sites in sorted(writer_sites.items()):
         if len(sites) > 1:
             for rel, lineno in sites:

@@ -274,7 +274,7 @@ Status CompactionJob::Run() {
       outputs_.push_back(meta);
       bytes_written_ += meta.file_size;
     }
-    shard.dropped.RecordIn(ctx_.stats, ctx_.vlog);
+    shard.dropped.RecordIn(ctx_.stats);
   }
 
   for (const auto& f : plan_.inputs) {

@@ -49,6 +49,13 @@ Status OutputWriter::Add(const Slice& internal_key, const Slice& value) {
   }
   largest_.DecodeFrom(internal_key);
   builder_->Add(internal_key, value);
+  if (ExtractValueType(internal_key) == kTypeVlogPointer) {
+    VlogPointer ptr;
+    if (ptr.DecodeFrom(value) &&
+        (oldest_vlog_ == 0 || ptr.file_number < oldest_vlog_)) {
+      oldest_vlog_ = ptr.file_number;
+    }
+  }
 
   // Flushes and compactions share one background-I/O budget.
   rate_limit_pending_ += internal_key.size() + value.size();
@@ -82,6 +89,8 @@ Status OutputWriter::FinishFile() {
   meta.creation_time_micros = props.creation_time_micros;
   meta.oldest_tombstone_time_micros =
       props.num_tombstones > 0 ? props.oldest_tombstone_time_micros : 0;
+  meta.oldest_vlog = oldest_vlog_;
+  oldest_vlog_ = 0;
   // The reader pin travels with the metadata into the installed Version,
   // so the reader the compaction re-warm opens is the one lookups find.
   meta.table_handle = std::make_shared<TableHandle>();
@@ -111,15 +120,10 @@ void OutputWriter::Abandon() {
   ctx_.unpin_output(file_number_);
 }
 
-void Dropped::RecordIn(Statistics* stats, VlogManager* vlog) const {
+void Dropped::RecordIn(Statistics* stats) const {
   stats->entries_dropped_obsolete.fetch_add(entries,
                                             std::memory_order_relaxed);
   stats->tombstones_dropped.fetch_add(tombstones, std::memory_order_relaxed);
-  if (vlog != nullptr) {
-    for (const auto& [file_number, bytes] : vlog_garbage) {
-      vlog->AddGarbage(file_number, bytes);
-    }
-  }
 }
 
 Status RunCompactionStream(const MergeContext& ctx, bool bottommost,
@@ -140,12 +144,29 @@ Status RunCompactionStream(const MergeContext& ctx, bool bottommost,
   bool pending_sd = false;
   std::string pending_sd_key;
 
-  auto collect_garbage = [&](const ParsedInternalKey& parsed) {
+  // Vlog GC: a kept pointer into a log below the cutoff moves its value
+  // into the active log. The new pointer keeps the entry's internal key, so
+  // a newer write of the key still shadows it, and a snapshot that sees the
+  // old version sees the copy.
+  std::string relocated_value, relocated_pointer;
+  auto emit = [&](const Slice& internal_key,
+                  const ParsedInternalKey& parsed) -> Status {
     VlogPointer ptr;
-    if (parsed.type == kTypeVlogPointer && ctx.vlog != nullptr &&
-        ptr.DecodeFrom(input->value())) {
-      dropped->vlog_garbage.emplace_back(ptr.file_number, ptr.size);
+    if (parsed.type != kTypeVlogPointer || ctx.relocate_below == 0 ||
+        !ptr.DecodeFrom(input->value()) ||
+        ptr.file_number >= ctx.relocate_below) {
+      return out->Add(internal_key, input->value());
     }
+    Status s = ctx.vlog->Read(ptr, parsed.user_key, &relocated_value);
+    if (s.ok()) {
+      s = ctx.vlog->Append(parsed.user_key, relocated_value, &ptr);
+    }
+    if (!s.ok()) {
+      return s;
+    }
+    relocated_pointer.clear();
+    ptr.EncodeTo(&relocated_pointer);
+    return out->Add(internal_key, relocated_pointer);
   };
   auto flush_pending_sd = [&]() -> Status {
     if (!pending_sd) {
@@ -188,13 +209,11 @@ Status RunCompactionStream(const MergeContext& ctx, bool bottommost,
       if ((parsed.type == kTypeValue || parsed.type == kTypeVlogPointer) &&
           icmp->CompareUserKey(parsed.user_key,
                                ExtractUserKey(pending_sd_key)) == 0) {
-        // Annihilate the pair: drop both the SD and the put it deletes,
-        // whose value, when separated, becomes vlog garbage. The SD already
-        // shadows this key's older versions.
+        // Annihilate the pair: drop both the SD and the put it deletes.
+        // The SD already shadows this key's older versions.
         pending_sd = false;
         ++dropped->tombstones;
         ++dropped->entries;
-        collect_garbage(parsed);
         continue;
       }
       // Not annihilable: emit the SD, then process this entry normally.
@@ -216,7 +235,6 @@ Status RunCompactionStream(const MergeContext& ctx, bool bottommost,
       // A newer full overwrite visible to every snapshot shadows this entry
       // (§2.1.1-B: updates/deletes applied lazily, here at merge time).
       ++dropped->entries;
-      collect_garbage(parsed);
       continue;
     }
     if (parsed.sequence <= floor && parsed.type != kTypeMerge) {
@@ -236,7 +254,7 @@ Status RunCompactionStream(const MergeContext& ctx, bool bottommost,
         continue;
       }
     }
-    s = out->Add(internal_key, input->value());
+    s = emit(internal_key, parsed);
   }
   if (s.ok()) {
     s = flush_pending_sd();

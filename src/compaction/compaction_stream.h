@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "db/dbformat.h"
@@ -36,6 +35,10 @@ struct MergeContext {
   ThreadPool* pool = nullptr;  // Null disables subcompactions.
   /// Snapshot floor for the drop rules, fixed when the merge starts.
   SequenceNumber oldest_snapshot = 0;
+  /// Vlog GC's cutoff: the value behind every kept pointer into a log
+  /// numbered below it moves into the active log. 0 (no relocation) for
+  /// every merge but GC's.
+  uint64_t relocate_below = 0;
   /// Allocates a fresh file number and pins it in pending_outputs_.
   std::function<uint64_t()> pin_new_file_number;
   /// Erases a pin placed by pin_new_file_number.
@@ -50,7 +53,8 @@ struct MergeContext {
 /// compaction shard's outputs alike: pins a file number and creates the
 /// file at the first entry, builds it while charging the rate limiter in
 /// chunks, with `split` cuts a file at target_file_size on a user-key
-/// boundary, and finishes, syncs and closes each file into a FileMetaData.
+/// boundary, and finishes, syncs and closes each file into a FileMetaData
+/// that names the oldest value log the file points into.
 /// On error the file in progress is removed and unpinned; finished files
 /// stay pinned until the caller installs or removes them. Flushes charge
 /// the limiter at high priority so a compaction burst cannot stall them
@@ -86,6 +90,7 @@ class OutputWriter {
   std::unique_ptr<TableBuilder> builder_;
   uint64_t file_number_ = 0;
   InternalKey smallest_, largest_;
+  uint64_t oldest_vlog_ = 0;  // Of the file in progress; 0 for none.
   uint64_t rate_limit_pending_ = 0;
   std::vector<FileMetaData> files_;
 };
@@ -94,25 +99,23 @@ class OutputWriter {
 struct Dropped {
   uint64_t entries = 0;  // Shadowed versions and annihilated puts.
   uint64_t tombstones = 0;
-  /// (vlog file, value bytes) behind every dropped pointer.
-  std::vector<std::pair<uint64_t, uint64_t>> vlog_garbage;
 
-  /// Counts the drops in the tickers and the garbage in `vlog` (null
-  /// without kv separation); called once the merge has succeeded, so a
-  /// retried merge counts its drops once.
-  void RecordIn(Statistics* stats, VlogManager* vlog) const;
+  /// Counts the drops in the tickers; called once the merge has succeeded,
+  /// so a retried merge counts its drops once.
+  void RecordIn(Statistics* stats) const;
 };
 
 /// The compaction stream: runs `input`, already positioned, through the
 /// drop rules of tutorial §2.1.1-§2.1.2 into `out`, up to the input's end
 /// or user key `end`. An entry under a newer value, tombstone or pointer of
 /// its key at or below ctx.oldest_snapshot drops (a merge operand shadows
-/// nothing); with `bottommost`, so does a tombstone at or below it; a
-/// SingleDelete annihilates with the put below it; and the value behind a
-/// dropped vlog pointer is garbage. A flush is the first such merge, a
-/// compaction shard every later one. `should_abort` (null: never) is
-/// polled every few hundred entries. On error the file in progress is gone
-/// and finished files stay in out->files() for the caller to remove.
+/// nothing); with `bottommost`, so does a tombstone at or below it; and a
+/// SingleDelete annihilates with the put below it. A kept pointer into a
+/// log below ctx.relocate_below is relocated (vlog GC). A flush is the
+/// first such merge, a compaction shard every later one. `should_abort`
+/// (null: never) is polled every few hundred entries. On error the file in
+/// progress is gone and finished files stay in out->files() for the caller
+/// to remove.
 Status RunCompactionStream(const MergeContext& ctx, bool bottommost,
                            Iterator* input, const std::optional<Slice>& end,
                            const std::function<bool()>& should_abort,

@@ -14,7 +14,6 @@
 #include "db/write_batch.h"
 #include "io/env.h"
 #include "io/wal_writer.h"
-#include "kvsep/vlog.h"
 #include "table/iterator.h"
 #include "util/mutex.h"
 #include "util/options.h"
@@ -117,8 +116,11 @@ class ShardedDB {
   Status CompactRange();
   /// Blocks until no flush or compaction is queued or running.
   Status WaitForBackgroundWork();
-  /// Rewrites value logs dropping dead values (WiscKey GC). No-op without
-  /// kv separation.
+  /// Value-log GC (WiscKey): each shard flushes, relocates every value a
+  /// table still points at in an older log into its active log, and
+  /// deletes the logs nothing points into any more (a log an open
+  /// iterator's view points into stays until the iterator goes). No-op
+  /// without kv separation.
   Status GarbageCollectVlog();
 
   /// Clears background-error states after the operator fixed the cause;
@@ -156,9 +158,6 @@ class ShardedDB {
   // --- Introspection --------------------------------------------------------
   Statistics* statistics() { return &stats_; }
   LruCache* block_cache() { return block_cache_.get(); }
-  /// Shard 0's value-log manager (tests and experiments run kv separation
-  /// single-shard).
-  VlogManager* vlog() { return shards_[0]->vlog(); }
   /// Tree dump: a header (shards, sorted runs, SST bytes), then per shard
   /// its key range, non-empty levels with their index-kind census, running
   /// compaction jobs, and current and first background error.

@@ -48,6 +48,79 @@ class BatchInserter : public WriteBatch::Handler {
   SequenceNumber seq_;
 };
 
+/// Key-value separation (WiscKey, tutorial §2.2.2): copies a batch with
+/// every put value of at least `threshold` bytes appended to the value log
+/// and replaced by its pointer, so the WAL and the memtable carry only the
+/// pointer.
+class ValueSeparator : public WriteBatch::Handler {
+ public:
+  ValueSeparator(VlogManager* vlog, size_t threshold, WriteBatch* out)
+      : vlog_(vlog), threshold_(threshold), out_(out) {}
+  void TypedRecord(ValueType type, const Slice& key,
+                   const Slice& value) override {
+    if (!status_.ok()) {
+      return;
+    }
+    if (type != kTypeValue || value.size() < threshold_) {
+      out_->PutTyped(type, key, value);
+      return;
+    }
+    VlogPointer ptr;
+    status_ = vlog_->Append(key, value, &ptr);
+    pointer_.clear();
+    ptr.EncodeTo(&pointer_);
+    out_->PutTyped(kTypeVlogPointer, key, pointer_);
+  }
+  void Put(const Slice&, const Slice&) override {}
+  void Delete(const Slice&) override {}
+  void SingleDelete(const Slice&) override {}
+  void Merge(const Slice&, const Slice&) override {}
+  const Status& status() const { return status_; }
+
+ private:
+  VlogManager* const vlog_;
+  const size_t threshold_;
+  WriteBatch* const out_;
+  std::string pointer_;
+  Status status_;
+};
+
+/// Reads back every value a replayed WAL record points at. A write that was
+/// not synced can keep its WAL record through a crash yet lose its value
+/// in the value log's torn tail; the write-order prefix then ends before it.
+class PointerChecker : public WriteBatch::Handler {
+ public:
+  explicit PointerChecker(VlogManager* vlog) : vlog_(vlog) {}
+  void TypedRecord(ValueType type, const Slice& key,
+                   const Slice& value) override {
+    VlogPointer ptr;
+    if (type != kTypeVlogPointer || !status_.ok()) {
+      return;
+    }
+    if (!ptr.DecodeFrom(value)) {
+      status_ = Status::Corruption("bad vlog pointer");
+      return;
+    }
+    if (ptr.file_number != file_number_) {
+      file_.reset();  // A WAL's pointers lead into its own log.
+      file_number_ = ptr.file_number;
+    }
+    status_ = vlog_->Read(ptr, key, &scratch_, &file_);
+  }
+  void Put(const Slice&, const Slice&) override {}
+  void Delete(const Slice&) override {}
+  void SingleDelete(const Slice&) override {}
+  void Merge(const Slice&, const Slice&) override {}
+  const Status& status() const { return status_; }
+
+ private:
+  VlogManager* const vlog_;
+  std::unique_ptr<RandomAccessFile> file_;  // Log file_number_, once open.
+  uint64_t file_number_ = 0;
+  std::string scratch_;
+  Status status_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -135,14 +208,8 @@ Status ShardEngine::Initialize(const std::set<uint64_t>* committed_prepares) {
   }
 
   if (options_.kv_separation) {
+    // Recovery's first memtable opens the first log.
     vlog_ = std::make_unique<VlogManager>(dbname_, env);
-    s = vlog_->CountExistingLogs();
-    if (s.ok()) {
-      s = vlog_->OpenActive(versions_->NewFileNumber());
-    }
-    if (!s.ok()) {
-      return s;
-    }
   }
 
   s = Recover(committed_prepares);
@@ -156,11 +223,12 @@ Status ShardEngine::Initialize(const std::set<uint64_t>* committed_prepares) {
   return Status::OK();
 }
 
-std::unique_ptr<MemTable> ShardEngine::MakeMemTable() const {
-  return std::make_unique<MemTable>(&internal_comparator_,
-                                    options_.memtable_rep,
-                                    options_.memtable_hash_bucket_count,
-                                    options_.write_buffer_size);
+std::unique_ptr<MemTable> ShardEngine::MakeMemTable(
+    uint64_t log_number) const {
+  return std::make_unique<MemTable>(
+      &internal_comparator_, options_.memtable_rep,
+      options_.memtable_hash_bucket_count, options_.write_buffer_size,
+      log_number);
 }
 
 Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
@@ -174,13 +242,20 @@ Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
   // number hold unflushed data and are replayed in full; older logs exist
   // only because a cross-shard prepare keeps them retained (the deletion
   // gates clamp below the manifest watermark) — their normal records are
-  // already flushed, so they are scanned for tagged records only.
+  // already flushed, so they are scanned for tagged records only. A value
+  // log shares its WAL's number and may outlive it, so no new file may
+  // reuse a value log's number either.
   std::vector<uint64_t> logs;
   for (const auto& child : children) {
     uint64_t number;
     FileType type;
-    if (ParseFileName(child, &number, &type) && type == FileType::kLogFile) {
+    if (!ParseFileName(child, &number, &type)) {
+      continue;
+    }
+    if (type == FileType::kLogFile) {
       logs.push_back(number);
+    } else if (type == FileType::kVlogFile) {
+      versions_->MarkFileNumberUsed(number);
     }
   }
   std::sort(logs.begin(), logs.end());
@@ -328,6 +403,7 @@ Status ShardEngine::RecoverLogFile(uint64_t log_number, bool tagged_only,
   Slice record;
   std::string scratch;
   std::unique_ptr<MemTable> mem;
+  PointerChecker checker(vlog_.get());
 
   while (reader.ReadRecord(&record, &scratch)) {
     if (!reporter.status.ok()) {
@@ -385,6 +461,22 @@ Status ShardEngine::RecoverLogFile(uint64_t log_number, bool tagged_only,
         return s;
       }
       apply_seq = batch.sequence();
+      if (vlog_ != nullptr) {
+        s = batch.Iterate(&checker);
+        if (!s.ok()) {
+          return s;
+        }
+        s = checker.status();
+        if (s.IsCorruption() || s.IsNotFound()) {
+          // A torn tail, or a log whose creation the crash undid: the
+          // mode check below decides, as for a torn WAL record.
+          reporter.Corruption(record.size(), s);
+          break;
+        }
+        if (!s.ok()) {
+          return s;  // A failed open or read says nothing about the log.
+        }
+      }
     }
     if (mem == nullptr) {
       mem = MakeMemTable();
@@ -435,10 +527,27 @@ Status ShardEngine::NewMemTableAndLog() {
       return s;
     }
   }
+  if (vlog_ != nullptr) {
+    // The value log rolls with the WAL, so every pointer a memtable holds
+    // points into the memtable's own log. The roll syncs the outgoing log:
+    // a sealed memtable's values are durable before its flush installs.
+    Status s = vlog_->OpenActive(new_log_number);
+    if (!s.ok()) {
+      return s;
+    }
+  }
   log_file_ = std::move(lfile);
   log_ = log_file_ ? std::make_unique<wal::Writer>(log_file_.get()) : nullptr;
   log_file_number_ = new_log_number;
-  mem_ = std::shared_ptr<MemTable>(MakeMemTable());
+  mem_ = std::shared_ptr<MemTable>(MakeMemTable(new_log_number));
+  if (vlog_ != nullptr) {
+    // A reader may hold the memtable past its flush; its log stays until
+    // then (RemoveObsoleteFiles).
+    std::erase_if(memtables_, [](const std::weak_ptr<MemTable>& weak) {
+      return weak.expired();
+    });
+    memtables_.push_back(mem_);
+  }
   return Status::OK();
 }
 
@@ -448,17 +557,6 @@ Status ShardEngine::NewMemTableAndLog() {
 
 Status ShardEngine::Put(const WriteOptions& options, const Slice& key,
                const Slice& value) {
-  if (options_.kv_separation && vlog_ != nullptr &&
-      value.size() >= options_.kv_separation_threshold) {
-    VlogPointer ptr;
-    Status s = vlog_->Append(key, value, &ptr);
-    if (!s.ok()) {
-      return s;
-    }
-    std::string encoded;
-    ptr.EncodeTo(&encoded);
-    return WriteInternal(options, kTypeVlogPointer, key, encoded);
-  }
   return WriteInternal(options, kTypeValue, key, value);
 }
 
@@ -516,52 +614,6 @@ Status ShardEngine::WriteInternal(const WriteOptions& options, ValueType type,
 Status ShardEngine::Write(const WriteOptions& options, WriteBatch* batch) {
   if (batch == nullptr || batch->Count() == 0) {
     return Status::OK();
-  }
-  if (options_.kv_separation && vlog_ != nullptr) {
-    // Rewrite large put values into vlog pointers before logging, so the
-    // WAL (and the LSM) only carry pointers.
-    class Separator : public WriteBatch::Handler {
-     public:
-      Separator(ShardEngine* db, WriteBatch* out) : db_(db), out_(out) {}
-      void TypedRecord(ValueType type, const Slice& key,
-                       const Slice& value) override {
-        if (type == kTypeValue &&
-            value.size() >= db_->options_.kv_separation_threshold) {
-          VlogPointer ptr;
-          Status s = db_->vlog_->Append(key, value, &ptr);
-          if (!s.ok()) {
-            if (status_.ok()) {
-              status_ = s;
-            }
-            return;
-          }
-          std::string encoded;
-          ptr.EncodeTo(&encoded);
-          out_->PutTyped(kTypeVlogPointer, key, encoded);
-          return;
-        }
-        out_->PutTyped(type, key, value);
-      }
-      void Put(const Slice&, const Slice&) override {}
-      void Delete(const Slice&) override {}
-      void SingleDelete(const Slice&) override {}
-      void Merge(const Slice&, const Slice&) override {}
-      Status status_;
-
-     private:
-      ShardEngine* const db_;
-      WriteBatch* const out_;
-    };
-    WriteBatch separated;
-    Separator separator(this, &separated);
-    Status s = batch->Iterate(&separator);
-    if (s.ok()) {
-      s = separator.status_;
-    }
-    if (!s.ok()) {
-      return s;
-    }
-    return WriteBatchInternal(options, &separated);
   }
   return WriteBatchInternal(options, batch);
 }
@@ -772,7 +824,21 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
     return s;
   }
 
-  if (log != nullptr) {
+  if (vlog_ != nullptr) {
+    // The one place values become pointers: once per group, as leader, so
+    // no seal can come between a value's append and its pointer's insert,
+    // and the value lands in the log of the memtable that holds it.
+    separated_batch_.Clear();
+    ValueSeparator separator(vlog_.get(), options_.kv_separation_threshold,
+                             &separated_batch_);
+    s = merged->Iterate(&separator);
+    if (s.ok()) {
+      s = separator.status();
+    }
+    separated_batch_.SetSequence(seq_start);
+    merged = &separated_batch_;
+  }
+  if (s.ok() && log != nullptr) {
     // One WAL record and at most one fsync for the whole group, outside
     // mu_ — the point of group commit (fsync amortization, §2.2.5).
     s = log->AddRecord(merged->rep());
@@ -793,15 +859,15 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
         }
       }
     }
-    if (!s.ok()) {
-      // The WAL's on-disk offset is now ambiguous (a failed append or
-      // fsync may or may not have persisted bytes — the fsyncgate
-      // pathology), so no further append to this log is safe: hard error.
-      // Resume() recovers by rotating to a fresh WAL.
-      MutexLock lock(&mu_);
-      RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kWal);
-      return s;
-    }
+  }
+  if (!s.ok()) {
+    // The WAL's or the value log's on-disk offset is now ambiguous (a
+    // failed append or fsync may or may not have persisted bytes — the
+    // fsyncgate pathology), so no further append to either is safe: hard
+    // error. Resume() recovers by rotating to a fresh WAL and value log.
+    MutexLock lock(&mu_);
+    RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kWal);
+    return s;
   }
 
   // Apply to the memtable with consecutive sequence numbers.
@@ -818,7 +884,7 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
       RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kMemtable);
     }
   }
-  if (merged == &group_batch_) {
+  if (group.size() > 1) {
     group_batch_.Clear();  // Release the coalesced bytes promptly.
   }
   if (s.ok()) {
@@ -863,7 +929,14 @@ Status ShardEngine::LeaderPrepare(Writer* w) {
   if (s.ok()) {
     stats_->wal_bytes_written.fetch_add(record.size(),
                                        std::memory_order_relaxed);
-    s = log_file->Sync();
+    // The fsync makes the log's earlier records durable too: the values
+    // their pointers resolve in must be durable first.
+    if (vlog_ != nullptr) {
+      s = vlog_->Sync();
+    }
+    if (s.ok()) {
+      s = log_file->Sync();
+    }
     if (s.ok()) {
       stats_->wal_syncs.fetch_add(1, std::memory_order_relaxed);
     }
@@ -1035,8 +1108,12 @@ Status ShardEngine::NewMemTableAndLogLocked(bool skip_old_wal_sync) {
     // never synced again, so an unsynced tail here could vanish in a crash
     // while a *newer* WAL survives — recovery would then see a hole in the
     // write order. Syncing at the seal point keeps every sealed log a
-    // durable prefix: only the active WAL's tail is ever at risk.
-    Status s = log_file_->Sync();
+    // durable prefix: only the active WAL's tail is ever at risk. Its
+    // pointers resolve in the value log, which syncs first.
+    Status s = vlog_ != nullptr ? vlog_->Sync() : Status::OK();
+    if (s.ok()) {
+      s = log_file_->Sync();
+    }
     if (!s.ok()) {
       RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kWal);
       return s;
@@ -1046,22 +1123,12 @@ Status ShardEngine::NewMemTableAndLogLocked(bool skip_old_wal_sync) {
 
   imms_.push_back(mem_);
   imm_log_numbers_.push_back(log_file_number_);
-
-  uint64_t new_log_number = versions_->NewFileNumber();
-  std::unique_ptr<WritableFile> lfile;
-  if (options_.enable_wal) {
-    Status s = options_.env->NewWritableFile(
-        LogFileName(dbname_, new_log_number), &lfile);
-    if (!s.ok()) {
-      imms_.pop_back();
-      imm_log_numbers_.pop_back();
-      return s;
-    }
+  Status s = NewMemTableAndLog();
+  if (!s.ok()) {
+    imms_.pop_back();
+    imm_log_numbers_.pop_back();
+    return s;
   }
-  log_file_ = std::move(lfile);
-  log_ = log_file_ ? std::make_unique<wal::Writer>(log_file_.get()) : nullptr;
-  log_file_number_ = new_log_number;
-  mem_ = std::shared_ptr<MemTable>(MakeMemTable());
   PublishReadView();
   MaybeScheduleFlush();
   return Status::OK();
@@ -1234,18 +1301,8 @@ Status ShardEngine::LookupInPlace(const ReadOptions& options,
                                   LookupCursor* c) {
   Status s = StepLookup(c, nullptr);
   while (s.ok() && c->state == LookupCursor::kNeedBlock) {
-    std::unique_ptr<char[]> buf = TableReader::NewReadBuffer(c->block);
-    Slice contents;
-    s = c->reader->file()->Read(
-        c->block.offset(),
-        static_cast<size_t>(c->block.size()) + kBlockTrailerSize, &contents,
-        buf.get());
-    std::shared_ptr<const Block> block;
-    if (s.ok()) {
-      s = c->reader->FinishBatchedBlockRead(
-          c->reader->MakeFetchContext(options), c->block, contents, &buf,
-          &block);
-    }
+    std::shared_ptr<const Block> block = c->reader->ReadDataBlock(
+        c->reader->MakeFetchContext(options), c->block, c->reader->file(), &s);
     if (s.ok()) {
       s = StepLookup(c, std::move(block));
     }
@@ -1362,7 +1419,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
       if (r == reqs.size()) {
         reqs.reserve(n);
         reads.reserve(n);
-        reads.push_back(RoundRead{TableReader::NewReadBuffer(c.block), i});
+        reads.push_back(RoundRead{NewBlockReadBuffer(c.block), i});
         ReadRequest req;
         req.file = c.reader->file();
         req.offset = c.block.offset();
@@ -1709,6 +1766,13 @@ Status ShardEngine::ValidateTreeInvariants() const {
             "version references missing table file " +
             std::to_string(f.file_number) + " at level " +
             std::to_string(level));
+      }
+      if (f.oldest_vlog != 0 &&
+          !options_.env->FileExists(VlogFileName(dbname_, f.oldest_vlog))) {
+        return Status::Corruption(
+            "table file " + std::to_string(f.file_number) +
+            " points into missing value log " +
+            std::to_string(f.oldest_vlog));
       }
     }
     // Leveled levels (other than the overlap-tolerant L0) must hold sorted,

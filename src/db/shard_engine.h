@@ -194,19 +194,23 @@ class ShardEngine {
   // --- Internal operations, exposed for control & experiments --------------
   /// Forces the current memtable to disk and waits for the flush.
   Status Flush();
-  /// Merges everything down as far as the layout allows (manual, blocking).
+  /// Merges everything down as far as the layout allows (manual, blocking):
+  /// one top-down pass of ManualCompaction.
   Status CompactRange();
   /// Blocks until no flush or compaction is queued or running.
   Status WaitForBackgroundWork();
-  /// Rewrites value logs dropping dead values (WiscKey GC). No-op without
-  /// kv separation.
+  /// Value-log GC (WiscKey): flushes, whose seal rolls the value log, then
+  /// runs ManualCompaction with the new active log as the relocation
+  /// cutoff. Every log below it that nothing points into any more is gone
+  /// when it returns. No-op without kv separation.
   Status GarbageCollectVlog();
 
   /// Captures a consistent online checkpoint of this shard into `dir`
   /// (created if absent): seals + fsyncs the active WAL (checkpoint seal —
   /// rotate even when empty, never skip the outgoing sync), then under mu_
   /// hard-links every sealed WAL, every table of the pinned current
-  /// version, and every vlog (synced first) into `dir` and writes a fresh
+  /// version, and every vlog (each synced by the roll that sealed it, or
+  /// by the GC job that relocated into it) into `dir` and writes a fresh
   /// manifest snapshot + CURRENT there. Holding mu_ across the capture
   /// freezes version installs and file GC, so the linked set and the
   /// manifest describe one instant. Transient link failures retry with
@@ -239,7 +243,6 @@ class ShardEngine {
   void BeginShutdown() EXCLUDES(mu_);
 
   // --- Introspection --------------------------------------------------------
-  VlogManager* vlog() { return vlog_.get(); }
   /// This shard's part of the facade's dump: its non-empty levels
   /// (Version::DebugString), running compaction jobs, and current and
   /// first background error. The shared Statistics are the facade's to
@@ -261,7 +264,8 @@ class ShardEngine {
 
   /// Structural self-check of the LSM invariants (DESIGN.md §4): leveled
   /// levels hold disjoint, sorted files; every file's metadata matches its
-  /// contents; no level exceeds num_levels. Returns the first violation.
+  /// contents; no level exceeds num_levels; the table files and the oldest
+  /// value log each file points into exist. Returns the first violation.
   /// Intended for tests and debugging; walks file metadata only.
   Status ValidateTreeInvariants() const;
 
@@ -292,6 +296,8 @@ class ShardEngine {
                         VersionEdit* edit, bool* stop_replay,
                         std::map<uint64_t, std::string>* prepare_stash)
       EXCLUDES(mu_);
+  /// Creates a fresh WAL and memtable, and rolls the value log to the
+  /// WAL's number.
   Status NewMemTableAndLog() REQUIRES(mu_);
   /// Seals the active memtable into imms_ and swaps in a fresh one. The
   /// outgoing WAL is fsynced first so every sealed (non-active) log is a
@@ -301,7 +307,7 @@ class ShardEngine {
   /// and its contents are re-persisted via the flush the caller schedules.
   Status NewMemTableAndLogLocked(bool skip_old_wal_sync = false)
       REQUIRES(mu_);
-  std::unique_ptr<MemTable> MakeMemTable() const;
+  std::unique_ptr<MemTable> MakeMemTable(uint64_t log_number = 0) const;
 
   Status WriteInternal(const WriteOptions& options, ValueType type,
                        const Slice& key, const Slice& value);
@@ -398,7 +404,18 @@ class ShardEngine {
   /// Applies a finished job's edit atomically, releases its output pins,
   /// records per-level stats, and collects obsolete inputs.
   Status InstallCompactionLocked(CompactionJob* job) REQUIRES(mu_);
+  /// The manual compaction pass of CompactRange and vlog GC, with automatic
+  /// admissions held off: each level merges into the next once, L0 to the
+  /// last, then the last level merges in place. With `relocate_below` 0
+  /// every non-empty level merges, and the last only when it holds several
+  /// runs; otherwise only levels with a file that points into a value log
+  /// below it, relocating those values.
+  Status ManualCompaction(uint64_t relocate_below) EXCLUDES(mu_);
 
+  /// Deletes the files nothing needs any more: tables no live Version
+  /// holds, old manifests, WALs below the retention floor, and every value
+  /// log below the oldest one that a live Version's file or a live
+  /// memtable points into.
   void RemoveObsoleteFiles() REQUIRES(mu_);
 
   /// The oldest WAL the engine may let go of, given `normal_min` (the
@@ -465,8 +482,8 @@ class ShardEngine {
   /// `fetched`. Counts filter skips, runs probed and filter false
   /// positives.
   Status StepLookup(LookupCursor* c, std::shared_ptr<const Block> fetched);
-  /// Get's lookup loop (vlog GC's too): steps `c` to the end of its walk,
-  /// reading each uncached block in place with one RandomAccessFile::Read.
+  /// Get's lookup loop: steps `c` to the end of its walk, reading each
+  /// uncached block in place with one RandomAccessFile::Read.
   Status LookupInPlace(const ReadOptions& options, LookupCursor* c);
   /// Turns a finished walk into the reader's answer: NotFound for an
   /// absent key or a tombstone, ResolveMerge for a merge operand,
@@ -516,6 +533,9 @@ class ShardEngine {
 
   std::shared_ptr<MemTable> mem_ GUARDED_BY(mu_);
   std::deque<std::shared_ptr<MemTable>> imms_ GUARDED_BY(mu_);  // Oldest 1st.
+  /// With kv separation, every memtable the engine created, expired entries
+  /// pruned on use: a memtable a reader still holds keeps its value log.
+  std::vector<std::weak_ptr<MemTable>> memtables_ GUARDED_BY(mu_);
   /// Leaf lock for the published view pointer only. Its critical section is
   /// a shared_ptr copy (two atomic ops), so readers never wait on flush
   /// installs, manifest writes, or compaction bookkeeping, all of which
@@ -607,6 +627,9 @@ class ShardEngine {
   /// Leader-only, like group_batch_: the writers of the group being
   /// committed, reused from group to group so a write allocates no list.
   std::vector<Writer*> write_group_;
+  /// Leader-only, like group_batch_: the group's batch with its large
+  /// values separated into the value log.
+  WriteBatch separated_batch_;
 };
 
 }  // namespace lsmlab

@@ -1,10 +1,9 @@
-// Background half of ShardEngine: flushes, compactions, file garbage
-// collection, and value-log GC. Split from shard_engine.cc for readability;
-// same class.
+// Background half of ShardEngine: flushes, compactions (value-log GC is
+// one), and file garbage collection. Split from shard_engine.cc for
+// readability; same class.
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "db/shard_engine.h"
 #include "db/filename.h"
@@ -125,22 +124,15 @@ void ShardEngine::BackgroundFlush() {
   }
 
   // Build the L0 run outside the lock (tutorial §2.1.2: flush). A flush is
-  // the first merge: it drops what no snapshot can see (§2.1.1).
+  // the first merge: it drops what no snapshot can see (§2.1.1). The flush
+  // lets go of the memtable as it ends, so a Flush() caller woken by the
+  // install finds the memtable, and its value log, held by readers only.
   VersionEdit edit;
   Dropped dropped;
-  Status s = WriteLevel0Table(imm, oldest_snapshot, &edit, &dropped);
+  Status s =
+      WriteLevel0Table(std::move(imm), oldest_snapshot, &edit, &dropped);
   const FileMetaData meta =
       edit.new_files().empty() ? FileMetaData() : edit.new_files()[0].second;
-  if (s.ok() && meta.file_number != 0 && vlog_ != nullptr) {
-    // The table may point into the active vlog, and installing it lets the
-    // WAL that also holds those values go: the values must be durable
-    // first. A failed sync fails the flush like a failed build.
-    s = vlog_->Sync();
-    if (!s.ok()) {
-      // Best effort; a leftover is reclaimed by RemoveObsoleteFiles.
-      (void)options_.env->RemoveFile(TableFileName(dbname_, meta.file_number));
-    }
-  }
   bool manifest_failure = false;
 
   MutexLock lock(&mu_);
@@ -174,7 +166,7 @@ void ShardEngine::BackgroundFlush() {
   }
 
   if (s.ok()) {
-    dropped.RecordIn(stats_, vlog_.get());
+    dropped.RecordIn(stats_);
     imms_.pop_front();
     // The flushed memtable left the view's membership (its data now lives
     // in the installed L0 file); readers holding the old view still pin it.
@@ -467,11 +459,34 @@ Status ShardEngine::CompactRange() {
   if (!s.ok()) {
     return s;
   }
+  return ManualCompaction(/*relocate_below=*/0);
+}
 
-  // Exclusive mode: block new automatic admissions, then wait out any job
-  // admitted between the drain above and taking the lock.
+Status ShardEngine::GarbageCollectVlog() {
+  if (vlog_ == nullptr) {
+    return Status::OK();
+  }
+  // The flush's seal rolls the value log, and it waits until no immutable
+  // memtable is left: only tables, and memtables a reader still holds,
+  // point below the new active log.
+  Status s = Flush();
+  if (!s.ok()) {
+    return s;
+  }
+  return ManualCompaction(vlog_->active_file_number());
+}
+
+Status ShardEngine::ManualCompaction(uint64_t relocate_below) {
+  // Exclusive mode, one manual pass at a time: block new automatic
+  // admissions, then wait out any job admitted before.
   {
     MutexLock lock(&mu_);
+    while (manual_compaction_active_ && !error_state_.hard()) {
+      background_cv_.Wait(mu_);
+    }
+    if (error_state_.hard()) {
+      return error_state_.status;
+    }
     manual_compaction_active_ = true;
     while (compactions_running_ != 0 && !error_state_.hard()) {
       background_cv_.Wait(mu_);
@@ -483,33 +498,56 @@ Status ShardEngine::CompactRange() {
     }
   }
 
-  while (s.ok()) {
+  // One top-down pass, as LevelDB's CompactRange makes: a run flushed
+  // meanwhile stays where it lands, so a writer cannot keep the pass going.
+  // Each install's RemoveObsoleteFiles deletes the value logs nothing
+  // points into any more. Manual mode holds off every other install that
+  // runs RemoveObsoleteFiles (flushes do not run it), so a relocating job's
+  // outputs are in a Version before the next deletion pass looks: their
+  // log may by then be neither active nor any live memtable's.
+  auto points_below = [relocate_below](const FileMetaData& f) {
+    return f.oldest_vlog != 0 && f.oldest_vlog < relocate_below;
+  };
+  Status s;
+  for (int level = 0; s.ok(); ++level) {
     std::shared_ptr<CompactionJob> job;
     {
       MutexLock lock(&mu_);
-      std::optional<CompactionPlan> plan;
       const Version& v = *versions_->current();
-      for (int level = 0; level < v.num_levels() - 1; ++level) {
-        if (v.NumFiles(level) > 0) {
-          plan = picker_->PickManual(v, level);
-          break;
-        }
-      }
-      if (!plan.has_value()) {
-        // Compact a multi-run last level down to one run (pure tiering).
-        int last = v.num_levels() - 1;
-        if (v.NumFiles(last) > 1 && v.IsTieredLevel(last)) {
-          plan = picker_->PickManual(v, last);
-        }
-      }
-      if (!plan.has_value()) {
+      const int last = v.num_levels() - 1;
+      if (level > last) {
         break;
       }
-      job = std::make_shared<CompactionJob>(
-          next_compaction_job_id_++, std::move(*plan),
-          MakeMergeContext(OldestSnapshot()));
+      const bool wanted =
+          relocate_below != 0
+              ? std::any_of(v.files(level).begin(), v.files(level).end(),
+                            points_below)
+              : level < last ? v.NumFiles(level) > 0
+                             // A multi-run last level merges into one run
+                             // (pure tiering).
+                             : v.NumFiles(last) > 1 && v.IsTieredLevel(last);
+      if (!wanted) {
+        continue;
+      }
+      MergeContext ctx = MakeMergeContext(OldestSnapshot());
+      ctx.relocate_below = relocate_below;
+      job = std::make_shared<CompactionJob>(next_compaction_job_id_++,
+                                            *picker_->PickManual(v, level),
+                                            std::move(ctx));
     }
     s = job->Run();
+    if (s.ok() && relocate_below != 0) {
+      // Relocated values must be durable before a table points at them.
+      s = vlog_->Sync();
+      if (!s.ok()) {
+        // The active log, which user writes share too, may have lost what
+        // it was given: hard, as a failed WAL sync is.
+        job->Cleanup();
+        MutexLock lock(&mu_);
+        RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kWal);
+        break;
+      }
+    }
     if (s.ok()) {
       s = InstallCompaction(job.get());
       if (!s.ok()) {
@@ -525,6 +563,9 @@ Status ShardEngine::CompactRange() {
 
   {
     MutexLock lock(&mu_);
+    // A pass that installed nothing still lets go of the logs nothing
+    // points into, such as one whose every value a flush dropped.
+    RemoveObsoleteFiles();
     manual_compaction_active_ = false;
     MaybeScheduleCompaction();
     background_cv_.SignalAll();
@@ -783,7 +824,17 @@ void ShardEngine::DeleteObsoleteWalsLocked(uint64_t keep_floor) {
 
 void ShardEngine::RemoveObsoleteFiles() {
   std::set<uint64_t> live;
-  versions_->AddLiveFiles(&live);
+  // The active memtable's log is the newest value log; older ones stay
+  // while a live Version's file or a live memtable points into them.
+  uint64_t oldest_vlog = log_file_number_;
+  versions_->AddLiveFiles(&live, &oldest_vlog);
+  std::erase_if(memtables_, [&](const std::weak_ptr<MemTable>& weak) {
+    std::shared_ptr<MemTable> mem = weak.lock();
+    if (mem != nullptr) {
+      oldest_vlog = std::min(oldest_vlog, mem->log_number());
+    }
+    return mem == nullptr;
+  });
 
   std::vector<std::string> children;
   if (!options_.env->GetChildren(dbname_, &children).ok()) {
@@ -814,7 +865,9 @@ void ShardEngine::RemoveObsoleteFiles() {
       case FileType::kTempFile:
         keep = false;
         break;
-      case FileType::kVlogFile:   // Managed by vlog GC.
+      case FileType::kVlogFile:
+        keep = number >= oldest_vlog;
+        break;
       case FileType::kCurrentFile:
       case FileType::kCommitLogFile:  // Facade-owned; never engine garbage.
       case FileType::kShardsFile:
@@ -828,87 +881,6 @@ void ShardEngine::RemoveObsoleteFiles() {
     }
   }
   DeleteObsoleteWalsLocked(min_log);
-}
-
-// ---------------------------------------------------------------------------
-// WiscKey value-log GC
-// ---------------------------------------------------------------------------
-
-Status ShardEngine::GarbageCollectVlog() {
-  if (vlog_ == nullptr) {
-    return Status::OK();
-  }
-  // Roll to a fresh active log so old logs become immutable, then rewrite
-  // every live value from the old logs and drop the old files. Liveness is
-  // checked by comparing each record's pointer against the key's current
-  // pointer in the LSM.
-  std::vector<uint64_t> old_logs;
-  {
-    std::vector<std::string> children;
-    Status s = options_.env->GetChildren(dbname_, &children);
-    if (!s.ok()) {
-      return s;
-    }
-    for (const auto& child : children) {
-      uint64_t number;
-      FileType type;
-      if (ParseFileName(child, &number, &type) &&
-          type == FileType::kVlogFile) {
-        old_logs.push_back(number);
-      }
-    }
-  }
-  uint64_t new_log;
-  {
-    MutexLock lock(&mu_);
-    new_log = versions_->NewFileNumber();
-  }
-  Status s = vlog_->OpenActive(new_log);
-  if (!s.ok()) {
-    return s;
-  }
-
-  for (uint64_t log : old_logs) {
-    if (log == new_log) {
-      continue;
-    }
-    Status record_status;
-    s = vlog_->ForEachRecord(
-        log, [&](const Slice& key, const Slice& value, const VlogPointer& ptr) {
-          // Live iff the LSM still points at exactly this record. The check
-          // is Get's own walk, stopped short of resolving the value.
-          std::shared_ptr<const ReadView> view = AcquireReadView();
-          LookupCursor c(*view, key, versions_->last_sequence());
-          record_status = LookupInPlace(ReadOptions(), &c);
-          if (!record_status.ok()) {
-            return false;  // Liveness unknown: keep the log.
-          }
-          VlogPointer current;
-          if (c.state != LookupCursor::kFound || c.type != kTypeVlogPointer ||
-              !current.DecodeFrom(c.raw) ||
-              current.file_number != ptr.file_number ||
-              current.offset != ptr.offset) {
-            return true;  // Deleted, overwritten or inline now: dead record.
-          }
-          // Live: relocate by re-putting through the normal write path. A
-          // failed relocation must stop the scan — deleting the old log
-          // below would otherwise drop the record.
-          WriteOptions wo;
-          record_status = Put(wo, key, value);
-          return record_status.ok();
-        });
-    if (!s.ok()) {
-      return s;
-    }
-    if (!record_status.ok()) {
-      return record_status;
-    }
-    s = vlog_->DeleteLog(log);
-    if (!s.ok()) {
-      return s;
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace lsmlab

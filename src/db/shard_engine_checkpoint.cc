@@ -62,7 +62,7 @@ Status ShardEngine::CheckpointInto(const std::string& dir) {
   // compaction installs need mu_) and file deletion (RemoveObsoleteFiles /
   // DeleteObsoleteWalsLocked require mu_), so the pinned version, the WAL
   // set on disk, and the manifest snapshot describe one instant. Linking is
-  // metadata-only; the one data op is the vlog sync below.
+  // metadata-only.
   lock_rank::IoAllowedSection checkpoint_io(
       "Checkpoint capture links immutable files and snapshots the manifest "
       "under mu_ by design: mu_ is what freezes the instant being captured, "
@@ -70,18 +70,11 @@ Status ShardEngine::CheckpointInto(const std::string& dir) {
 
   std::shared_ptr<const Version> version = versions_->current();
 
-  if (vlog_ != nullptr) {
-    // Vlog appends are not WAL-covered; sync the active vlog so every
-    // pointer the checkpointed tables/WALs hold resolves after restore.
-    s = vlog_->Sync();
-    if (!s.ok()) {
-      return s;
-    }
-  }
-
-  // Sealed WALs and vlogs: everything on disk except the active log. The
-  // active log only holds records from after the cut (the checkpoint seal
-  // rotated before we got here).
+  // Sealed WALs and vlogs: every WAL on disk except the active one, which
+  // only holds records from after the cut (the checkpoint seal rotated
+  // before we got here), and every vlog. Each log a sealed WAL or a table
+  // points into is durable: the roll that sealed it synced it, and vlog GC
+  // syncs the log it relocates into before its tables install.
   std::vector<std::string> children;
   s = options_.env->GetChildren(dbname_, &children);
   if (!s.ok()) {
@@ -179,6 +172,9 @@ Status ShardEngine::VerifyChecksums() {
     s = vlog_->ForEachRecord(
         number,
         [](const Slice&, const Slice&, const VlogPointer&) { return true; });
+    if (!s.ok() && !options_.env->FileExists(VlogFileName(dbname_, number))) {
+      continue;  // Deleted since the listing: nothing points into it.
+    }
     if (!s.ok()) {
       stats_->scrub_corruptions.fetch_add(1, std::memory_order_relaxed);
       return Status::Corruption("scrub: " + VlogFileName(dbname_, number),

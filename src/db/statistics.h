@@ -36,8 +36,8 @@ namespace lsmlab {
      after stepping over kMaxSequentialSkip of them (DESIGN.md, "Hidden       \
      history"). */                                                            \
   TICKER(iter_reseeks)                                                        \
-  /* Table-reader resolutions served without opening the file (a pinned       \
-     per-version handle or the sharded reader map already held it) vs.        \
+  /* Table-reader resolutions served without opening the file (the file's    \
+     pinned handle, shared by every Version holding it, already held it) vs.  \
      resolutions that had to open and parse the table footer. */              \
   TICKER(table_cache_hits)                                                    \
   TICKER(table_cache_misses)                                                  \

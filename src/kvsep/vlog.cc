@@ -1,8 +1,5 @@
 #include "kvsep/vlog.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "db/filename.h"
 #include "util/coding.h"
 
@@ -22,34 +19,6 @@ bool VlogPointer::DecodeFrom(Slice input) {
 VlogManager::VlogManager(std::string dbname, Env* env)
     : dbname_(std::move(dbname)), env_(env) {}
 
-Status VlogManager::CountExistingLogs() {
-  std::vector<std::string> children;
-  Status s = env_->GetChildren(dbname_, &children);
-  if (!s.ok()) {
-    return s;
-  }
-  uint64_t bytes = 0;
-  std::vector<uint64_t> logs;
-  for (const auto& child : children) {
-    uint64_t number = 0, size = 0;
-    FileType type;
-    if (ParseFileName(child, &number, &type) && type == FileType::kVlogFile) {
-      s = env_->GetFileSize(dbname_ + "/" + child, &size);
-      if (!s.ok()) {
-        return s;
-      }
-      bytes += size;
-      logs.push_back(number);
-    }
-  }
-  MutexLock lock(&mu_);
-  total_bytes_ += bytes;
-  for (uint64_t number : logs) {
-    garbage_bytes_.try_emplace(number, 0);
-  }
-  return Status::OK();
-}
-
 Status VlogManager::OpenActive(uint64_t file_number) {
   MutexLock lock(&mu_);
   // The outgoing log stops being the one Sync() covers, while tables and
@@ -61,13 +30,14 @@ Status VlogManager::OpenActive(uint64_t file_number) {
     }
     synced_offset_ = active_offset_;
   }
-  Status s =
-      env_->NewWritableFile(VlogFileName(dbname_, file_number), &active_file_);
+  std::unique_ptr<WritableFile> file;
+  Status s = env_->NewWritableFile(VlogFileName(dbname_, file_number), &file);
   if (s.ok()) {
+    active_file_ = std::move(file);
     active_file_number_ = file_number;
     active_offset_ = 0;
     synced_offset_ = 0;
-    garbage_bytes_.try_emplace(file_number, 0);
+    append_error_ = Status::OK();
   }
   return s;
 }
@@ -78,11 +48,14 @@ Status VlogManager::Append(const Slice& key, const Slice& value,
   if (active_file_ == nullptr) {
     return Status::IOError("no active vlog");
   }
+  if (!append_error_.ok()) {
+    return append_error_;
+  }
   std::string record;
   PutVarint32(&record, static_cast<uint32_t>(key.size()));
   PutVarint32(&record, static_cast<uint32_t>(value.size()));
-  record.append(key.data(), key.size());
   record.append(value.data(), value.size());
+  record.append(key.data(), key.size());
 
   ptr->file_number = active_file_number_;
   // Offset points at the record header; size is the payload length.
@@ -97,77 +70,48 @@ Status VlogManager::Append(const Slice& key, const Slice& value,
   }
   if (s.ok()) {
     active_offset_ += record.size();
-    total_bytes_ += record.size();
+  } else {
+    append_error_ = s;
   }
   return s;
 }
 
 Status VlogManager::Read(const VlogPointer& ptr, const Slice& expected_key,
-                         std::string* value) {
-  // Open a fresh reader per read; Envs cache cheaply and this keeps the
-  // manager lock-free on the read path.
-  std::unique_ptr<RandomAccessFile> file;
-  Status s = env_->NewRandomAccessFile(VlogFileName(dbname_, ptr.file_number),
-                                       &file);
-  if (!s.ok()) {
-    return s;
+                         std::string* value,
+                         std::unique_ptr<RandomAccessFile>* file) {
+  // Without `file`, open a fresh reader per read; Envs cache cheaply and
+  // this keeps the manager lock-free on the read path.
+  std::unique_ptr<RandomAccessFile> fresh;
+  file = file != nullptr ? file : &fresh;
+  Status s;
+  if (*file == nullptr) {
+    s = env_->NewRandomAccessFile(VlogFileName(dbname_, ptr.file_number),
+                                  file);
+    if (!s.ok()) {
+      return s;
+    }
   }
   // Header is at most 10 bytes; read header + key + value in one shot.
   size_t max_len =
       10 + expected_key.size() + static_cast<size_t>(ptr.size) + 10;
   std::string scratch(max_len, '\0');
   Slice record;
-  s = file->Read(ptr.offset, max_len, &record, scratch.data());
+  s = (*file)->Read(ptr.offset, max_len, &record, scratch.data());
   if (!s.ok()) {
     return s;
   }
   uint32_t key_len, value_len;
   Slice input = record;
   if (!GetVarint32(&input, &key_len) || !GetVarint32(&input, &value_len) ||
-      input.size() < key_len + value_len) {
+      value_len != ptr.size || input.size() < key_len + value_len) {
     return Status::Corruption("bad vlog record");
   }
-  Slice stored_key(input.data(), key_len);
+  Slice stored_key(input.data() + value_len, key_len);
   if (stored_key != expected_key) {
     return Status::Corruption("vlog key mismatch");
   }
-  value->assign(input.data() + key_len, value_len);
+  value->assign(input.data(), value_len);
   return Status::OK();
-}
-
-void VlogManager::AddGarbage(uint64_t file_number, uint64_t bytes) {
-  MutexLock lock(&mu_);
-  // A pointer into a log GC already deleted is no longer in TotalBytes().
-  auto it = garbage_bytes_.find(file_number);
-  if (it != garbage_bytes_.end()) {
-    it->second += bytes;
-  }
-}
-
-double VlogManager::GarbageRatio() const {
-  MutexLock lock(&mu_);
-  if (total_bytes_ == 0) {
-    return 0.0;
-  }
-  uint64_t garbage = 0;
-  for (const auto& [file, bytes] : garbage_bytes_) {
-    garbage += bytes;
-  }
-  return static_cast<double>(garbage) / static_cast<double>(total_bytes_);
-}
-
-uint64_t VlogManager::TotalBytes() const {
-  MutexLock lock(&mu_);
-  return total_bytes_;
-}
-
-uint64_t VlogManager::GarbageBytes() const {
-  MutexLock lock(&mu_);
-  uint64_t garbage = 0;
-  for (const auto& [file, bytes] : garbage_bytes_) {
-    garbage += bytes;
-  }
-  return garbage;
 }
 
 Status VlogManager::ForEachRecord(
@@ -189,9 +133,9 @@ Status VlogManager::ForEachRecord(
         input.size() < key_len + value_len) {
       return Status::Corruption("truncated vlog record");
     }
-    Slice key(input.data(), key_len);
-    Slice value(input.data() + key_len, value_len);
-    input.remove_prefix(key_len + value_len);
+    Slice value(input.data(), value_len);
+    Slice key(input.data() + value_len, key_len);
+    input.remove_prefix(value_len + key_len);
 
     VlogPointer ptr;
     ptr.file_number = file_number;
@@ -203,21 +147,6 @@ Status VlogManager::ForEachRecord(
     }
   }
   return Status::OK();
-}
-
-Status VlogManager::DeleteLog(uint64_t file_number) {
-  const std::string fname = VlogFileName(dbname_, file_number);
-  uint64_t size = 0;
-  Status s = env_->GetFileSize(fname, &size);
-  if (s.ok()) {
-    s = env_->RemoveFile(fname);
-  }
-  if (s.ok()) {
-    MutexLock lock(&mu_);
-    garbage_bytes_.erase(file_number);
-    total_bytes_ -= std::min(size, total_bytes_);
-  }
-  return s;
 }
 
 Status VlogManager::Sync() {

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "io/env.h"
 #include "util/mutex.h"
@@ -26,11 +25,17 @@ struct VlogPointer {
   bool DecodeFrom(Slice input);
 };
 
-/// VlogManager owns the value-log files of a DB: appends values, serves
-/// random reads, and reports garbage ratios for GC decisions. Thread-safe.
+/// VlogManager owns the active value-log file of a DB: appends values and
+/// serves random reads. Thread-safe. A log lives as a table file does: the
+/// engine rolls it with the WAL and deletes it once no table of a live
+/// Version and no live memtable points into it (DESIGN.md, "Key-value
+/// separation").
 ///
-/// Record format: varint32(key_len) varint32(value_len) key value. Keys are
-/// stored alongside values so GC can check liveness without a reverse index.
+/// Record format: varint32(key_len) varint32(value_len) value key. A read
+/// checks that a pointer resolves to its own key (WiscKey's check), and a
+/// scrub can parse a log on its own. The key comes last, so a record whose
+/// append a crash tore anywhere fails the check, as long as the file
+/// system keeps a prefix of each append (WiscKey relies on the same).
 class VlogManager {
  public:
   VlogManager(std::string dbname, Env* env);
@@ -38,51 +43,38 @@ class VlogManager {
   VlogManager(const VlogManager&) = delete;
   VlogManager& operator=(const VlogManager&) = delete;
 
-  /// Adds the logs already in the directory to TotalBytes(): garbage
-  /// counts dead values in every log, not only in this process's appends.
-  /// Called once at open, before the first OpenActive.
-  Status CountExistingLogs() EXCLUDES(mu_);
-
-  /// Opens (or rolls to) the active log numbered `file_number`.
+  /// Opens (or rolls to) the active log numbered `file_number`. The
+  /// outgoing log is synced first; on failure the old log stays active.
   Status OpenActive(uint64_t file_number) EXCLUDES(mu_);
 
-  /// Appends (key, value); returns the pointer to store in the LSM.
+  /// Appends (key, value); returns the pointer to store in the LSM. After
+  /// a failed append the log's end is unknown (part of the record may be
+  /// on disk), so every later append fails with the same error until
+  /// OpenActive rolls to a new log.
   Status Append(const Slice& key, const Slice& value, VlogPointer* ptr)
       EXCLUDES(mu_);
 
-  /// Reads the value behind `ptr` and verifies the stored key matches.
+  /// Reads the value behind `ptr` and verifies the record is whole and its
+  /// stored key matches. A caller that reads one log many times passes
+  /// `file`, which then holds the log open across calls.
   Status Read(const VlogPointer& ptr, const Slice& expected_key,
-              std::string* value);
+              std::string* value,
+              std::unique_ptr<RandomAccessFile>* file = nullptr);
 
-  /// Accounts `bytes` of a now-dead value (its LSM pointer was dropped).
-  /// Ignored unless `file_number` is a live log: one found at open or
-  /// opened since, and not deleted.
-  void AddGarbage(uint64_t file_number, uint64_t bytes) EXCLUDES(mu_);
-
-  /// Fraction of TotalBytes() known dead, across all logs.
-  double GarbageRatio() const EXCLUDES(mu_);
-
-  /// Bytes in the live logs: those found at open, plus appends, less the
-  /// logs deleted since.
-  uint64_t TotalBytes() const EXCLUDES(mu_);
-  uint64_t GarbageBytes() const EXCLUDES(mu_);
   uint64_t active_file_number() const EXCLUDES(mu_) {
-    // Must lock: OpenActive (GC roll-over) writes this field concurrently
-    // with readers. Previously returned the field bare — a torn/stale read
-    // the annotation sweep surfaced.
+    // Must lock: OpenActive (a memtable seal) writes this field
+    // concurrently with readers.
     MutexLock lock(&mu_);
     return active_file_number_;
   }
 
-  /// Iterates every record of log `file_number` (GC support). The callback
-  /// receives (key, value, pointer); returning false stops the walk.
+  /// Iterates every record of log `file_number` (the checksum scrub). The
+  /// callback receives (key, value, pointer); returning false stops the
+  /// walk.
   Status ForEachRecord(
       uint64_t file_number,
       const std::function<bool(const Slice& key, const Slice& value,
                                const VlogPointer& ptr)>& callback);
-
-  /// Removes a fully rewritten log file and its bytes from TotalBytes().
-  Status DeleteLog(uint64_t file_number) EXCLUDES(mu_);
 
   /// Makes the active log durable; a no-op when nothing was appended since
   /// the last successful Sync.
@@ -97,9 +89,7 @@ class VlogManager {
   uint64_t active_file_number_ GUARDED_BY(mu_) = 0;
   uint64_t active_offset_ GUARDED_BY(mu_) = 0;
   uint64_t synced_offset_ GUARDED_BY(mu_) = 0;  // Durable prefix of active.
-  uint64_t total_bytes_ GUARDED_BY(mu_) = 0;
-  /// Dead bytes per live log; its keys are the set of live logs.
-  std::unordered_map<uint64_t, uint64_t> garbage_bytes_ GUARDED_BY(mu_);
+  Status append_error_ GUARDED_BY(mu_);  // The active log's failed append.
 };
 
 }  // namespace lsmlab

@@ -19,11 +19,12 @@ size_t FilterLinesFor(size_t write_buffer_size) {
 
 MemTable::MemTable(const InternalKeyComparator* comparator,
                    MemTableRepType rep_type, size_t hash_bucket_count,
-                   size_t write_buffer_size)
+                   size_t write_buffer_size, uint64_t log_number)
     : comparator_(comparator->user_comparator()),
       entry_comparator_(&comparator_),
       rep_(NewMemTableRep(rep_type, entry_comparator_, &arena_,
                           hash_bucket_count)),
+      log_number_(log_number),
       filter_lines_(FilterLinesFor(write_buffer_size)),
       filter_(new FilterLine[filter_lines_]()) {}
 

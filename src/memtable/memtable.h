@@ -28,9 +28,11 @@ class MemTable {
  public:
   /// `write_buffer_size` sizes the key filter: write_buffer_size / 64
   /// bytes, rounded up to whole 64-byte lines, at least one line. Flushing
-  /// still follows DataSize().
+  /// still follows DataSize(). `log_number` is the WAL, and the value log,
+  /// that the memtable's writes go to (0 for a WAL-replay memtable).
   MemTable(const InternalKeyComparator* comparator, MemTableRepType rep_type,
-           size_t hash_bucket_count, size_t write_buffer_size);
+           size_t hash_bucket_count, size_t write_buffer_size,
+           uint64_t log_number = 0);
 
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
@@ -84,6 +86,10 @@ class MemTable {
 
   const InternalKeyComparator* comparator() const { return &comparator_; }
 
+  /// Every vlog pointer this memtable holds points into this log, so the
+  /// log lives at least as long as the memtable.
+  uint64_t log_number() const { return log_number_; }
+
  private:
   /// Probes per key: about 15 bits per key for 120-byte entries, where six
   /// probes give a false-positive rate near 0.1%.
@@ -104,6 +110,7 @@ class MemTable {
   Arena arena_;
   std::unique_ptr<MemTableRep> rep_;
   size_t data_size_ = 0;
+  const uint64_t log_number_;
   // One writer, lock-free readers. Add (under the DB mutex, one writer at
   // a time) sets bits with a relaxed load and a relaxed store per word, no
   // locked read-modify-write; KeyMayMatch loads words relaxed. Neither

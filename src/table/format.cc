@@ -1,5 +1,7 @@
 #include "table/format.h"
 
+#include <cstring>
+
 #include "util/coding.h"
 #include "util/crc32c.h"
 
@@ -50,11 +52,25 @@ Status Footer::DecodeFrom(Slice* input) {
   return result;
 }
 
-Status VerifyBlockTrailer(const char* data, size_t n, bool verify_checksum) {
+std::unique_ptr<char[]> NewBlockReadBuffer(const BlockHandle& handle) {
+  // The read overwrites the buffer: no need to zero it first.
+  return std::make_unique_for_overwrite<char[]>(
+      static_cast<size_t>(handle.size()) + kBlockTrailerSize);
+}
+
+Status FinishBlockRead(const BlockHandle& handle, const Slice& contents,
+                       bool verify_checksum, std::unique_ptr<char[]>* buf) {
+  const size_t n = static_cast<size_t>(handle.size());
+  if (contents.size() != n + kBlockTrailerSize) {
+    return Status::Corruption("truncated block read");
+  }
+  char* data = buf->get();
+  if (contents.data() != data) {
+    std::memcpy(data, contents.data(), contents.size());
+  }
   if (verify_checksum) {
     const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-    const uint32_t actual = crc32c::Value(data, n + 1);
-    if (actual != crc) {
+    if (crc32c::Value(data, n + 1) != crc) {
       return Status::Corruption("block checksum mismatch");
     }
   }
@@ -65,29 +81,13 @@ Status VerifyBlockTrailer(const char* data, size_t n, bool verify_checksum) {
 }
 
 Status ReadBlock(const RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result) {
-  result->data.clear();
-
-  size_t n = static_cast<size_t>(handle.size());
-  std::string buf(n + kBlockTrailerSize, '\0');
+                 bool verify_checksum, std::unique_ptr<char[]>* buf) {
+  *buf = NewBlockReadBuffer(handle);
   Slice contents;
-  Status s =
-      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.data());
-  if (!s.ok()) {
-    return s;
-  }
-  if (contents.size() != n + kBlockTrailerSize) {
-    return Status::Corruption("truncated block read");
-  }
-
-  const char* data = contents.data();
-  s = VerifyBlockTrailer(data, n, verify_checksum);
-  if (!s.ok()) {
-    return s;
-  }
-
-  result->data.assign(data, n);
-  return Status::OK();
+  Status s = file->Read(handle.offset(),
+                        static_cast<size_t>(handle.size()) + kBlockTrailerSize,
+                        &contents, buf->get());
+  return s.ok() ? FinishBlockRead(handle, contents, verify_checksum, buf) : s;
 }
 
 }  // namespace lsmlab

@@ -2,6 +2,7 @@
 #define LSMLAB_TABLE_FORMAT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "io/env.h"
@@ -56,21 +57,24 @@ constexpr uint64_t kTableMagicNumber = 0x4c534d4c41422e31ull;  // "LSMLAB.1"
 /// compression codes reserved) and a 4-byte masked CRC of data + type.
 constexpr size_t kBlockTrailerSize = 5;
 
-struct BlockContents {
-  std::string data;
-};
+/// A buffer for one read of the block at `handle` and its trailer:
+/// handle.size() + kBlockTrailerSize bytes, not zeroed.
+std::unique_ptr<char[]> NewBlockReadBuffer(const BlockHandle& handle);
 
-/// Checks the kBlockTrailerSize-byte trailer following `n` bytes of block
-/// data at `data` (so data[0 .. n + kBlockTrailerSize) must be valid):
-/// rejects unknown compression types always, and CRC mismatches when
-/// `verify_checksum` is set. Shared by ReadBlock and the batched read path,
-/// which verifies buffers it fetched through Env::MultiRead.
-Status VerifyBlockTrailer(const char* data, size_t n, bool verify_checksum);
+/// Completes one read of the block at `handle` into `*buf` (a
+/// NewBlockReadBuffer), alone or in a MultiRead: `contents` is what the
+/// read returned. Checks its length and the trailer (its CRC too with
+/// `verify_checksum`), and copies it into *buf when the file served its
+/// own bytes (a readahead window). On success `*buf` starts with the
+/// block's handle.size() bytes, for a Block to adopt or a caller to parse
+/// in place.
+Status FinishBlockRead(const BlockHandle& handle, const Slice& contents,
+                       bool verify_checksum, std::unique_ptr<char[]>* buf);
 
-/// Reads the block identified by `handle`, verifying the CRC trailer when
-/// `verify_checksum` is set.
+/// The one single-block read: one Read into a NewBlockReadBuffer, then
+/// FinishBlockRead.
 Status ReadBlock(const RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result);
+                 bool verify_checksum, std::unique_ptr<char[]>* buf);
 
 }  // namespace lsmlab
 

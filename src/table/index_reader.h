@@ -46,7 +46,8 @@ class FenceBlockProvider {
   virtual Status GetFenceIndexBlock(const Block** block) = 0;
 };
 
-/// Pluggable per-SSTable index over the data blocks (ROADMAP item 4).
+/// Pluggable per-SSTable index over the data blocks (DESIGN.md, "Pluggable
+/// per-table indexes").
 /// Implementations must honour LocateDataBlock's single-candidate contract:
 /// Locate resolves exactly the block containing the table's globally-first
 /// entry >= internal_key — the batched MultiGet path walks blocks from that

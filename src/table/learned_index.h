@@ -11,10 +11,10 @@
 namespace lsmlab {
 
 /// Piecewise-linear learned index over an SSTable's fence pointers
-/// (DESIGN.md, "Pluggable per-table indexes"; ROADMAP item 4). SSTables are
-/// immutable, so the model is fitted once at table-build time — a single
-/// greedy pass over (key-digest, block-number) pairs with a hard epsilon
-/// error bound — and never retrained.
+/// (DESIGN.md, "Pluggable per-table indexes"). SSTables are immutable, so
+/// the model is fitted once at table-build time — a single greedy pass over
+/// (key-digest, block-number) pairs with a hard epsilon error bound — and
+/// never retrained.
 ///
 /// Keys enter the model through a monotone key-to-number transform: the
 /// table's fence user keys share a common prefix (the LCP of the first and

@@ -44,14 +44,22 @@ Status TableReader::Open(const TableReaderOptions& options,
       new TableReader(options, std::move(file), file_number));
   reader->fence_index_handle_ = footer.index_handle();
 
+  // Every block below is read once, into a buffer that its Block or its
+  // parser uses in place.
+  auto read_block = [&](const BlockHandle& handle,
+                        std::unique_ptr<char[]>* buf) {
+    return ReadBlock(reader->file_.get(), handle, options.verify_checksums,
+                     buf);
+  };
+
   // Metaindex: locate filter, properties, and the optional learned index.
-  BlockContents metaindex_contents;
-  s = ReadBlock(reader->file_.get(), footer.metaindex_handle(),
-                options.verify_checksums, &metaindex_contents);
+  std::unique_ptr<char[]> buf;
+  s = read_block(footer.metaindex_handle(), &buf);
   if (!s.ok()) {
     return s;
   }
-  Block metaindex_block(metaindex_contents.data);
+  Block metaindex_block(std::move(buf),
+                        static_cast<size_t>(footer.metaindex_handle().size()));
   auto meta_iter = metaindex_block.NewIterator(BytewiseComparator());
 
   if (options.filter_policy != nullptr) {
@@ -62,13 +70,13 @@ Status TableReader::Open(const TableReaderOptions& options,
       Slice handle_value = meta_iter->value();
       BlockHandle filter_handle;
       if (filter_handle.DecodeFrom(&handle_value).ok()) {
-        BlockContents filter_contents;
-        s = ReadBlock(reader->file_.get(), filter_handle,
-                      options.verify_checksums, &filter_contents);
+        s = read_block(filter_handle, &reader->filter_block_);
         if (!s.ok()) {
           return s;
         }
-        reader->filter_data_ = std::move(filter_contents.data);
+        reader->filter_data_ =
+            Slice(reader->filter_block_.get(),
+                  static_cast<size_t>(filter_handle.size()));
         reader->has_filter_ = true;
       }
     }
@@ -79,13 +87,12 @@ Status TableReader::Open(const TableReaderOptions& options,
     Slice handle_value = meta_iter->value();
     BlockHandle props_handle;
     if (props_handle.DecodeFrom(&handle_value).ok()) {
-      BlockContents props_contents;
-      s = ReadBlock(reader->file_.get(), props_handle,
-                    options.verify_checksums, &props_contents);
+      s = read_block(props_handle, &buf);
       if (!s.ok()) {
         return s;
       }
-      s = reader->properties_.DecodeFrom(props_contents.data);
+      s = reader->properties_.DecodeFrom(
+          Slice(buf.get(), static_cast<size_t>(props_handle.size())));
       if (!s.ok()) {
         return s;
       }
@@ -105,20 +112,19 @@ Status TableReader::Open(const TableReaderOptions& options,
     if (!s.ok()) {
       return s;
     }
-    BlockContents learned_contents;
-    s = ReadBlock(reader->file_.get(), learned_handle,
-                  options.verify_checksums, &learned_contents);
+    s = read_block(learned_handle, &buf);
     if (!s.ok()) {
       return s;
     }
     LearnedIndexModel model;
-    s = LearnedIndexModel::DecodeFrom(learned_contents.data, &model);
+    s = LearnedIndexModel::DecodeFrom(
+        Slice(buf.get(), static_cast<size_t>(learned_handle.size())), &model);
     if (!s.ok()) {
       return s;
     }
     if (options.statistics != nullptr) {
       options.statistics->index_bytes_loaded.fetch_add(
-          learned_contents.data.size(), std::memory_order_relaxed);
+          learned_handle.size(), std::memory_order_relaxed);
     }
     // The private-base upcast is only accessible in TableReader's scope, so
     // it cannot happen inside make_unique.
@@ -128,18 +134,17 @@ Status TableReader::Open(const TableReaderOptions& options,
     learned = true;
   }
   if (!learned) {
-    BlockContents index_contents;
-    s = ReadBlock(reader->file_.get(), footer.index_handle(),
-                  options.verify_checksums, &index_contents);
+    s = read_block(footer.index_handle(), &buf);
     if (!s.ok()) {
       return s;
     }
     if (options.statistics != nullptr) {
       options.statistics->index_bytes_loaded.fetch_add(
-          index_contents.data.size(), std::memory_order_relaxed);
+          footer.index_handle().size(), std::memory_order_relaxed);
     }
     reader->index_reader_ = std::make_unique<BinarySearchIndexReader>(
-        std::make_unique<Block>(index_contents.data),
+        std::make_unique<Block>(
+            std::move(buf), static_cast<size_t>(footer.index_handle().size())),
         options.comparator);
   }
 
@@ -153,13 +158,14 @@ Status TableReader::GetFenceIndexBlock(const Block** block) {
     *block = loaded;
     return Status::OK();
   }
-  BlockContents contents;
+  std::unique_ptr<char[]> buf;
   Status s = ReadBlock(file_.get(), fence_index_handle_,
-                       options_.verify_checksums, &contents);
+                       options_.verify_checksums, &buf);
   if (!s.ok()) {
     return s;
   }
-  const Block* fresh = new Block(contents.data);
+  const Block* fresh =
+      new Block(std::move(buf), static_cast<size_t>(fence_index_handle_.size()));
   const Block* expected = nullptr;
   if (fence_index_block_.compare_exchange_strong(expected, fresh,
                                                  std::memory_order_acq_rel,
@@ -210,29 +216,20 @@ std::shared_ptr<const Block> TableReader::GetDataBlock(
                         s);
 }
 
-std::unique_ptr<char[]> TableReader::NewReadBuffer(const BlockHandle& handle) {
-  // The read overwrites the buffer: no need to zero it first.
-  return std::make_unique_for_overwrite<char[]>(
-      static_cast<size_t>(handle.size()) + kBlockTrailerSize);
-}
-
 std::shared_ptr<const Block> TableReader::FetchDataBlock(
     const BlockHandle& handle, const BlockFetchContext& ctx,
     const RandomAccessFile* file, Status* s) {
   *s = Status::OK();
   std::shared_ptr<const Block> block = LookupCachedBlock(handle.offset());
-  if (block != nullptr) {
-    return block;
-  }
-  std::unique_ptr<char[]> buf = NewReadBuffer(handle);
-  Slice contents;
-  *s = file->Read(handle.offset(),
-                  static_cast<size_t>(handle.size()) + kBlockTrailerSize,
-                  &contents, buf.get());
-  if (s->ok()) {
-    *s = FinishBatchedBlockRead(ctx, handle, contents, &buf, &block);
-  }
-  return block;
+  return block != nullptr ? block : ReadDataBlock(ctx, handle, file, s);
+}
+
+std::shared_ptr<const Block> TableReader::ReadDataBlock(
+    const BlockFetchContext& ctx, const BlockHandle& handle,
+    const RandomAccessFile* file, Status* s) {
+  std::unique_ptr<char[]> buf;
+  *s = ReadBlock(file, handle, ctx.verify_checksums, &buf);
+  return s->ok() ? AdoptBlock(ctx, handle, std::move(buf)) : nullptr;
 }
 
 bool TableReader::LocateDataBlock(const Slice& internal_key,
@@ -254,25 +251,22 @@ Status TableReader::FinishBatchedBlockRead(
     const BlockFetchContext& ctx, const BlockHandle& handle,
     const Slice& contents, std::unique_ptr<char[]>* buf,
     std::shared_ptr<const Block>* block) {
-  block->reset();
-  size_t n = static_cast<size_t>(handle.size());
-  if (contents.size() != n + kBlockTrailerSize) {
-    return Status::Corruption("truncated block read");
-  }
-  Status s = VerifyBlockTrailer(contents.data(), n, ctx.verify_checksums);
-  if (!s.ok()) {
-    return s;
-  }
-  auto built = buf != nullptr && contents.data() == buf->get()
-                   ? std::make_shared<const Block>(std::move(*buf), n)
-                   : std::make_shared<const Block>(Slice(contents.data(), n));
+  Status s = FinishBlockRead(handle, contents, ctx.verify_checksums, buf);
+  *block = s.ok() ? AdoptBlock(ctx, handle, std::move(*buf)) : nullptr;
+  return s;
+}
+
+std::shared_ptr<const Block> TableReader::AdoptBlock(
+    const BlockFetchContext& ctx, const BlockHandle& handle,
+    std::unique_ptr<char[]> buf) {
+  auto block = std::make_shared<const Block>(
+      std::move(buf), static_cast<size_t>(handle.size()));
   if (ctx.fill_cache) {
     char cache_key[16];
     MakeBlockCacheKey(file_number_, handle.offset(), cache_key);
-    options_.block_cache->Insert(Slice(cache_key, 16), built, built->size());
+    options_.block_cache->Insert(Slice(cache_key, 16), block, block->size());
   }
-  *block = std::move(built);
-  return Status::OK();
+  return block;
 }
 
 Status TableReader::SearchBlock(const Block& block, const Slice& internal_key,

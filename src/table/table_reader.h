@@ -34,11 +34,11 @@ struct TableReaderOptions {
 
 /// Read side of an SSTable. The per-table index and the per-run filter stay
 /// pinned in memory, matching tutorial §2.1.3; data blocks are fetched on
-/// demand through the block cache. The index is pluggable (ROADMAP item 4):
-/// classic binary-searched fence pointers, or — when the table carries a
-/// learned-index meta block — a PLR model that pins an order-of-magnitude
-/// fewer bytes and loads the fence block lazily, only on digest-tie
-/// fallbacks.
+/// demand through the block cache. The index is pluggable (DESIGN.md,
+/// "Pluggable per-table indexes"): classic binary-searched fence pointers,
+/// or — when the table carries a learned-index meta block — a PLR model
+/// that pins an order-of-magnitude fewer bytes and loads the fence block
+/// lazily, only on digest-tie fallbacks.
 class TableReader : private FenceBlockProvider {
  public:
   /// Opens the table in `file` of `file_size` bytes. `file_number` both
@@ -111,16 +111,20 @@ class TableReader : private FenceBlockProvider {
   /// Cache-only lookup for the data block at `offset`; nullptr on miss.
   std::shared_ptr<const Block> LookupCachedBlock(uint64_t offset);
 
-  /// A buffer for one read of the block at `handle`: handle.size() +
-  /// kBlockTrailerSize bytes, not zeroed.
-  static std::unique_ptr<char[]> NewReadBuffer(const BlockHandle& handle);
+  /// Reads the data block at `handle` through `file` (this table's file or
+  /// a readahead window over it) with ReadBlock, so the block adopts its
+  /// read buffer; caches it when ctx.fill_cache. For a block the cache
+  /// missed: Get's lookup reads here, MultiGet's batches through
+  /// FinishBatchedBlockRead.
+  std::shared_ptr<const Block> ReadDataBlock(const BlockFetchContext& ctx,
+                                             const BlockHandle& handle,
+                                             const RandomAccessFile* file,
+                                             Status* s);
 
-  /// Completes one block read: `contents` is the raw handle.size() +
-  /// kBlockTrailerSize bytes read (alone or in a MultiRead) for `handle`,
-  /// into `*buf` (a NewReadBuffer; nullable). Verifies the trailer per
-  /// `ctx` and materializes the Block: it adopts *buf when the read
-  /// returned its bytes there, and copies them otherwise. Inserts the block
-  /// into the cache when ctx.fill_cache.
+  /// Completes one block read of a MultiRead: `contents` is what the read
+  /// of `handle` into `*buf` (a NewBlockReadBuffer) returned. Checks it
+  /// with FinishBlockRead, as ReadDataBlock does, and builds the Block on
+  /// *buf; caches it when ctx.fill_cache.
   Status FinishBatchedBlockRead(const BlockFetchContext& ctx,
                                 const BlockHandle& handle,
                                 const Slice& contents,
@@ -149,13 +153,18 @@ class TableReader : private FenceBlockProvider {
                                             const ReadOptions& read_options,
                                             Status* s);
 
-  /// Core fetch: cache lookup, then — on miss — a read through `file`
-  /// (the table file, or an iterator's readahead wrapper) into a fresh
-  /// buffer that the block keeps.
+  /// Core fetch: cache lookup, then — on miss — ReadDataBlock through
+  /// `file` (the table file, or an iterator's readahead wrapper).
   std::shared_ptr<const Block> FetchDataBlock(const BlockHandle& handle,
                                               const BlockFetchContext& ctx,
                                               const RandomAccessFile* file,
                                               Status* s);
+
+  /// Builds the data block at `handle` on its checked read buffer `buf`,
+  /// and caches it when ctx.fill_cache.
+  std::shared_ptr<const Block> AdoptBlock(const BlockFetchContext& ctx,
+                                          const BlockHandle& handle,
+                                          std::unique_ptr<char[]> buf);
 
   /// FenceBlockProvider: lazily loads and pins the classic fence block for
   /// a learned table's fallback path. Lock-free (CAS publish), so no lock
@@ -172,7 +181,9 @@ class TableReader : private FenceBlockProvider {
   /// itself is loaded on first fallback and published here.
   BlockHandle fence_index_handle_;
   std::atomic<const Block*> fence_index_block_{nullptr};
-  std::string filter_data_;
+  /// The filter block's read buffer, which filter_data_ points into.
+  std::unique_ptr<char[]> filter_block_;
+  Slice filter_data_;
   bool has_filter_ = false;
   TableProperties properties_;
 };

@@ -72,8 +72,8 @@ enum class FilterAllocation {
 };
 
 /// Per-SSTable index structure over the data blocks (tutorial §2.1.3;
-/// ROADMAP item 4). SSTables are immutable, so a learned model can be
-/// fitted once at build time and never retrained.
+/// DESIGN.md, "Pluggable per-table indexes"). SSTables are immutable, so a
+/// learned model can be fitted once at build time and never retrained.
 enum class IndexType {
   /// Classic binary-searched fence pointers (the pinned index block).
   kBinarySearchFence,
@@ -222,7 +222,7 @@ struct Options {
   /// Backoff cap.
   uint64_t background_error_retry_max_micros = 200000;
 
-  // --- Range sharding (ROADMAP item 1) --------------------------------------
+  // --- Range sharding (DESIGN.md, "Sharding architecture") -----------------
   /// Number of range-partitioned shards the DB is split into. Each shard is
   /// an independent LSM engine (own WAL, memtables, version set, background
   /// scheduling) behind one facade; process-wide resources (block cache,

@@ -62,6 +62,7 @@ void VersionEdit::EncodeTo(std::string* dst) const {
     PutVarint64(dst, f.num_tombstones);
     PutVarint64(dst, f.creation_time_micros);
     PutVarint64(dst, f.oldest_tombstone_time_micros);
+    PutVarint64(dst, f.oldest_vlog);
   }
 }
 
@@ -119,7 +120,8 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
             !GetVarint64(&input, &f.num_entries) ||
             !GetVarint64(&input, &f.num_tombstones) ||
             !GetVarint64(&input, &f.creation_time_micros) ||
-            !GetVarint64(&input, &f.oldest_tombstone_time_micros)) {
+            !GetVarint64(&input, &f.oldest_tombstone_time_micros) ||
+            !GetVarint64(&input, &f.oldest_vlog)) {
           return Status::Corruption("bad new file in version edit");
         }
         f.smallest.DecodeFrom(smallest);

@@ -46,6 +46,10 @@ struct FileMetaData {
   /// Creation time of the oldest ancestor run that contributed a tombstone
   /// still present in this file; 0 when the file holds no tombstones.
   uint64_t oldest_tombstone_time_micros = 0;
+  /// The lowest-numbered value log any of this file's vlog pointers points
+  /// into; 0 when it holds none. The engine keeps every log at or above the
+  /// smallest of these across its live Versions.
+  uint64_t oldest_vlog = 0;
   /// Runtime-only reader pin (see TableHandle); never serialized. Attached
   /// by the OutputWriter that wrote the file, or by VersionSetBuilder::Build
   /// on manifest replay, so every file in an installed Version has one, and

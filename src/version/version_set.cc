@@ -446,33 +446,17 @@ Status VersionSet::Recover() {
 }
 
 Status VersionSet::LogAndApply(VersionEdit* edit) {
-  return LogAndApply(std::vector<VersionEdit*>{edit});
-}
-
-Status VersionSet::LogAndApply(const std::vector<VersionEdit*>& edits) {
-  assert(!edits.empty());
   MutexLock lock(&mu_);
-  uint64_t new_log_number = log_number_;
-  for (VersionEdit* edit : edits) {
-    if (edit->has_log_number()) {
-      assert(edit->log_number() >= log_number_);
-      new_log_number = std::max(new_log_number, edit->log_number());
-    }
+  if (edit->has_log_number()) {
+    assert(edit->log_number() >= log_number_);
+  } else {
+    edit->SetLogNumber(log_number_);
   }
-  // Meta fields go on the last edit: DecodeFrom merges concatenated edits
-  // left to right, so the last-written value wins either way — this just
-  // avoids encoding them repeatedly.
-  VersionEdit* last = edits.back();
-  if (!last->has_log_number()) {
-    last->SetLogNumber(new_log_number);
-  }
-  last->SetNextFileNumber(next_file_number_);
-  last->SetLastSequence(last_sequence_.load(std::memory_order_acquire));
+  edit->SetNextFileNumber(next_file_number_);
+  edit->SetLastSequence(last_sequence_.load(std::memory_order_acquire));
 
   VersionSetBuilder builder(options_, icmp_, current_.get());
-  for (const VersionEdit* edit : edits) {
-    builder.Apply(*edit);
-  }
+  builder.Apply(*edit);
   auto new_version = builder.Build();
   Status s = CheckLevelInvariants(*new_version);
   if (!s.ok()) {
@@ -480,11 +464,8 @@ Status VersionSet::LogAndApply(const std::vector<VersionEdit*>& edits) {
   }
 
   assert(manifest_log_ != nullptr);
-  // One record for the whole group: recovery replays it atomically.
   std::string record;
-  for (VersionEdit* edit : edits) {
-    edit->EncodeTo(&record);
-  }
+  edit->EncodeTo(&record);
   {
     lock_rank::IoAllowedSection manifest_io(
         "Manifest append+fsync under VersionSet::mu_ is the install "
@@ -503,7 +484,7 @@ Status VersionSet::LogAndApply(const std::vector<VersionEdit*>& edits) {
   // AddLiveFiles keeps protecting its files until the last reference drops.
   referenced_versions_.push_back(current_);
   current_ = std::move(new_version);
-  log_number_ = new_log_number;
+  log_number_ = std::max(log_number_, edit->log_number());
   return Status::OK();
 }
 
@@ -528,12 +509,16 @@ Status VersionSet::CheckLevelInvariants(const Version& v) const {
   return Status::OK();
 }
 
-void VersionSet::AddLiveFiles(std::set<uint64_t>* live) const {
+void VersionSet::AddLiveFiles(std::set<uint64_t>* live,
+                              uint64_t* oldest_vlog) const {
   MutexLock lock(&mu_);
   auto add_version = [&](const Version& v) {
     for (int level = 0; level < v.num_levels(); ++level) {
       for (const auto& f : v.files(level)) {
         live->insert(f.file_number);
+        if (oldest_vlog != nullptr && f.oldest_vlog != 0) {
+          *oldest_vlog = std::min(*oldest_vlog, f.oldest_vlog);
+        }
       }
     }
   };

@@ -109,16 +109,10 @@ class VersionSet {
   VersionSet(const VersionSet&) = delete;
   VersionSet& operator=(const VersionSet&) = delete;
 
-  /// Applies `edit` to the current version, persists it to the manifest, and
-  /// installs the result as current.
+  /// Applies `edit` to the current version, persists it to the manifest as
+  /// one record (recovery replays all of it or none), and installs the
+  /// result as current.
   Status LogAndApply(VersionEdit* edit) EXCLUDES(mu_);
-
-  /// Applies several edits as one atomic group: all of them are encoded into
-  /// a single manifest record (the tag-based encoding concatenates cleanly),
-  /// so recovery sees either all of them or none. Used to stitch the shards
-  /// of a subcompaction — and any future multi-job batch — into one
-  /// crash-consistent install. Edits are applied in order.
-  Status LogAndApply(const std::vector<VersionEdit*>& edits) EXCLUDES(mu_);
 
   /// Structural check run on every candidate version before it is installed:
   /// leveled levels (> 0) must hold files sorted by smallest key and
@@ -192,8 +186,10 @@ class VersionSet {
   /// Collects the numbers of all files referenced by the current version or
   /// by any older version still pinned by a reader, iterator, or snapshot
   /// (their files must survive garbage collection until the last reference
-  /// drops).
-  void AddLiveFiles(std::set<uint64_t>* live) const EXCLUDES(mu_);
+  /// drops). When `oldest_vlog` is given, lowers it to the oldest value log
+  /// any of those files points into.
+  void AddLiveFiles(std::set<uint64_t>* live,
+                    uint64_t* oldest_vlog = nullptr) const EXCLUDES(mu_);
 
  private:
   Status WriteSnapshot(wal::Writer* writer) REQUIRES(mu_);

@@ -266,6 +266,29 @@ TEST_F(AllocTest, ColdMultiGetAllocationsBeyondBlockReadsDoNotGrow) {
   EXPECT_EQ(one, sixteen);
 }
 
+// Opening a table reads its metaindex, filter, properties and index blocks
+// once each, into buffers that the blocks (or their parsers) use in place.
+// The first Get after a reopen opens the table; with the cache too small to
+// keep a block, a second Get reads its block again, and the difference is
+// what the open cost.
+TEST_F(AllocTest, TableOpenReadsEachMetaBlockOnce) {
+  options_.block_cache_capacity = 1;
+  Open();
+  Fill();
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_EQ(1, db_->TotalSortedRuns());
+  db_.reset();
+  Open();
+  std::string value;
+  uint64_t before = t_allocations;
+  ASSERT_TRUE(db_->Get(ReadOptions(), Key(7), &value).ok());
+  const uint64_t first = t_allocations - before;
+  before = t_allocations;
+  ASSERT_TRUE(db_->Get(ReadOptions(), Key(7), &value).ok());
+  const uint64_t cold_read = t_allocations - before;
+  EXPECT_LE(first - cold_read, 12u);
+}
+
 TEST_F(AllocTest, PutAllocatesAboutOnce) {
   Open();
   constexpr int kPuts = 1000;

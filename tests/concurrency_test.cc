@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -656,10 +658,8 @@ TEST_F(ConcurrencyTest, VlogActiveFileNumberIsSafeDuringRollover) {
   EXPECT_EQ(kLastLog, vlog.active_file_number());
 }
 
-// Vlog GC relocates live records by re-putting them through the write path,
-// then deletes the old log. A failed relocation used to be silently
-// discarded, so the delete went ahead and the record was lost. The GC must
-// instead surface the error and leave the old log (and its data) intact.
+// Vlog GC must surface a failure and leave the old log, and its data,
+// intact: a log is deleted only once nothing points into it.
 TEST_F(ConcurrencyTest, VlogGcRelocationFailureDoesNotLoseData) {
   FaultInjectionEnv fault_env(&env_);
   const CloseDbFirst close_db_first{&db_};
@@ -692,6 +692,162 @@ TEST_F(ConcurrencyTest, VlogGcRelocationFailureDoesNotLoseData) {
     ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok()) << key;
     EXPECT_EQ(big + std::to_string(i), value) << key;
   }
+}
+
+/// Cuts the first value-log append after Arm() short: half the record
+/// reaches the file, then the append fails, as a write() that fails part
+/// way can.
+class ShortVlogAppendEnv : public EnvWrapper {
+ public:
+  explicit ShortVlogAppendEnv(Env* base) : EnvWrapper(base) {}
+  void Arm() { armed_ = true; }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    Status s = EnvWrapper::NewWritableFile(fname, result);
+    if (s.ok() && fname.ends_with(".vlog")) {
+      *result = std::make_unique<File>(std::move(*result), &armed_);
+    }
+    return s;
+  }
+
+ private:
+  class File : public WritableFileWrapper {
+   public:
+    File(std::unique_ptr<WritableFile> target, std::atomic<bool>* armed)
+        : WritableFileWrapper(std::move(target)), armed_(armed) {}
+    Status Append(const Slice& data) override {
+      if (!armed_->exchange(false)) {
+        return WritableFileWrapper::Append(data);
+      }
+      (void)WritableFileWrapper::Append(Slice(data.data(), data.size() / 2));
+      return Status::IOError("injected short write");
+    }
+
+   private:
+    std::atomic<bool>* const armed_;
+  };
+
+  std::atomic<bool> armed_{false};
+};
+
+// A relocation append that fails part way leaves part of a record at the
+// active log's end, which user writes share. No later write may be handed
+// a pointer to those bytes: a later separated Put fails, or it reads back.
+TEST_F(ConcurrencyTest, FailedGcRelocationMisdirectsNoLaterWrite) {
+  ShortVlogAppendEnv short_env(&env_);
+  const CloseDbFirst close_db_first{&db_};
+  options_.env = &short_env;
+  options_.kv_separation = true;
+  options_.kv_separation_threshold = 64;
+  ASSERT_TRUE(DB::Open(options_, "/gcshort", &db_).ok());
+
+  std::map<std::string, std::string> acked;
+  for (int i = 0; i < 10; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    acked[key] = std::string(256, 'v') + std::to_string(i);
+    ASSERT_TRUE(db_->Put(WriteOptions(), key, acked[key]).ok());
+  }
+  // The flush rolls the log: GC then relocates every value, and its first
+  // append is cut short.
+  ASSERT_TRUE(db_->Flush().ok());
+  short_env.Arm();
+  EXPECT_FALSE(db_->GarbageCollectVlog().ok());
+
+  const std::string later(256, 'w');
+  if (db_->Put(WriteOptions(), "later", later).ok()) {
+    acked["later"] = later;
+  }
+  for (const auto& [key, value] : acked) {
+    std::string got;
+    Status s = db_->Get(ReadOptions(), key, &got);
+    ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+    EXPECT_EQ(value, got) << key;
+  }
+}
+
+// Vlog GC relocates inside the compaction stream, under each entry's own
+// sequence number: an overwrite acknowledged while GC runs shadows the
+// relocated copy, so no overwrite reads back the old value.
+TEST_F(ConcurrencyTest, VlogGcLosesNoConcurrentOverwrite) {
+  options_.kv_separation = true;
+  options_.kv_separation_threshold = 100;
+  constexpr int kKeys = 2000;
+  constexpr int kRuns = 20;
+  auto key_of = [](int i) { return "key" + std::to_string(10000 + i); };
+  const std::string old_value(400, 'o');
+  const std::string new_value(400, 'n');
+  for (int run = 0; run < kRuns; ++run) {
+    SCOPED_TRACE(run);
+    const std::string dbname = "/gcwriter" + std::to_string(run);
+    ASSERT_TRUE(DB::Open(options_, dbname, &db_).ok());
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), old_value).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+
+    std::atomic<int> failed_writes{0};
+    std::thread writer([&] {
+      for (int i = 0; i < kKeys; ++i) {
+        if (!db_->Put(WriteOptions(), key_of(i), new_value).ok()) {
+          ++failed_writes;
+        }
+      }
+    });
+    Status gc = db_->GarbageCollectVlog();
+    writer.join();
+    ASSERT_TRUE(gc.ok()) << gc.ToString();
+    ASSERT_EQ(0, failed_writes.load());
+
+    int lost = 0;
+    std::string value;
+    for (int i = 0; i < kKeys; ++i) {
+      if (!db_->Get(ReadOptions(), key_of(i), &value).ok() ||
+          value != new_value) {
+        ++lost;
+      }
+    }
+    EXPECT_EQ(0, lost);
+    EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+    db_.reset();
+  }
+}
+
+// CompactRange makes one top-down pass: a run flushed meanwhile stays where
+// it lands, so a client that keeps writing cannot keep the pass going.
+TEST_F(ConcurrencyTest, CompactRangeReturnsWhileAClientWrites) {
+  ASSERT_TRUE(DB::Open(options_, "/crwriter", &db_).ok());
+  constexpr int kKeys = 20000;
+  auto key_of = [](uint64_t i) { return "key" + std::to_string(100000 + i); };
+  const std::string value(100, 'v');
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), value).ok());
+  }
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+
+  std::atomic<bool> compact_range_returned{false};
+  std::atomic<bool> writer_timed_out{false};
+  std::thread writer([&] {
+    Random rnd(7);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!compact_range_returned.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        writer_timed_out.store(true);
+        return;
+      }
+      if (!db_->Put(WriteOptions(), key_of(rnd.Uniform(kKeys)), value).ok()) {
+        return;
+      }
+    }
+  });
+  Status s = db_->CompactRange();
+  compact_range_returned.store(true);
+  writer.join();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_FALSE(writer_timed_out.load())
+      << "CompactRange() returned only after the writer stopped";
+  EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
 }
 
 // A transient flush failure under concurrent writers must heal through the

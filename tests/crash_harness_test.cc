@@ -76,6 +76,14 @@ bool TestCheckpoint() {
   return value != nullptr && value[0] != '\0' && value[0] != '0';
 }
 
+// LSMLAB_TEST_KVSEP=1 adds a kv-separation axis: the fat values go to the
+// value log, and each iteration runs one GarbageCollectVlog() at a random op
+// index, so crashes land around relocations and value-log deletions.
+bool TestKvSeparation() {
+  const char* value = std::getenv("LSMLAB_TEST_KVSEP");
+  return value != nullptr && value[0] != '\0' && value[0] != '0';
+}
+
 // One model mutation; a batch is a vector of these plus the counter put.
 struct ModelOp {
   enum Kind { kPut, kDelete, kMerge } kind;
@@ -133,6 +141,9 @@ void RunIteration(uint64_t seed, int iter) {
   options.background_error_retry_max_micros = 2000;
   options.num_shards = TestShards();
   options.index_type = TestIndexType();
+  const bool kvsep_axis = TestKvSeparation();
+  options.kv_separation = kvsep_axis;
+  options.kv_separation_threshold = 16;
   if (options.num_shards > 1) {
     options.shard_split_keys.clear();
     for (int k = 1; k < options.num_shards; ++k) {
@@ -169,6 +180,10 @@ void RunIteration(uint64_t seed, int iter) {
       checkpoint_axis ? static_cast<int>(rng.Uniform(crash_point + 1)) : -1;
   bool cp_taken = false;
   Status cp_status;
+  // Kv-separation axis: one value-log GC at a random op index. Only an
+  // injected fault may fail it.
+  const int gc_op =
+      kvsep_axis ? static_cast<int>(rng.Uniform(crash_point + 1)) : -1;
 
   std::vector<std::vector<ModelOp>> history;
   int durable = -1;  // Highest op index acked under sync=true.
@@ -176,6 +191,11 @@ void RunIteration(uint64_t seed, int iter) {
     if (checkpoint_axis && op == cp_op) {
       cp_status = db->Checkpoint("/backup");
       cp_taken = true;
+    }
+    if (op == gc_op) {
+      Status gs = db->GarbageCollectVlog();
+      EXPECT_TRUE(gs.ok() || env.injected_faults() > 0)
+          << "iter " << iter << " op " << op << ": " << gs.ToString();
     }
     WriteBatch batch;
     std::vector<ModelOp> ops;

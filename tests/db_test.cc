@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -1123,6 +1124,40 @@ class KvSepTest : public ::testing::Test {
     options_.kv_separation_threshold = 100;
   }
 
+  /// The value logs in /db, by number.
+  std::vector<uint64_t> VlogFiles() {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_.GetChildren("/db", &children).ok());
+    std::vector<uint64_t> logs;
+    for (const auto& child : children) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(child, &number, &type) &&
+          type == FileType::kVlogFile) {
+        logs.push_back(number);
+      }
+    }
+    std::sort(logs.begin(), logs.end());
+    return logs;
+  }
+
+  uint64_t VlogBytes() {
+    uint64_t total = 0;
+    for (uint64_t number : VlogFiles()) {
+      uint64_t size = 0;
+      EXPECT_TRUE(env_.GetFileSize(VlogFileName("/db", number), &size).ok());
+      total += size;
+    }
+    return total;
+  }
+
+  std::string Get(const std::string& key,
+                  const ReadOptions& options = ReadOptions()) {
+    std::string value;
+    Status s = db_->Get(options, key, &value);
+    return s.ok() ? value : s.ToString();
+  }
+
   MemEnv env_;
   Options options_;
   std::unique_ptr<DB> db_;
@@ -1140,7 +1175,7 @@ TEST_F(KvSepTest, LargeValuesRoundTripThroughVlog) {
   EXPECT_EQ(big, value);
   ASSERT_TRUE(db_->Get(ReadOptions(), "small", &value).ok());
   EXPECT_EQ("tiny", value);
-  EXPECT_GT(db_->vlog()->TotalBytes(), 0u);
+  EXPECT_GT(VlogBytes(), 0u);
 }
 
 TEST_F(KvSepTest, ScansResolvePointers) {
@@ -1159,20 +1194,6 @@ TEST_F(KvSepTest, ScansResolvePointers) {
   EXPECT_EQ(50, count);
 }
 
-TEST_F(KvSepTest, CompactionTracksVlogGarbage) {
-  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
-  std::string big(400, 'y');
-  // Overwrite the same keys repeatedly: old vlog entries become garbage
-  // when compaction drops their pointers.
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 30; ++i) {
-      ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), big).ok());
-    }
-  }
-  ASSERT_TRUE(db_->CompactRange().ok());
-  EXPECT_GT(db_->vlog()->GarbageBytes(), 0u);
-}
-
 TEST_F(KvSepTest, VlogGcReclaimsDeadValues) {
   ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
   std::string big(400, 'z');
@@ -1184,6 +1205,9 @@ TEST_F(KvSepTest, VlogGcReclaimsDeadValues) {
   ASSERT_TRUE(db_->CompactRange().ok());
   ASSERT_TRUE(db_->GarbageCollectVlog().ok());
   ASSERT_TRUE(db_->Flush().ok());
+  // With no reader, only the log GC relocated into is left.
+  EXPECT_EQ(1u, VlogFiles().size());
+  EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
 
   // All 20 keys still readable after GC rewrote the logs, through Get,
   // MultiGet and an iterator alike.
@@ -1212,15 +1236,107 @@ TEST_F(KvSepTest, VlogGcReclaimsDeadValues) {
   EXPECT_EQ(keys.size(), count);
 }
 
+// GC copies every version a snapshot sees: after an overwrite or a delete,
+// a Get and a scan at a snapshot taken before it read the old value.
+TEST_F(KvSepTest, GcKeepsTheValueASnapshotSees) {
+  const std::string old_value(400, 'o');
+  for (const bool overwrite : {true, false}) {
+    SCOPED_TRACE(overwrite ? "overwrite" : "delete");
+    db_.reset();
+    ASSERT_TRUE(DestroyDB(options_, "/db").ok());
+    ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k", old_value).ok());
+    const SequenceNumber snapshot = db_->GetSnapshot();
+    if (overwrite) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(400, 'n')).ok());
+    } else {
+      ASSERT_TRUE(db_->Delete(WriteOptions(), "k").ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    ASSERT_TRUE(db_->GarbageCollectVlog().ok());
+    EXPECT_EQ(1u, VlogFiles().size());  // The old value was copied.
+    EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+
+    ReadOptions at_snapshot;
+    at_snapshot.snapshot_seqno = snapshot;
+    EXPECT_EQ(old_value, Get("k", at_snapshot));
+    auto iter = db_->NewIterator(at_snapshot);
+    iter->SeekToFirst();
+    ASSERT_TRUE(iter->Valid()) << iter->status().ToString();
+    EXPECT_EQ("k", iter->key().ToString());
+    EXPECT_EQ(old_value, iter->value().ToString());
+    iter.reset();
+    EXPECT_EQ(overwrite ? std::string(400, 'n') : "NotFound: key deleted",
+              Get("k"));
+    db_->ReleaseSnapshot(snapshot);
+  }
+}
+
+// An iterator keeps reading what it saw across an overwrite, a flush and a
+// GC: the memtable its view holds keeps its value log. The first deletion
+// pass after the iterator goes removes that log.
+TEST_F(KvSepTest, GcKeepsTheLogAnOpenIteratorReads) {
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  const std::string old_value(400, 'o');
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", old_value).ok());
+  const std::vector<uint64_t> iterator_log = VlogFiles();
+  ASSERT_EQ(1u, iterator_log.size());
+  auto iter = db_->NewIterator(ReadOptions());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(400, 'n')).ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->GarbageCollectVlog().ok());
+
+  iter->SeekToFirst();
+  ASSERT_TRUE(iter->Valid()) << iter->status().ToString();
+  EXPECT_EQ(old_value, iter->value().ToString());
+  EXPECT_EQ(iterator_log.front(), VlogFiles().front());
+  EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+
+  iter.reset();
+  ASSERT_TRUE(db_->GarbageCollectVlog().ok());
+  const std::vector<uint64_t> left = VlogFiles();
+  ASSERT_EQ(1u, left.size());
+  EXPECT_GT(left.front(), iterator_log.front());
+  EXPECT_EQ(std::string(400, 'n'), Get("k"));
+  EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+}
+
+// A log nothing points into any more goes at the next deletion pass, with
+// no GC: here the flush dropped the one pointer into it.
+TEST_F(KvSepTest, DeadLogGoesWithoutAGc) {
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(400, 'o')).ok());
+  const std::vector<uint64_t> dead = VlogFiles();
+  ASSERT_EQ(1u, dead.size());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "inline").ok());
+  ASSERT_TRUE(db_->CompactRange().ok());
+  const std::vector<uint64_t> left = VlogFiles();
+  EXPECT_TRUE(std::find(left.begin(), left.end(), dead.front()) == left.end());
+  EXPECT_EQ("inline", Get("k"));
+  EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+}
+
+// A table names the oldest value log it points into; the tree check fails
+// when that log is gone.
+TEST_F(KvSepTest, InvariantsNeedTheLogsTablesPointInto) {
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(400, 'o')).ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->ValidateTreeInvariants().ok());
+  const std::vector<uint64_t> logs = VlogFiles();
+  ASSERT_EQ(2u, logs.size());  // The flushed table's, and the active one.
+  ASSERT_TRUE(env_.RemoveFile(VlogFileName("/db", logs.front())).ok());
+  EXPECT_TRUE(db_->ValidateTreeInvariants().IsCorruption());
+}
+
 // A SingleDelete annihilates the put it deletes in any compaction, not only
-// a bottommost one; a separated put leaves its value as vlog garbage.
+// a bottommost one, a separated put included.
 TEST_F(KvSepTest, SingleDeleteAnnihilatesSeparatedPut) {
   options_.level0_file_num_compaction_trigger = 2;
   ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
   ASSERT_TRUE(db_->Put(WriteOptions(), "deep", "older data").ok());
   ASSERT_TRUE(db_->CompactRange().ok());
   ASSERT_EQ(1, db_->TotalSortedRuns());
-  const uint64_t garbage_before = db_->vlog()->GarbageBytes();
 
   // Two L0 runs trigger an L0->L1 compaction over the deep run, so the
   // compaction is not bottommost.
@@ -1232,27 +1348,11 @@ TEST_F(KvSepTest, SingleDeleteAnnihilatesSeparatedPut) {
 
   EXPECT_EQ(1, db_->TotalSortedRuns()) << db_->LevelsDebugString();
   EXPECT_EQ(1u, db_->statistics()->tombstones_dropped.load());
-  EXPECT_GE(db_->vlog()->GarbageBytes(), garbage_before + 400);
   std::string value;
   EXPECT_TRUE(db_->Get(ReadOptions(), "k", &value).IsNotFound());
 }
 
-// A separated value overwritten in the memtable is garbage once the flush
-// that drops its pointer installs, before any compaction runs.
-TEST_F(KvSepTest, FlushCountsOverwrittenValueAsGarbage) {
-  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
-  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(400, 'a')).ok());
-  ASSERT_TRUE(db_->Put(WriteOptions(), "k", std::string(300, 'b')).ok());
-  EXPECT_EQ(0u, db_->vlog()->GarbageBytes());
-  ASSERT_TRUE(db_->Flush().ok());
-  EXPECT_EQ(0u, db_->statistics()->compactions.load());
-  EXPECT_EQ(400u, db_->vlog()->GarbageBytes());
-  std::string value;
-  ASSERT_TRUE(db_->Get(ReadOptions(), "k", &value).ok());
-  EXPECT_EQ(std::string(300, 'b'), value);
-}
-
-// A flush whose table fails once and is retried counts its garbage once.
+// A flush whose table fails once and is retried counts its drops once.
 TEST_F(KvSepTest, RetriedFlushCountsGarbageOnce) {
   FaultInjectionEnv fault_env(&env_);
   options_.env = &fault_env;
@@ -1269,80 +1369,36 @@ TEST_F(KvSepTest, RetriedFlushCountsGarbageOnce) {
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_EQ(1u, fault_env.injected_faults());
   EXPECT_EQ(1u, db->statistics()->bg_retry_success.load());
-  EXPECT_EQ(400u, db->vlog()->GarbageBytes());
+  EXPECT_EQ(1u, db->statistics()->entries_dropped_obsolete.load());
 }
 
-// The value log counts the logs an earlier open wrote, so garbage found in
-// them never exceeds the total.
+// GC reaches the logs an earlier open wrote: it relocates the values still
+// live in them, and then they are gone.
 TEST_F(KvSepTest, TotalBytesCountsLogsFromEarlierOpens) {
-  auto vlog_file_bytes = [&] {
-    std::vector<std::string> children;
-    EXPECT_TRUE(env_.GetChildren("/db", &children).ok());
-    uint64_t total = 0;
-    for (const auto& child : children) {
-      uint64_t number, size;
-      FileType type;
-      if (ParseFileName(child, &number, &type) &&
-          type == FileType::kVlogFile) {
-        EXPECT_TRUE(env_.GetFileSize("/db/" + child, &size).ok());
-        total += size;
-      }
-    }
-    return total;
-  };
   auto key_of = [](int i) { return "k" + std::to_string(i); };
   ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(400, 'a')).ok());
   }
   ASSERT_TRUE(db_->Flush().ok());
+  const std::vector<uint64_t> earlier = VlogFiles();
   db_.reset();
 
   ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
-  EXPECT_EQ(vlog_file_bytes(), db_->vlog()->TotalBytes());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(150, 'b')).ok());
-  }
-  ASSERT_TRUE(db_->CompactRange().ok());
-  EXPECT_EQ(vlog_file_bytes(), db_->vlog()->TotalBytes());
-  EXPECT_GE(db_->vlog()->GarbageBytes(), 100u * 400);
-  EXPECT_LE(db_->vlog()->GarbageBytes(), db_->vlog()->TotalBytes());
-
-  ASSERT_TRUE(db_->GarbageCollectVlog().ok());
-  EXPECT_EQ(vlog_file_bytes(), db_->vlog()->TotalBytes());
-  EXPECT_LE(db_->vlog()->GarbageBytes(), db_->vlog()->TotalBytes());
-  std::string value;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db_->Get(ReadOptions(), key_of(i), &value).ok()) << i;
-    EXPECT_EQ(std::string(150, 'b'), value);
-  }
-}
-
-// A compaction that drops pointers into a log GC already deleted counts no
-// garbage for it: every value left in the surviving log is live.
-TEST_F(KvSepTest, GarbageInDeletedLogsIsNotCounted) {
-  auto key_of = [](int i) { return "k" + std::to_string(i); };
-  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(400, 'a')).ok());
-  }
-  ASSERT_TRUE(db_->Flush().ok());
-  db_.reset();
-  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(db_->Put(WriteOptions(), key_of(i), std::string(150, 'b')).ok());
   }
   ASSERT_TRUE(db_->CompactRange().ok());
   ASSERT_TRUE(db_->GarbageCollectVlog().ok());
-  ASSERT_TRUE(db_->Flush().ok());
-  ASSERT_TRUE(db_->CompactRange().ok());
-  EXPECT_EQ(0u, db_->vlog()->GarbageBytes());
-  EXPECT_GT(db_->vlog()->TotalBytes(), 0u);
-  std::string value;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db_->Get(ReadOptions(), key_of(i), &value).ok()) << i;
-    EXPECT_EQ(std::string(150, 'b'), value);
+  for (uint64_t number : VlogFiles()) {
+    EXPECT_GT(number, earlier.back());
   }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(std::string(i < 50 ? 150 : 400, i < 50 ? 'b' : 'a'),
+              Get(key_of(i)))
+        << i;
+  }
+  EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
 }
 
 // A manual compaction re-warms the block cache with its outputs, as a

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -493,6 +494,7 @@ TEST_F(RecoveryTest, VersionEditRoundTrip) {
   f.num_tombstones = 3;
   f.creation_time_micros = 111;
   f.oldest_tombstone_time_micros = 110;
+  f.oldest_vlog = 5;
   edit.AddFile(2, f);
   edit.RemoveFile(1, 6);
 
@@ -511,6 +513,7 @@ TEST_F(RecoveryTest, VersionEditRoundTrip) {
   EXPECT_EQ("aaa", nf.smallest.user_key().ToString());
   EXPECT_EQ("zzz", nf.largest.user_key().ToString());
   EXPECT_EQ(3u, nf.num_tombstones);
+  EXPECT_EQ(5u, nf.oldest_vlog);
   EXPECT_EQ(1u, decoded.deleted_files().count({1, 6}));
 }
 
@@ -655,6 +658,219 @@ TEST(RecoveryKvSeparationTest, FlushedSeparatedValuesSurviveACrash) {
     }
   }
   EXPECT_EQ(0, lost) << first_error;
+}
+
+// A cross-shard prepare fsyncs its shard's WAL, and with it the earlier
+// records there; the value log their pointers lead into must be durable
+// first, or recovery meets a pointer to nothing ahead of the prepare.
+TEST(RecoveryKvSeparationTest, CrossShardPrepareSyncsTheValueLog) {
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  Options options;
+  options.env = &env;
+  options.kv_separation = true;
+  options.kv_separation_threshold = 32;
+  options.num_shards = 2;
+  options.shard_split_keys = {"m"};
+  const std::string value(100, 'v');
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "a", value).ok());
+  WriteBatch batch;  // Spans both shards: a two-phase commit.
+  batch.Put("b", "inline-b");
+  batch.Put("z", "inline-z");
+  ASSERT_TRUE(db->Write(WriteOptions(), &batch).ok());
+  env.SetFilesystemActive(false);
+  db.reset();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+  env.SetFilesystemActive(true);
+
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (const auto& [key, expected] :
+       std::map<std::string, std::string>{
+           {"a", value}, {"b", "inline-b"}, {"z", "inline-z"}}) {
+    std::string got;
+    Status s = db->Get(ReadOptions(), key, &got);
+    ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+    EXPECT_EQ(expected, got) << key;
+  }
+}
+
+// An unsynced write can keep its WAL record through a crash yet lose its
+// value in the value log's torn tail. Recovery then ends the write-order
+// prefix before that record rather than replay a pointer to nothing, and
+// a record torn at its last byte fails the key check (the key is stored
+// last).
+TEST(RecoveryKvSeparationTest, TornValueLogTailEndsReplay) {
+  for (const bool truncate : {true, false}) {
+    SCOPED_TRACE(truncate ? "truncated" : "last byte mangled");
+    MemEnv env;
+    Options options;
+    options.env = &env;
+    options.kv_separation = true;
+    options.kv_separation_threshold = 32;
+    const std::string value_a(100, 'a');
+    const std::string value_b(100, 'b');
+
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), "a", value_a).ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), "b", value_b).ok());
+    db.reset();
+
+    // Tear the newest value log's last record, the one "b" points at.
+    std::vector<std::string> children;
+    ASSERT_TRUE(env.GetChildren("/db", &children).ok());
+    uint64_t newest = 0;
+    for (const auto& child : children) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(child, &number, &type) &&
+          type == FileType::kVlogFile) {
+        newest = std::max(newest, number);
+      }
+    }
+    const std::string vlog = VlogFileName("/db", newest);
+    std::string contents;
+    ASSERT_TRUE(ReadFileToString(&env, vlog, &contents).ok());
+    ASSERT_FALSE(contents.empty());
+    if (truncate) {
+      contents.pop_back();
+    } else {
+      contents.back() = static_cast<char>(contents.back() ^ 0x40);
+    }
+    ASSERT_TRUE(WriteStringToFile(&env, contents, vlog).ok());
+
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    std::string got;
+    Status s = db->Get(ReadOptions(), "a", &got);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(value_a, got);
+    s = db->Get(ReadOptions(), "b", &got);
+    EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+    EXPECT_TRUE(db->ValidateTreeInvariants().ok());
+  }
+}
+
+// A replayed pointer whose read fails for any reason but a torn tail (an
+// open or a read that errs) says nothing about the value log. The open
+// fails rather than end replay there, so a retry still finds every synced
+// write.
+TEST(RecoveryKvSeparationTest, ValueLogReadErrorFailsTheOpen) {
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  Options options;
+  options.env = &env;
+  options.kv_separation = true;
+  options.kv_separation_threshold = 32;
+  WriteOptions synced;
+  synced.sync = true;
+  auto key_of = [](int i) { return "key" + std::to_string(i); };
+  auto value_of = [](int i) {
+    return std::string(100, static_cast<char>('a' + i));
+  };
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(db->Put(synced, key_of(i), value_of(i)).ok());
+  }
+  env.SetFilesystemActive(false);
+  db.reset();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+  env.SetFilesystemActive(true);
+
+  FaultRule rule;
+  rule.file_kinds = kFaultVlog;
+  rule.ops = kFaultOpRead;
+  rule.at_op_index = 0;
+  rule.max_failures = 1;
+  env.AddRule(rule);
+  Status s = DB::Open(options, "/db", &db);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(1u, env.injected_faults());
+  env.ClearRules();
+
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (int i = 0; i < 3; ++i) {
+    std::string got;
+    s = db->Get(ReadOptions(), key_of(i), &got);
+    ASSERT_TRUE(s.ok()) << key_of(i) << ": " << s.ToString();
+    EXPECT_EQ(value_of(i), got);
+  }
+}
+
+// Vlog GC syncs the values it relocates before the tables that point at
+// them install, and a log goes only once nothing points into it. So a
+// crash loses no acknowledged value, whether a manifest write fails during
+// GC's first install or the crash comes right after GC returns.
+void CrashAroundVlogGc(bool fail_first_install) {
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  Options options;
+  options.env = &env;
+  options.write_buffer_size = 8 << 10;
+  options.kv_separation = true;
+  options.kv_separation_threshold = 32;
+  auto key_of = [](int i) { return "key" + std::to_string(1000 + i); };
+  std::map<std::string, std::string> latest;
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (int round = 0; round < 3; ++round) {
+    // Each round overwrites a sparser subset, some values inline.
+    for (int i = 0; i < 200; i += round + 1) {
+      const std::string value =
+          i % 7 == 0 ? "inline" + std::to_string(round)
+                     : std::string(100, static_cast<char>('a' + round)) +
+                           std::to_string(i);
+      ASSERT_TRUE(db->Put(WriteOptions(), key_of(i), value).ok());
+      latest[key_of(i)] = value;
+    }
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+  if (fail_first_install) {
+    FaultRule rule;
+    rule.file_kinds = kFaultManifest;
+    rule.ops = kFaultOpAppend;
+    rule.at_op_index = 0;
+    rule.max_failures = 1;
+    env.AddRule(rule);
+    EXPECT_FALSE(db->GarbageCollectVlog().ok());
+    EXPECT_EQ(1u, env.injected_faults());
+  } else {
+    ASSERT_TRUE(db->GarbageCollectVlog().ok());
+  }
+  env.SetFilesystemActive(false);
+  db.reset();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+  env.SetFilesystemActive(true);
+  env.ClearRules();
+
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  int lost = 0;
+  std::string first_error;
+  for (const auto& [key, value] : latest) {
+    std::string got;
+    Status s = db->Get(ReadOptions(), key, &got);
+    if (!s.ok() || got != value) {
+      if (lost++ == 0) {
+        first_error = key + ": " + s.ToString();
+      }
+    }
+  }
+  EXPECT_EQ(0, lost) << first_error;
+  EXPECT_TRUE(db->ValidateTreeInvariants().ok());
+}
+
+TEST(RecoveryKvSeparationTest, FailedGcInstallThenCrashLosesNothing) {
+  CrashAroundVlogGc(/*fail_first_install=*/true);
+}
+
+TEST(RecoveryKvSeparationTest, CrashRightAfterGcLosesNothing) {
+  CrashAroundVlogGc(/*fail_first_install=*/false);
 }
 
 // A process kill on real files keeps every acknowledged write, synced or

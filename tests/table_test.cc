@@ -562,12 +562,13 @@ TEST_F(TableTest, ShortBlockReadIsRejected) {
   const auto ctx = reader_->MakeFetchContext(ReadOptions());
 
   std::shared_ptr<const Block> block;
+  std::unique_ptr<char[]> buf = NewBlockReadBuffer(handle);
   s = reader_->FinishBatchedBlockRead(
-      ctx, handle, Slice(whole.data(), whole.size() - 1), nullptr, &block);
+      ctx, handle, Slice(whole.data(), whole.size() - 1), &buf, &block);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(nullptr, block);
 
-  s = reader_->FinishBatchedBlockRead(ctx, handle, whole, nullptr, &block);
+  s = reader_->FinishBatchedBlockRead(ctx, handle, whole, &buf, &block);
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_NE(nullptr, block);
   bool found = false;

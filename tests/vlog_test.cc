@@ -73,18 +73,6 @@ TEST_F(VlogTest, MultipleAppendsHaveDistinctOffsets) {
   EXPECT_EQ(std::string(1000, 'c'), value);
 }
 
-TEST_F(VlogTest, GarbageAccounting) {
-  VlogPointer p1, p2;
-  ASSERT_TRUE(vlog_.Append("a", std::string(100, 'x'), &p1).ok());
-  ASSERT_TRUE(vlog_.Append("b", std::string(100, 'y'), &p2).ok());
-  EXPECT_DOUBLE_EQ(0.0, vlog_.GarbageRatio());
-
-  vlog_.AddGarbage(p1.file_number, p1.size);
-  EXPECT_GT(vlog_.GarbageRatio(), 0.4);
-  EXPECT_LT(vlog_.GarbageRatio(), 0.6);
-  EXPECT_EQ(100u, vlog_.GarbageBytes());
-}
-
 TEST_F(VlogTest, ForEachRecordWalksAll) {
   VlogPointer ptr;
   for (int i = 0; i < 10; ++i) {
@@ -136,17 +124,6 @@ TEST_F(VlogTest, RollToNewActiveLog) {
   std::string value;
   ASSERT_TRUE(vlog_.Read(old_ptr, "old", &value).ok());
   EXPECT_EQ("old-value", value);
-}
-
-TEST_F(VlogTest, DeleteLogRemovesFileAndAccounting) {
-  VlogPointer ptr;
-  ASSERT_TRUE(vlog_.Append("k", "v", &ptr).ok());
-  vlog_.AddGarbage(1, 1);
-  ASSERT_TRUE(vlog_.OpenActive(2).ok());
-  ASSERT_TRUE(vlog_.DeleteLog(1).ok());
-  EXPECT_EQ(0u, vlog_.GarbageBytes());
-  std::string value;
-  EXPECT_FALSE(vlog_.Read(ptr, "k", &value).ok());
 }
 
 // A synced write group syncs the active vlog before its WAL record; a log
