@@ -5,9 +5,10 @@
 // the DB into N independent ShardEngine cores gives concurrent writers N
 // disjoint queues, so threads whose keys land in different shards stop
 // contending; the N = 1 configuration must stay free (it bypasses every
-// cross-shard code path). Cross-shard atomic batches pay for two-phase
-// commit — one synced prepare per involved shard plus a synced commit
-// record — which this bench prices explicitly.
+// cross-shard code path). Cross-shard atomic batches pay for their commit
+// — one synced slice per involved shard plus a synced commit record —
+// which this bench prices explicitly, together with what single-shard
+// writers on the involved shards pay: they queue behind the whole commit.
 //
 // Three measurements over the real filesystem (PosixEnv, /tmp):
 //   1. Concurrent fill: 64 client threads of scrambled-Zipfian puts
@@ -15,8 +16,11 @@
 //      configuration, N = 1 is the baseline.
 //   2. Concurrent scrambled-Zipfian point reads over the filled DB,
 //      same sweep.
-//   3. 2PC overhead: single-shard batches vs 4-shard batches at N = 4,
-//      same total operation count, with the prepare/commit stats printed.
+//   3. Cross-shard commit overhead: single-shard batches vs 4-shard
+//      batches at N = 4, same total operation count, with the slice and
+//      commit stats printed; then the 4-shard batches again with one
+//      single-shard writer per shard running beside them, and the mean
+//      latency of those writers' puts.
 //
 // Run with --smoke for a seconds-scale CI sanity pass (same code paths).
 
@@ -40,7 +44,7 @@ namespace {
 struct Scale {
   uint64_t keys;           // Key-space size (and fill operations).
   uint64_t reads;          // Point reads in the read phase.
-  uint64_t batches;        // Atomic batches in the 2PC phase.
+  uint64_t batches;        // Atomic batches in the cross-shard phase.
   int threads;
 };
 
@@ -152,9 +156,10 @@ void RunScalingSweep(const Scale& scale) {
   }
 }
 
-void RunTwoPhaseOverhead(const Scale& scale) {
-  std::printf("\n2PC overhead at N=4: %llu atomic batches of 4 puts, "
-              "single-shard vs cross-shard (wall time)\n",
+void RunCrossShardOverhead(const Scale& scale) {
+  std::printf("\ncross-shard commit overhead at N=4: %llu atomic batches "
+              "of 4 puts, single-shard vs cross-shard, then cross-shard "
+              "with a single-shard writer per shard beside it (wall time)\n",
               static_cast<unsigned long long>(scale.batches));
 
   const std::string dir = BenchDir("2pc");
@@ -162,10 +167,38 @@ void RunTwoPhaseOverhead(const Scale& scale) {
   WriteOptions wo;
   const uint64_t quarter = scale.keys / 4;
 
-  PrintHeader({"batch shape", "wall ms", "us/batch", "prepares", "commits"});
-  for (const bool cross : {false, true}) {
+  PrintHeader({"batch shape", "wall ms", "us/batch", "slices", "commits",
+               "beside us/put"});
+  enum Shape { kSingle, kCross, kCrossBeside };
+  for (const Shape shape : {kSingle, kCross, kCrossBeside}) {
+    const bool cross = shape != kSingle;
     const uint64_t p0 = db->statistics()->shard_prepares.load();
     const uint64_t c0 = db->statistics()->shard_commits.load();
+    // kCrossBeside: one unsynced single-shard writer per shard, each a
+    // closed loop of 100-byte puts until the batches are done.
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> beside_puts{0};
+    std::atomic<uint64_t> beside_micros{0};
+    std::vector<std::thread> beside;
+    if (shape == kCrossBeside) {
+      for (int k = 0; k < 4; ++k) {
+        beside.emplace_back([&, k] {
+          Random rnd(0xa7b0 + k);
+          uint64_t puts = 0;
+          const uint64_t start = SystemClock()->NowMicros();
+          while (!stop.load(std::memory_order_relaxed)) {
+            BenchCheck(db->Put(wo,
+                               WorkloadGenerator::FormatKey(
+                                   quarter * k + rnd.Uniform(quarter)),
+                               std::string(100, 's')),
+                       "Put");
+            ++puts;
+          }
+          beside_micros.fetch_add(SystemClock()->NowMicros() - start);
+          beside_puts.fetch_add(puts);
+        });
+      }
+    }
     Random rnd(cross ? 0xa72c : 0xa721);
     const uint64_t start = SystemClock()->NowMicros();
     for (uint64_t b = 0; b < scale.batches; ++b) {
@@ -179,11 +212,26 @@ void RunTwoPhaseOverhead(const Scale& scale) {
       BenchCheck(db->Write(wo, &batch), "Write");
     }
     const uint64_t wall = SystemClock()->NowMicros() - start;
-    PrintRow({cross ? "cross-shard (4 shards)" : "single-shard",
+    stop.store(true);
+    for (auto& th : beside) {
+      th.join();
+    }
+    // Each writer's elapsed time over its puts is its mean put latency;
+    // summed over the writers, the mean across them.
+    const std::string beside_us =
+        beside_puts.load() > 0
+            ? Fmt(static_cast<double>(beside_micros.load()) /
+                      static_cast<double>(beside_puts.load()),
+                  1)
+            : "-";
+    PrintRow({shape == kSingle  ? "single-shard"
+              : shape == kCross ? "cross-shard (4 shards)"
+                                : "cross-shard + 4 writers beside",
               Fmt(wall / 1000.0, 1),
               Fmt(static_cast<double>(wall) / scale.batches, 1),
               FmtInt(db->statistics()->shard_prepares.load() - p0),
-              FmtInt(db->statistics()->shard_commits.load() - c0)});
+              FmtInt(db->statistics()->shard_commits.load() - c0),
+              beside_us});
   }
   std::printf("cross_shard_batches: %llu\n",
               static_cast<unsigned long long>(
@@ -202,7 +250,7 @@ void Run(const Scale& scale) {
   std::printf("hardware threads: %u\n",
               std::thread::hardware_concurrency());
   RunScalingSweep(scale);
-  RunTwoPhaseOverhead(scale);
+  RunCrossShardOverhead(scale);
 }
 
 }  // namespace

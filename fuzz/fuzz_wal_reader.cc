@@ -1,31 +1,26 @@
 /// Fuzz harness for the WAL log-record reader plus the recovery-time record
-/// dispatch, including the cross-shard 2PC record kinds (prepare tag 0x50,
-/// commit marker tag 0x43 in byte 7 of the leading fixed64 — see
-/// ShardEngine::RecoverLogFile). Invariants: no crash, no unbounded
-/// allocation, and every failure surfaces as an error Status (or a
-/// Reporter::Corruption callback), never as UB.
+/// dispatch: SplitWalRecord (db/wal_record.h), the one decoder
+/// ShardEngine::RecoverLogFile runs on every record, splits off a
+/// cross-shard slice's tag, and the batch behind it is parsed and iterated.
+/// Invariants: no crash, no unbounded allocation, and every failure
+/// surfaces as an error Status (or a Reporter::Corruption callback), never
+/// as UB.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <string>
 
+#include "db/wal_record.h"
 #include "db/write_batch.h"
 #include "io/env.h"
 #include "io/wal_reader.h"
-#include "util/coding.h"
 #include "util/slice.h"
 #include "util/status.h"
 
 namespace {
 
 using namespace lsmlab;
-
-// Mirrors the constants in shard_engine.cc (file-local there by design: the
-// WAL byte format, not an API).
-constexpr uint8_t kPrepareRecordTag = 0x50;
-constexpr uint8_t kCommitMarkerTag = 0x43;
-constexpr uint64_t kTwoPhaseIdMask = (1ull << 56) - 1;
 
 class BufferSequentialFile final : public SequentialFile {
  public:
@@ -68,17 +63,6 @@ class CountingHandler : public WriteBatch::Handler {
   size_t bytes_ = 0;
 };
 
-void ConsumeBatch(const Slice& payload) {
-  WriteBatch batch;
-  Status s = batch.SetRep(payload);
-  if (!s.ok()) {
-    return;  // Error Status is the expected rejection path.
-  }
-  CountingHandler handler;
-  (void)batch.Iterate(&handler);  // Result may be ok or Corruption.
-  (void)batch.Count();
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -86,33 +70,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CountingReporter reporter;
   wal::Reader reader(&file, &reporter);
 
-  std::map<uint64_t, std::string> prepare_stash;
   Slice record;
   std::string scratch;
   while (reader.ReadRecord(&record, &scratch)) {
-    if (record.size() >= 8 &&
-        static_cast<uint8_t>(record[7]) == kPrepareRecordTag) {
-      uint64_t id = DecodeFixed64(record.data()) & kTwoPhaseIdMask;
-      prepare_stash[id] = std::string(record.data() + 8, record.size() - 8);
-      if (prepare_stash.size() > 1024) {
-        prepare_stash.clear();  // Bound memory on adversarial tag floods.
-      }
-      continue;
+    Slice rep;
+    uint64_t cross_shard_id = 0;
+    if (!SplitWalRecord(record, &rep, &cross_shard_id)) {
+      continue;  // RecoverLogFile reports an unknown tag as corruption.
     }
-    if (record.size() >= 8 &&
-        static_cast<uint8_t>(record[7]) == kCommitMarkerTag) {
-      if (record.size() < 16) {
-        continue;  // RecoverLogFile returns Corruption here; nothing to do.
-      }
-      uint64_t id = DecodeFixed64(record.data()) & kTwoPhaseIdMask;
-      auto it = prepare_stash.find(id);
-      if (it != prepare_stash.end()) {
-        ConsumeBatch(it->second);
-        prepare_stash.erase(it);
-      }
-      continue;
+    // Recovery skips a slice whose batch did not commit; parse every slice
+    // here, as if its batch had.
+    WriteBatch batch;
+    if (!batch.SetRep(rep).ok()) {
+      continue;  // Error Status is the expected rejection path.
     }
-    ConsumeBatch(record);
+    CountingHandler handler;
+    (void)batch.Iterate(&handler);  // Result may be ok or Corruption.
+    (void)batch.Count();
   }
   return 0;
 }

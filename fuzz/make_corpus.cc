@@ -13,13 +13,13 @@
 #include <utility>
 
 #include "db/dbformat.h"
+#include "db/wal_record.h"
 #include "db/write_batch.h"
 #include "io/env.h"
 #include "io/mem_env.h"
 #include "io/wal_writer.h"
 #include "table/block_builder.h"
 #include "table/learned_index.h"
-#include "util/coding.h"
 #include "util/comparator.h"
 #include "version/version_edit.h"
 
@@ -79,14 +79,6 @@ std::string IterOps(uint8_t config,
   return bytes;
 }
 
-std::string TaggedRecord(uint8_t tag, uint64_t id, const std::string& rest) {
-  std::string rec;
-  PutFixed64(&rec, (id & ((1ull << 56) - 1)) |
-                       (static_cast<uint64_t>(tag) << 56));
-  rec += rest;
-  return rec;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,15 +100,13 @@ int main(int argc, char** argv) {
   WriteSeed(root, "fuzz_wal_reader", "seed-normal.bin",
             WalFile(&env, "normal", {SampleBatchRep(1), SampleBatchRep(7)}));
   {
-    // 2PC shape: prepare (0x50) carrying a batch payload, then its commit
-    // marker (0x43) with the apply sequence, then a plain record.
-    std::string marker_rest;
-    PutFixed64(&marker_rest, /*apply_seq=*/42);
+    // Cross-shard shape: a slice of batch 9 (the tag, then its batch), then
+    // a plain record.
+    std::string slice;
+    PutCrossShardTag(&slice, 9);
+    slice += SampleBatchRep(42);
     WriteSeed(root, "fuzz_wal_reader", "seed-2pc.bin",
-              WalFile(&env, "twopc",
-                      {TaggedRecord(0x50, 9, SampleBatchRep(0)),
-                       TaggedRecord(0x43, 9, marker_rest),
-                       SampleBatchRep(50)}));
+              WalFile(&env, "twopc", {slice, SampleBatchRep(50)}));
   }
   {
     // Torn tail: a valid record followed by half of another.

@@ -62,6 +62,14 @@ Runs over src/ (and any extra paths given) and enforces:
       file names, which the engine may then delete under it, or behind a
       pointer that a concurrent write does not shadow.
 
+  wal-append-copy
+      Outside comments, a WAL writer's `AddRecord(` appears on one line of
+      db/shard_engine*.cc, inside ShardEngine::LogWriteGroup, the log half
+      of a commit. Single-shard groups and cross-shard slices both log
+      through it, so every WAL record gets the same room-making, sequence
+      reservation, value separation and sync, and a second append site is
+      a second commit protocol.
+
   table-iterator-outside-run-iterator
       Across src/db/ and src/compaction/, outside comments, a table
       reader's `NewIterator(` (a receiver named like `reader` or `table`)
@@ -155,6 +163,13 @@ VLOG_APPEND_HOMES = {
     os.path.join("compaction", "compaction_stream.cc"),
 }
 
+# A WAL append in the engine, and the one function that may hold it.
+WAL_APPEND_RE = re.compile(r"\b\w+\s*(?:->|\.)\s*AddRecord\(")
+WAL_APPEND_FILE_RE = re.compile(r"^db[\\/]shard_engine\w*\.cc$")
+WAL_APPEND_HOME = "LogWriteGroup"
+# The start of an out-of-line member function definition.
+ENGINE_FUNCTION_RE = re.compile(r"^[A-Za-z].*\bShardEngine::(\w+)\(")
+
 # A table reader's iterator; the engine opens one only inside the run
 # iterator (and the whole-file scrub).
 TABLE_ITER_DIRS = ("db" + os.sep, "compaction" + os.sep)
@@ -202,7 +217,7 @@ def is_comment(line):
 
 
 def lint_file(path, rel, findings, walk_sites, writer_sites,
-              vlog_append_sites):
+              vlog_append_sites, wal_append_sites):
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -213,6 +228,7 @@ def lint_file(path, rel, findings, walk_sites, writer_sites,
     in_block_comment = False
     mutex_block_guard = None  # Name of the Mutex whose adjacency block we're in.
     in_continuation = False  # Inside a multi-line declaration's tail.
+    function = None  # The ShardEngine member function being defined.
     for i, line in enumerate(lines):
         lineno = i + 1
         stripped = line.strip()
@@ -301,6 +317,14 @@ def lint_file(path, rel, findings, walk_sites, writer_sites,
         if not is_comment(stripped) and VLOG_APPEND_RE.search(code):
             vlog_append_sites.setdefault(rel, []).append(lineno)
 
+        # --- wal-append-copy (reported in main) ----------------------------
+        if WAL_APPEND_FILE_RE.match(rel):
+            m = ENGINE_FUNCTION_RE.match(code)
+            if m:
+                function = m.group(1)
+            if not is_comment(stripped) and WAL_APPEND_RE.search(code):
+                wal_append_sites.append((rel, lineno, function))
+
         # --- table-iterator-outside-run-iterator ---------------------------
         if (rel.startswith(TABLE_ITER_DIRS)
                 and rel not in TABLE_ITER_ALLOWLIST
@@ -371,10 +395,11 @@ def main(argv):
     walk_sites = {}
     writer_sites = {}
     vlog_append_sites = {}
+    wal_append_sites = []
     for path in sorted(files):
         rel = os.path.relpath(path, src_root)
         lint_file(path, rel, findings, walk_sites, writer_sites,
-                  vlog_append_sites)
+                  vlog_append_sites, wal_append_sites)
     for token, sites in sorted(walk_sites.items()):
         if len(sites) > 1:
             for rel, lineno in sites:
@@ -391,6 +416,14 @@ def main(argv):
                 (rel, lineno, "vlog-append-copy",
                  "value-log Append outside the leader's separation and the "
                  "compaction stream's relocation (one line each)"))
+    for rel, lineno, function in wal_append_sites:
+        if len(wal_append_sites) > 1 or function != WAL_APPEND_HOME:
+            findings.append(
+                (rel, lineno, "wal-append-copy",
+                 f"WAL AddRecord on {len(wal_append_sites)} line(s) of "
+                 "db/shard_engine*.cc, here in "
+                 f"{function or 'no member function'} — every WAL record "
+                 f"is appended by the one log half, {WAL_APPEND_HOME}"))
     for what, sites in sorted(writer_sites.items()):
         if len(sites) > 1:
             for rel, lineno in sites:

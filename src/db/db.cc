@@ -1,11 +1,12 @@
 // ShardedDB: the range-sharded facade over N ShardEngine cores. Routing,
-// cross-shard two-phase commit, multi-shard snapshots/iterators, and the
+// cross-shard commits, multi-shard snapshots/iterators, and the
 // ownership of every process-wide resource live here; all LSM mechanics
 // live in db/shard_engine.{cc,h}.
 
 #include "db/db.h"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 
 #include "db/filename.h"
@@ -185,8 +186,8 @@ Status ShardedDB::ReadCommitLog(std::set<uint64_t>* committed) {
     return s;
   }
   // A torn tail (crash mid-append) truncates the record stream at the last
-  // valid CRC — exactly the two-phase-commit rule: a commit record is only
-  // binding once fully durable.
+  // valid CRC — exactly the commit rule: a commit record is binding only
+  // once fully durable.
   wal::Reader reader(file.get(), /*reporter=*/nullptr);
   Slice record;
   std::string scratch;
@@ -203,9 +204,11 @@ Status ShardedDB::ResetCommitLog() {
   commit_log_.reset();
   commit_log_file_.reset();
   // NewWritableFile truncates: every surviving commit record was consumed
-  // by engine recovery (the replayed data now lives in L0 tables), and
-  // batch ids restart at 1 for this incarnation. The truncation is synced
-  // so a stale record cannot alias a new id after a crash.
+  // by engine recovery (the replayed slices now live in L0 tables, and
+  // their WALs sit below each shard's manifest log number, which recovery
+  // never replays again), so batch ids restart at 1 for this incarnation.
+  // The truncation is synced so a stale record cannot alias a new id after
+  // a crash.
   Status s = options_.env->NewWritableFile(CommitLogFileName(dbname_),
                                            &commit_log_file_);
   if (s.ok()) {
@@ -275,17 +278,6 @@ Status ShardedDB::Initialize() {
   }
 
   if (num_shards_ > 1) {
-    // Batch ids stay monotone across incarnations: a stale prepare record
-    // lingering in a retained WAL must never share an id with a fresh batch,
-    // or a later recovery could resurrect it via the new commit log.
-    uint64_t max_id = committed.empty() ? 0 : *committed.rbegin();
-    for (const auto& shard : shards_) {
-      max_id = std::max(max_id, shard->max_recovered_prepare_id());
-    }
-    {
-      MutexLock lock(&commit_mu_);
-      next_batch_id_ = max_id + 1;
-    }
     s = ResetCommitLog();
     if (!s.ok()) {
       return s;
@@ -408,88 +400,80 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
   }
   if (involved.size() == 1) {
     // Single-shard batch: the engine's own atomicity (one WAL record, one
-    // sequence range) suffices — no 2PC, no commit-lock serialization.
+    // sequence range) suffices — no commit record, no commit lock.
     const size_t k = static_cast<size_t>(involved[0]);
     return shards_[k]->Write(options, &parts[k]);
   }
   stats_.cross_shard_batches.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(&commit_mu_);
-  if (!options_.enable_wal) {
-    // No durability to coordinate; the commit lock alone makes the batch
-    // atomic with respect to snapshot cuts and other cross-shard batches.
-    Status first;
-    for (int k : involved) {
-      const size_t i = static_cast<size_t>(k);
-      Status st = shards_[i]->Write(options, &parts[i]);
-      if (!st.ok() && first.ok()) {
-        first = st;
-      }
-    }
-    return first;
-  }
   return CommitCrossShard(options, &parts, involved);
 }
 
 Status ShardedDB::CommitCrossShard(const WriteOptions& options,
                                    std::vector<WriteBatch>* parts,
                                    const std::vector<int>& involved) {
+  if (commit_log_ == nullptr) {
+    return Status::IOError(dbname_,
+                           "commit log closed after a failed commit; reopen");
+  }
   const uint64_t id = next_batch_id_++;
 
-  // Phase 1: durably log every shard's slice (synced prepare records).
+  // Lead every involved shard's write queue, in ascending shard order, and
+  // log its slice there: one WAL record tagged `id`, synced. Only this
+  // thread, under commit_mu_, ever leads more than one queue, so taking
+  // them in a fixed order cannot deadlock.
+  std::deque<ShardEngine::Writer> writers;
   Status s;
-  std::vector<int> prepared;
   for (int k : involved) {
-    s = shards_[static_cast<size_t>(k)]->PrepareWrite(
-        options, &(*parts)[static_cast<size_t>(k)], id);
+    writers.emplace_back(&(*parts)[static_cast<size_t>(k)], /*sync=*/true,
+                         options.no_slowdown);
+    writers.back().cross_shard_id = id;
+    s = shards_[static_cast<size_t>(k)]->LogCrossShard(&writers.back());
     if (!s.ok()) {
       break;
     }
-    prepared.push_back(k);
     stats_.shard_prepares.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!s.ok()) {
-    for (int k : prepared) {
-      shards_[static_cast<size_t>(k)]->AbortPrepared(id);
+
+  // Commit point: one synced record in the commit log. Recovery replays
+  // the slices iff it finds the record.
+  auto fate = ShardEngine::CrossShardFate::kAborted;
+  if (s.ok()) {
+    fate = ShardEngine::CrossShardFate::kCommitted;
+    if (options_.enable_wal) {
+      std::string rec;
+      PutFixed64(&rec, id);
+      s = commit_log_->AddRecord(rec);
+      if (s.ok()) {
+        s = commit_log_->Sync();
+      }
+      if (!s.ok()) {
+        // The record may or may not be on disk, and the log's end is
+        // unknown, so no later record may follow it: close the log. The
+        // involved shards stay in a hard error until a reopen reads the
+        // log and settles the batch everywhere.
+        commit_log_.reset();
+        commit_log_file_.reset();
+        fate = ShardEngine::CrossShardFate::kInDoubt;
+      }
     }
-    stats_.shard_aborts.fetch_add(1, std::memory_order_relaxed);
-    return s;
   }
 
-  // Commit point: one synced record in the facade commit log. Before it is
-  // durable, recovery drops every prepare; after, recovery applies them
-  // all.
-  std::string rec;
-  PutFixed64(&rec, id);
-  if (commit_log_ == nullptr) {
-    s = Status::IOError(dbname_, "commit log unavailable");
-  } else {
-    s = commit_log_->AddRecord(rec);
-    if (s.ok()) {
-      s = commit_log_->Sync();
-    }
-  }
-  if (!s.ok()) {
-    // The record's fate is unknown (it may or may not have reached disk),
-    // so neither aborting nor committing is sound: the ids stay pending,
-    // their WALs stay retained, and the next open resolves them against
-    // whatever the commit log actually says. The caller must treat the
-    // batch as indeterminate until reopen.
-    return s;
-  }
-
-  // Phase 2: apply everywhere. Failures here are per-shard background
-  // errors (the data is already durably committed); attempt every shard.
-  Status first;
-  for (int k : involved) {
-    const size_t i = static_cast<size_t>(k);
-    Status st = shards_[i]->CommitPrepared(id, &(*parts)[i]);
-    if (st.ok()) {
+  // Apply every slice (or none) and hand each queue on.
+  Status result = s;
+  for (size_t i = 0; i < writers.size(); ++i) {
+    Status st = shards_[static_cast<size_t>(involved[i])]->EndCrossShard(
+        &writers[i], fate, s);
+    if (fate == ShardEngine::CrossShardFate::kCommitted && st.ok()) {
       stats_.shard_commits.fetch_add(1, std::memory_order_relaxed);
-    } else if (first.ok()) {
-      first = st;
+    } else if (result.ok()) {
+      result = st;
     }
   }
-  return first;
+  if (fate != ShardEngine::CrossShardFate::kCommitted) {
+    stats_.shard_aborts.fetch_add(1, std::memory_order_relaxed);
+  }
+  return result;
 }
 
 // ---------------------------------------------------------------------------

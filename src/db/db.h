@@ -36,11 +36,14 @@ namespace lsmlab {
 /// on-disk layout is the historical flat single-engine directory,
 /// byte-for-byte. With N > 1 each shard lives in `<db>/shard-<k>/`, the
 /// topology is persisted in `<db>/SHARDS` (fixed at creation; wins over
-/// Options on reopen), and cross-shard WriteBatches commit atomically via
-/// two-phase commit: a synced prepare record in every involved shard's WAL,
-/// then a synced commit record in `<db>/COMMITLOG`, then per-shard commit
-/// markers. Recovery replays a cross-shard batch iff its commit record (or
-/// any shard's commit marker) survived — all shards or none.
+/// Options on reopen), and cross-shard WriteBatches commit atomically
+/// through each shard's group-commit queue: the facade leads every
+/// involved shard's queue, logs each slice as one synced WAL record tagged
+/// with the batch id, syncs a commit record in `<db>/COMMITLOG`, then
+/// applies every slice. Recovery replays a tagged record iff its commit
+/// record survived — all shards or none. A failed commit-record append or
+/// sync closes the commit log and leaves the involved shards in a hard
+/// error that only a reopen clears.
 ///
 /// Reads route by key range; MultiGet fans out per shard and keeps each
 /// shard's batched-I/O path; iterators merge the per-shard iterators with
@@ -91,9 +94,9 @@ class ShardedDB {
                                std::vector<std::string>* values);
 
   /// Applies all operations in `batch` atomically. Within one shard: one
-  /// WAL record, one sequence range. Across shards: two-phase commit (see
-  /// class comment) — every involved shard's slice is synced at prepare
-  /// time, so a committed cross-shard batch is durable regardless of
+  /// WAL record, one sequence range. Across shards: see the class comment
+  /// — every involved shard's slice and the commit record are synced, so
+  /// an acknowledged cross-shard batch is durable regardless of
   /// WriteOptions::sync.
   Status Write(const WriteOptions& options, WriteBatch* batch);
 
@@ -132,7 +135,7 @@ class ShardedDB {
   /// into `dir` (created if absent, must not already hold a checkpoint).
   /// Safe under full concurrent write load: each shard cuts its WAL (seal +
   /// fsync) and hard-links its immutable files, and the whole capture runs
-  /// under the cross-shard commit lock, so a 2PC batch is never split
+  /// under the cross-shard commit lock, so a cross-shard batch is never split
   /// across the checkpoint boundary. The directory is only a valid
   /// checkpoint once its CHECKPOINT completion record exists — Restore
   /// rejects anything less, so an interrupted checkpoint can never be
@@ -200,9 +203,8 @@ class ShardedDB {
   /// commit record survived), tolerating a torn tail.
   Status ReadCommitLog(std::set<uint64_t>* committed);
   /// Truncates and reopens `<db>/COMMITLOG` for the new incarnation —
-  /// every engine already replayed its prepares, so the old records are
-  /// spent. Batch ids continue above every id recovered from the old
-  /// commit log or any shard's WAL (see Initialize), never restarting.
+  /// every engine already replayed its slices, so the old records are
+  /// spent.
   Status ResetCommitLog() EXCLUDES(commit_mu_);
 
   /// Shard serving `key`: upper_bound over the interior split keys.
@@ -212,9 +214,9 @@ class ShardedDB {
   ReadOptions ShardReadOptions(const ReadOptions& options, int shard) const
       EXCLUDES(commit_mu_);
 
-  /// Two-phase commit of a batch spanning `involved` shards; called with
-  /// commit_mu_ held (it serializes cross-shard commits against each other
-  /// and against snapshot cuts).
+  /// Commits a batch spanning `involved` shards (see the class comment);
+  /// called with commit_mu_ held (it serializes cross-shard commits against
+  /// each other and against snapshot cuts).
   Status CommitCrossShard(const WriteOptions& options,
                           std::vector<WriteBatch>* parts,
                           const std::vector<int>& involved)
@@ -236,12 +238,13 @@ class ShardedDB {
   std::vector<std::unique_ptr<ShardEngine>> shards_;
 
   /// Serializes cross-shard commits, snapshot cuts, and consistent
-  /// iterator cuts at N > 1. Leaf lock of the facade: never held while a
-  /// caller is inside a single-shard engine operation, only around the
-  /// 2PC fan-out, per-shard sequence reads and building a scan's
-  /// per-shard iterators.
+  /// iterator cuts at N > 1. Outermost lock: never taken while a caller is
+  /// inside a single-shard engine operation, only around a cross-shard
+  /// commit, per-shard sequence reads and building a scan's per-shard
+  /// iterators.
   mutable Mutex commit_mu_{LockRank::kCommitMu, "sharded_db.commit_mu"};
   uint64_t next_batch_id_ GUARDED_BY(commit_mu_) = 1;
+  /// Null once a commit record failed to append or sync, until a reopen.
   std::unique_ptr<WritableFile> commit_log_file_ GUARDED_BY(commit_mu_);
   std::unique_ptr<wal::Writer> commit_log_ GUARDED_BY(commit_mu_);
 

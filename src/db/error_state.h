@@ -31,6 +31,10 @@ enum class ErrorSource {
   /// A write group was partially applied to the memtable; unrecoverable
   /// without reopening (flushing the memtable would persist unacked writes).
   kMemtable,
+  /// The facade's commit record for a cross-shard batch this shard logged
+  /// failed to append or sync, so whether the batch committed is unknown
+  /// until a reopen reads the commit log.
+  kCommitLog,
 };
 
 inline const char* ErrorSeverityName(ErrorSeverity severity) {
@@ -59,6 +63,8 @@ inline const char* ErrorSourceName(ErrorSource source) {
       return "manifest";
     case ErrorSource::kMemtable:
       return "memtable";
+    case ErrorSource::kCommitLog:
+      return "commit_log";
   }
   return "unknown";
 }
@@ -80,6 +86,11 @@ struct ErrorState {
 
   bool ok() const { return severity == ErrorSeverity::kNone; }
   bool hard() const { return severity == ErrorSeverity::kHard; }
+  /// Only a reopen clears a memtable or commit-log error; Resume() refuses.
+  bool needs_reopen() const {
+    return source == ErrorSource::kMemtable ||
+           source == ErrorSource::kCommitLog;
+  }
 
   /// Records an error. Severity never downgrades: a soft report cannot
   /// overwrite an outstanding hard error.

@@ -7,6 +7,7 @@
 #include "db/filename.h"
 #include "db/internal_iterators.h"
 #include "db/merge_operator.h"
+#include "db/wal_record.h"
 #include "io/wal_reader.h"
 #include "table/merging_iterator.h"
 #include "table/table_builder.h"
@@ -20,16 +21,8 @@ namespace lsmlab {
 
 namespace {
 
-/// Cross-shard 2PC record tags, stored in byte 7 of the record's leading
-/// fixed64. Normal WAL records start with a sequence number whose byte 7 is
-/// always zero (kMaxSequenceNumber = 2^56 - 1), so tagged records are
-/// unambiguous.
-constexpr uint8_t kPrepareRecordTag = 0x50;  // 'P'
-constexpr uint8_t kCommitMarkerTag = 0x43;   // 'C'
-constexpr uint64_t kTwoPhaseIdMask = (1ull << 56) - 1;
-
 /// Applies one WriteBatch into a memtable at consecutive sequence numbers.
-/// Shared by WAL replay, group commit, and cross-shard commit.
+/// Shared by WAL replay and the apply half of a commit.
 class BatchInserter : public WriteBatch::Handler {
  public:
   BatchInserter(MemTable* mem, SequenceNumber seq) : mem_(mem), seq_(seq) {}
@@ -154,13 +147,13 @@ void ShardEngine::BeginShutdown() {
 
 Status ShardEngine::Open(const Options& options, const std::string& name,
                          uint64_t cache_scope, const ShardResources& resources,
-                         const std::set<uint64_t>* committed_prepares,
+                         const std::set<uint64_t>* committed_batches,
                          std::unique_ptr<ShardEngine>* dbptr) {
   // Options were validated and normalized by the facade.
   dbptr->reset();
   auto db = std::unique_ptr<ShardEngine>(
       new ShardEngine(options, name, cache_scope, resources));
-  Status s = db->Initialize(committed_prepares);
+  Status s = db->Initialize(committed_batches);
   if (!s.ok()) {
     return s;
   }
@@ -168,7 +161,7 @@ Status ShardEngine::Open(const Options& options, const std::string& name,
   return Status::OK();
 }
 
-Status ShardEngine::Initialize(const std::set<uint64_t>* committed_prepares) {
+Status ShardEngine::Initialize(const std::set<uint64_t>* committed_batches) {
   Env* env = options_.env;
   Status s = env->CreateDir(dbname_);
   if (!s.ok()) {
@@ -212,7 +205,7 @@ Status ShardEngine::Initialize(const std::set<uint64_t>* committed_prepares) {
     vlog_ = std::make_unique<VlogManager>(dbname_, env);
   }
 
-  s = Recover(committed_prepares);
+  s = Recover(committed_batches);
   if (!s.ok()) {
     return s;
   }
@@ -231,47 +224,38 @@ std::unique_ptr<MemTable> ShardEngine::MakeMemTable(
       log_number);
 }
 
-Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
-  // Replay all WAL files at or after the manifest's log number, in order.
+Status ShardEngine::Recover(const std::set<uint64_t>* committed_batches) {
+  // Replay every WAL at or above the manifest's log number, in order; the
+  // records of older logs are all in tables. A value log shares its WAL's
+  // number and may outlive it, so no new file may reuse a value log's
+  // number either.
   std::vector<std::string> children;
   Status s = options_.env->GetChildren(dbname_, &children);
   if (!s.ok()) {
     return s;
   }
-  // Collect every WAL still on disk. Logs at or above the manifest's log
-  // number hold unflushed data and are replayed in full; older logs exist
-  // only because a cross-shard prepare keeps them retained (the deletion
-  // gates clamp below the manifest watermark) — their normal records are
-  // already flushed, so they are scanned for tagged records only. A value
-  // log shares its WAL's number and may outlive it, so no new file may
-  // reuse a value log's number either.
   std::vector<uint64_t> logs;
   for (const auto& child : children) {
     uint64_t number;
     FileType type;
-    if (!ParseFileName(child, &number, &type)) {
+    if (!ParseFileName(child, &number, &type) ||
+        (type != FileType::kLogFile && type != FileType::kVlogFile)) {
       continue;
     }
-    if (type == FileType::kLogFile) {
+    versions_->MarkFileNumberUsed(number);
+    if (type == FileType::kLogFile && number >= versions_->log_number()) {
       logs.push_back(number);
-    } else if (type == FileType::kVlogFile) {
-      versions_->MarkFileNumberUsed(number);
     }
   }
   std::sort(logs.begin(), logs.end());
 
   SequenceNumber max_sequence = versions_->last_sequence();
   VersionEdit edit;
-  // Cross-shard prepare payloads (id -> batch rep) seen but not yet applied
-  // by a commit marker; carried across log files (a prepare's marker may
-  // land in a later log after a rotation).
-  std::map<uint64_t, std::string> prepare_stash;
   for (size_t i = 0; i < logs.size(); ++i) {
     uint64_t log_number = logs[i];
-    versions_->MarkFileNumberUsed(log_number);
     bool stop_replay = false;
-    s = RecoverLogFile(log_number, log_number < versions_->log_number(),
-                       &max_sequence, &edit, &stop_replay, &prepare_stash);
+    s = RecoverLogFile(log_number, committed_batches, &max_sequence, &edit,
+                       &stop_replay);
     if (!s.ok()) {
       return s;
     }
@@ -287,58 +271,15 @@ Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
       // The skipped logs must not survive this recovery: RemoveObsoleteFiles
       // only deletes logs below min_log, so an undeleted skipped log with a
       // number above the new active WAL would be replayed on the next open,
-      // resurrecting the dropped writes out of order. Mark their numbers
-      // used (so the new WAL and manifest log_number land above them — even
-      // a failed delete is then ignored by the next Recover()) and delete
-      // them before the new WAL is created.
+      // resurrecting the dropped writes out of order. Their numbers are
+      // marked used (so the new WAL and manifest log_number land above
+      // them — even a failed delete is then ignored by the next Recover());
+      // delete them before the new WAL is created.
       for (size_t j = i + 1; j < logs.size(); ++j) {
-        versions_->MarkFileNumberUsed(logs[j]);
         // A failed delete is safe: the number is marked used above.
         (void)options_.env->RemoveFile(LogFileName(dbname_, logs[j]));
       }
       break;
-    }
-  }
-
-  // Resolve leftover prepares. An id the facade's commit log proves
-  // committed lost its marker in the crash (markers are unsynced); apply
-  // its payload now, in id order, with fresh sequences — a lost marker
-  // implies nothing later survived in this shard's WAL (prepares and seal
-  // syncs persist the whole file prefix; a torn tail only claims the
-  // unsynced suffix), so appending at the end preserves write order. This
-  // runs even after a point-in-time stop: the facade's durable commit
-  // record outranks the torn region. Uncommitted or aborted prepares are
-  // simply dropped.
-  if (!prepare_stash.empty() && committed_prepares != nullptr) {
-    std::unique_ptr<MemTable> mem;
-    for (const auto& [id, rep] : prepare_stash) {
-      if (committed_prepares->count(id) == 0) {
-        continue;
-      }
-      WriteBatch batch;
-      s = batch.SetRep(rep);
-      if (!s.ok()) {
-        return s;
-      }
-      if (batch.Count() == 0) {
-        continue;
-      }
-      if (mem == nullptr) {
-        mem = MakeMemTable();
-      }
-      BatchInserter inserter(mem.get(), max_sequence + 1);
-      s = batch.Iterate(&inserter);
-      if (!s.ok()) {
-        return s;
-      }
-      max_sequence = inserter.last_sequence();
-    }
-    if (mem != nullptr && !mem->Empty()) {
-      s = WriteLevel0Table(std::move(mem), kMaxSequenceNumber, &edit,
-                           /*dropped=*/nullptr);
-      if (!s.ok()) {
-        return s;
-      }
     }
   }
 
@@ -368,10 +309,9 @@ Status ShardEngine::Recover(const std::set<uint64_t>* committed_prepares) {
   return s;
 }
 
-Status ShardEngine::RecoverLogFile(uint64_t log_number, bool tagged_only,
-                          SequenceNumber* max_sequence,
-                          VersionEdit* edit, bool* stop_replay,
-                          std::map<uint64_t, std::string>* prepare_stash) {
+Status ShardEngine::RecoverLogFile(
+    uint64_t log_number, const std::set<uint64_t>* committed_batches,
+    SequenceNumber* max_sequence, VersionEdit* edit, bool* stop_replay) {
   *stop_replay = false;
   std::unique_ptr<SequentialFile> file;
   Status s = options_.env->NewSequentialFile(LogFileName(dbname_, log_number),
@@ -412,76 +352,45 @@ Status ShardEngine::RecoverLogFile(uint64_t log_number, bool tagged_only,
       // the mode check below decides whether that is fatal.
       break;
     }
-    // Each WAL record is one serialized WriteBatch, except the two tagged
-    // cross-shard record kinds (byte 7 of the leading fixed64; a normal
-    // batch starts with a sequence number whose byte 7 is zero).
-    WriteBatch batch;
-    SequenceNumber apply_seq = 0;
-    if (record.size() >= 8 &&
-        static_cast<uint8_t>(record[7]) == kPrepareRecordTag) {
-      // Prepare: stash the payload; it applies at its commit marker (or at
-      // end of replay if the facade's commit log proves it committed).
-      uint64_t id = DecodeFixed64(record.data()) & kTwoPhaseIdMask;
-      max_recovered_prepare_id_ = std::max(max_recovered_prepare_id_, id);
-      (*prepare_stash)[id] =
-          std::string(record.data() + 8, record.size() - 8);
+    // A cross-shard slice lies where its shard applied it: nothing else
+    // wrote the shard between its append and its insert. So it replays in
+    // place, at its own sequence, iff its batch committed.
+    Slice rep;
+    uint64_t cross_shard_id = 0;
+    if (!SplitWalRecord(record, &rep, &cross_shard_id)) {
+      reporter.Corruption(record.size(),
+                          Status::Corruption("unknown WAL record tag"));
+      break;
+    }
+    if (cross_shard_id != 0 && (committed_batches == nullptr ||
+                                committed_batches->count(cross_shard_id) == 0)) {
       continue;
-    } else if (record.size() >= 8 &&
-               static_cast<uint8_t>(record[7]) == kCommitMarkerTag) {
-      // Commit marker: the marker itself proves the cross-shard batch
-      // committed; apply the stashed payload at the recorded sequence.
-      if (record.size() < 16) {
-        return Status::Corruption("short cross-shard commit marker in WAL");
-      }
-      uint64_t id = DecodeFixed64(record.data()) & kTwoPhaseIdMask;
-      max_recovered_prepare_id_ = std::max(max_recovered_prepare_id_, id);
-      auto it = prepare_stash->find(id);
-      if (it == prepare_stash->end()) {
-        continue;  // Payload resolved by an earlier recovery's flush.
-      }
-      if (tagged_only) {
-        // A marker below the manifest watermark means the memtable this
-        // batch was applied to has been flushed: the payload is already in
-        // an SSTable. Retire the stash entry without re-applying it.
-        prepare_stash->erase(it);
-        continue;
-      }
-      s = batch.SetRep(it->second);
+    }
+    WriteBatch batch;
+    s = batch.SetRep(rep);
+    if (!s.ok()) {
+      return s;
+    }
+    if (vlog_ != nullptr) {
+      s = batch.Iterate(&checker);
       if (!s.ok()) {
         return s;
       }
-      prepare_stash->erase(it);
-      apply_seq = DecodeFixed64(record.data() + 8);
-    } else {
-      if (tagged_only) {
-        continue;  // Normal record below the watermark: already flushed.
+      s = checker.status();
+      if (s.IsCorruption() || s.IsNotFound()) {
+        // A torn tail, or a log whose creation the crash undid: the
+        // mode check below decides, as for a torn WAL record.
+        reporter.Corruption(record.size(), s);
+        break;
       }
-      s = batch.SetRep(record);
       if (!s.ok()) {
-        return s;
-      }
-      apply_seq = batch.sequence();
-      if (vlog_ != nullptr) {
-        s = batch.Iterate(&checker);
-        if (!s.ok()) {
-          return s;
-        }
-        s = checker.status();
-        if (s.IsCorruption() || s.IsNotFound()) {
-          // A torn tail, or a log whose creation the crash undid: the
-          // mode check below decides, as for a torn WAL record.
-          reporter.Corruption(record.size(), s);
-          break;
-        }
-        if (!s.ok()) {
-          return s;  // A failed open or read says nothing about the log.
-        }
+        return s;  // A failed open or read says nothing about the log.
       }
     }
     if (mem == nullptr) {
       mem = MakeMemTable();
     }
-    BatchInserter inserter(mem.get(), apply_seq);
+    BatchInserter inserter(mem.get(), batch.sequence());
     s = batch.Iterate(&inserter);
     if (!s.ok()) {
       return s;
@@ -498,15 +407,12 @@ Status ShardEngine::RecoverLogFile(uint64_t log_number, bool tagged_only,
       }
     }
   }
-  if (!reporter.status.ok() && !tagged_only) {
+  if (!reporter.status.ok()) {
     if (options_.wal_recovery_mode == WalRecoveryMode::kAbsoluteConsistency) {
       return reporter.status;
     }
     *stop_replay = true;
   }
-  // tagged_only corruption is benign: every prepare was synced into the
-  // file's durable prefix, so a torn region can only claim flushed normal
-  // records or commit markers (whose ids the facade's commit log re-proves).
   if (mem != nullptr && !mem->Empty()) {
     s = WriteLevel0Table(std::move(mem), kMaxSequenceNumber, edit,
                          /*dropped=*/nullptr);
@@ -618,39 +524,6 @@ Status ShardEngine::Write(const WriteOptions& options, WriteBatch* batch) {
   return WriteBatchInternal(options, batch);
 }
 
-// One queued write (or memtable-seal request). Writers block on their own
-// condition variable until a leader commits their batch for them, or until
-// they reach the queue front and commit a group themselves. done/status are
-// written by the leader and read by the owner, both under writer_queue_mu_
-// (not expressible as GUARDED_BY: the mutex is a DB member, not ours).
-struct ShardEngine::Writer {
-  /// kWrite commits a normal batch (groupable); kSeal rotates the memtable;
-  /// kPrepare / kCommitMarker are the two phases of a cross-shard commit.
-  /// Non-kWrite writers never coalesce — each runs solo as leader.
-  enum Kind { kWrite, kSeal, kPrepare, kCommitMarker };
-
-  WriteBatch* batch;  // nullptr marks a memtable-seal request (Flush()).
-  bool sync;
-  bool no_slowdown;
-  Kind kind = kWrite;
-  /// Cross-shard batch id for kPrepare / kCommitMarker writers.
-  uint64_t prepare_id = 0;
-  /// Seal requests only: rotate even if the memtable is empty or a hard
-  /// error is in force (Resume() swapping out a poisoned WAL).
-  bool force_seal = false;
-  /// Seal requests only: checkpoint WAL cut. Rotates even when the
-  /// memtable is empty, but unlike force_seal keeps the outgoing fsync
-  /// (the sealed log joins a checkpoint — it must be a durable prefix)
-  /// and still refuses to run under a hard error.
-  bool checkpoint_seal = false;
-  bool done = false;
-  Status status;
-  CondVar cv;
-
-  Writer(WriteBatch* b, bool s, bool ns)
-      : batch(b), sync(s), no_slowdown(ns) {}
-};
-
 namespace {
 /// Hard cap on the serialized size of one write group (one WAL record).
 constexpr size_t kMaxGroupBytes = 1 << 20;
@@ -668,60 +541,20 @@ Status ShardEngine::WriteBatchInternal(const WriteOptions& options,
 
 Status ShardEngine::SealActiveMemTable(bool force, bool for_checkpoint) {
   Writer w(nullptr, /*sync=*/false, /*no_slowdown=*/false);
-  w.kind = Writer::kSeal;
   w.force_seal = force;
   w.checkpoint_seal = for_checkpoint;
   return EnqueueWriter(&w);
 }
 
-Status ShardEngine::PrepareWrite(const WriteOptions& options, WriteBatch* batch,
-                        uint64_t id) {
-  Writer w(batch, /*sync=*/true, options.no_slowdown);
-  w.kind = Writer::kPrepare;
-  w.prepare_id = id;
-  return EnqueueWriter(&w);
-}
-
-Status ShardEngine::CommitPrepared(uint64_t id, WriteBatch* batch) {
-  Writer w(batch, /*sync=*/false, /*no_slowdown=*/false);
-  w.kind = Writer::kCommitMarker;
-  w.prepare_id = id;
-  return EnqueueWriter(&w);
-}
-
-void ShardEngine::AbortPrepared(uint64_t id) {
-  // The prepare record stays in the WAL; with neither a marker nor a
-  // facade commit-log entry, recovery discards it. Dropping the retention
-  // entry is the whole abort.
-  MutexLock lock(&mu_);
-  pending_prepares_.erase(id);
-}
-
 Status ShardEngine::EnqueueWriter(Writer* w) {
-  std::vector<Writer*>& group = write_group_;
-  {
-    MutexLock qlock(&writer_queue_mu_);
-    write_queue_.push_back(w);
-    while (!w->done && write_queue_.front() != w) {
-      w->cv.Wait(writer_queue_mu_);
-    }
-    if (w->done) {
-      return w->status;  // A leader committed this write within its group.
-    }
-    // Leadership is ours until we hand it on below, so is write_group_.
-    group.clear();
-    BuildWriteGroup(w, &group);
+  if (!AwaitLeadership(w)) {
+    return w->status;  // A leader committed this write within its group.
   }
-
-  // Leader path: commit the group (or seal the memtable, or run one phase
-  // of a cross-shard commit) with the queue frozen behind us — nothing else
-  // can enter the write path until we hand leadership on below.
+  // Leader path: commit the group (or seal the memtable) with the queue
+  // frozen behind us — nothing else can enter the write path until we
+  // hand leadership on below.
   Status s;
-  if (w->kind == Writer::kPrepare) {
-    s = LeaderPrepare(w);
-  } else if (w->kind == Writer::kCommitMarker) {
-    s = LeaderCommitPrepared(w);
-  } else if (w->batch == nullptr) {
+  if (w->batch == nullptr) {
     MutexLock lock(&mu_);
     if (error_state_.hard() && !w->force_seal) {
       s = error_state_.status;
@@ -733,33 +566,52 @@ Status ShardEngine::EnqueueWriter(Writer* w) {
       s = NewMemTableAndLogLocked(/*skip_old_wal_sync=*/w->force_seal);
     }
   } else {
-    s = CommitWriteGroup(w, group);
-  }
-
-  // Deliver statuses to followers and pass leadership to the next writer.
-  {
-    MutexLock qlock(&writer_queue_mu_);
-    for (Writer* member : group) {
-      assert(write_queue_.front() == member);
-      write_queue_.pop_front();
-      if (member != w) {
-        member->status = s;
-        member->done = true;
-        member->cv.Signal();
-      }
-    }
-    if (!write_queue_.empty()) {
-      write_queue_.front()->cv.Signal();
+    WriteBatch* logged = nullptr;
+    s = LogWriteGroup(w, write_group_, &logged);
+    if (s.ok()) {
+      s = ApplyWriteGroup(logged, write_group_.size());
     }
   }
+  HandOnLeadership(w, s);
   return s;
+}
+
+bool ShardEngine::AwaitLeadership(Writer* w) {
+  MutexLock qlock(&writer_queue_mu_);
+  write_queue_.push_back(w);
+  while (!w->done && write_queue_.front() != w) {
+    w->cv.Wait(writer_queue_mu_);
+  }
+  if (w->done) {
+    return false;
+  }
+  // Leadership is ours until we hand it on, so is write_group_.
+  write_group_.clear();
+  BuildWriteGroup(w, &write_group_);
+  return true;
+}
+
+void ShardEngine::HandOnLeadership(Writer* leader, const Status& s) {
+  MutexLock qlock(&writer_queue_mu_);
+  for (Writer* member : write_group_) {
+    assert(write_queue_.front() == member);
+    write_queue_.pop_front();
+    if (member != leader) {
+      member->status = s;
+      member->done = true;
+      member->cv.Signal();
+    }
+  }
+  if (!write_queue_.empty()) {
+    write_queue_.front()->cv.Signal();
+  }
 }
 
 void ShardEngine::BuildWriteGroup(Writer* leader, std::vector<Writer*>* group) {
   // Leader is at the queue front.
   group->push_back(leader);
-  if (leader->batch == nullptr || leader->kind != Writer::kWrite) {
-    return;  // Seal and 2PC requests never batch with writes.
+  if (leader->batch == nullptr || leader->cross_shard_id != 0) {
+    return;  // Seals and cross-shard slices never batch with writes.
   }
   size_t bytes = leader->batch->ApproximateSize();
   const size_t max_bytes =
@@ -767,8 +619,8 @@ void ShardEngine::BuildWriteGroup(Writer* leader, std::vector<Writer*>* group) {
 
   for (auto it = write_queue_.begin() + 1; it != write_queue_.end(); ++it) {
     Writer* follower = *it;
-    if (follower->batch == nullptr || follower->kind != Writer::kWrite) {
-      break;  // Memtable-seal / 2PC barrier.
+    if (follower->batch == nullptr || follower->cross_shard_id != 0) {
+      break;  // Memtable-seal / cross-shard barrier.
     }
     if (follower->sync && !leader->sync) {
       break;  // Would silently upgrade the leader's durability obligation.
@@ -784,12 +636,12 @@ void ShardEngine::BuildWriteGroup(Writer* leader, std::vector<Writer*>* group) {
   }
 }
 
-Status ShardEngine::CommitWriteGroup(Writer* leader,
-                            const std::vector<Writer*>& group) {
+Status ShardEngine::LogWriteGroup(Writer* leader,
+                                  const std::vector<Writer*>& group,
+                                  WriteBatch** logged) {
   Status s;
   WriteBatch* merged = nullptr;
   SequenceNumber seq_start = 0;
-  uint32_t count = 0;
   wal::Writer* log = nullptr;
   WritableFile* log_file = nullptr;
 
@@ -806,11 +658,10 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
         }
         merged = &group_batch_;
       }
-      count = merged->Count();
       // Allocate — but do not publish — the group's sequence range. Readers
       // keep snapshotting the old last_sequence, so the entries stay
-      // invisible until the WAL write has succeeded; a failed append
-      // therefore consumes no sequence numbers.
+      // invisible until the apply half; a failed append therefore consumes
+      // no sequence numbers.
       seq_start = versions_->last_sequence() + 1;
       merged->SetSequence(seq_start);
       // The WAL handles are stable outside mu_: they are only swapped by a
@@ -841,9 +692,16 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
   if (s.ok() && log != nullptr) {
     // One WAL record and at most one fsync for the whole group, outside
     // mu_ — the point of group commit (fsync amortization, §2.2.5).
-    s = log->AddRecord(merged->rep());
+    Slice record = merged->rep();
+    std::string tagged;
+    if (leader->cross_shard_id != 0) {
+      PutCrossShardTag(&tagged, leader->cross_shard_id);
+      tagged.append(record.data(), record.size());
+      record = tagged;
+    }
+    s = log->AddRecord(record);
     if (s.ok()) {
-      stats_->wal_bytes_written.fetch_add(merged->rep().size(),
+      stats_->wal_bytes_written.fetch_add(record.size(),
                                          std::memory_order_relaxed);
       if (leader->sync || options_.sync_wal) {
         // The record may hold pointers into the active vlog; the values
@@ -869,14 +727,19 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
     RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kWal);
     return s;
   }
+  *logged = merged;
+  return Status::OK();
+}
 
-  // Apply to the memtable with consecutive sequence numbers.
+Status ShardEngine::ApplyWriteGroup(WriteBatch* logged, size_t group_size) {
+  const uint32_t count = logged->Count();
+  Status s;
   {
     MutexLock lock(&mu_);
-    BatchInserter inserter(mem_.get(), seq_start);
-    s = merged->Iterate(&inserter);
+    BatchInserter inserter(mem_.get(), logged->sequence());
+    s = logged->Iterate(&inserter);
     if (s.ok()) {
-      versions_->SetLastSequence(seq_start + count - 1);
+      versions_->SetLastSequence(inserter.last_sequence());
     } else {
       // A partially applied group leaks unpublished sequence numbers into
       // the memtable; flushing it would persist unacked writes. Hard error,
@@ -884,142 +747,35 @@ Status ShardEngine::CommitWriteGroup(Writer* leader,
       RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kMemtable);
     }
   }
-  if (group.size() > 1) {
+  if (group_size > 1) {
     group_batch_.Clear();  // Release the coalesced bytes promptly.
   }
   if (s.ok()) {
     stats_->writes.fetch_add(count, std::memory_order_relaxed);
     stats_->write_groups.fetch_add(1, std::memory_order_relaxed);
-    stats_->RecordWriteGroupSize(group.size());
+    stats_->RecordWriteGroupSize(group_size);
   }
   return s;
 }
 
-// Phase 1 of a cross-shard commit (leader-only). Appends + fsyncs a tagged
-// prepare record carrying the batch payload. No sequence numbers are
-// assigned and the memtable is untouched: the batch is invisible (and
-// consumes nothing) until CommitPrepared. The fsync is what lets the facade
-// treat its commit record as the single durability point.
-Status ShardEngine::LeaderPrepare(Writer* w) {
-  wal::Writer* log = nullptr;
-  WritableFile* log_file = nullptr;
-  uint64_t log_number = 0;
-  {
-    MutexLock lock(&mu_);
-    if (error_state_.hard()) {
-      return error_state_.status;
-    }
-    // The WAL handles are stable outside mu_: only a leader swaps them,
-    // and we hold leadership.
-    log = log_.get();
-    log_file = log_file_.get();
-    log_number = log_file_number_;
-  }
-  if (log == nullptr) {
-    // The facade falls back to direct per-shard applies when the WAL is
-    // off; reaching here is a facade bug.
-    return Status::InvalidArgument("PrepareWrite requires enable_wal");
-  }
-
-  std::string record;
-  PutFixed64(&record, w->prepare_id |
-                          (static_cast<uint64_t>(kPrepareRecordTag) << 56));
-  record.append(w->batch->rep());
-  Status s = log->AddRecord(record);
-  if (s.ok()) {
-    stats_->wal_bytes_written.fetch_add(record.size(),
-                                       std::memory_order_relaxed);
-    // The fsync makes the log's earlier records durable too: the values
-    // their pointers resolve in must be durable first.
-    if (vlog_ != nullptr) {
-      s = vlog_->Sync();
-    }
-    if (s.ok()) {
-      s = log_file->Sync();
-    }
-    if (s.ok()) {
-      stats_->wal_syncs.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  MutexLock lock(&mu_);
-  if (!s.ok()) {
-    // Same fsyncgate reasoning as CommitWriteGroup: the log's on-disk
-    // offset is ambiguous, no further append is safe.
-    RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kWal);
-    return s;
-  }
-  pending_prepares_[w->prepare_id] = log_number;
-  return Status::OK();
+Status ShardEngine::LogCrossShard(Writer* w) {
+  // A slice never joins another leader's group (BuildWriteGroup stops at
+  // it), so it always comes to lead.
+  AwaitLeadership(w);
+  return LogWriteGroup(w, write_group_, &w->logged);
 }
 
-// Phase 2 of a cross-shard commit (leader-only). Assigns the sequence
-// range, appends an *unsynced* commit marker {id, seq_start}, applies the
-// prepared batch, and records the id in committed_prepares_ so both the
-// prepare's and the marker's WALs outlive the normal flush horizon (the
-// marker is the only replayable record of the batch's sequences).
-Status ShardEngine::LeaderCommitPrepared(Writer* w) {
-  WriteBatch* batch = w->batch;
-  SequenceNumber seq_start = 0;
-  uint32_t count = 0;
-  wal::Writer* log = nullptr;
-  uint64_t prepare_log = 0;
-  Status s;
-  {
+Status ShardEngine::EndCrossShard(Writer* w, CrossShardFate fate,
+                                  const Status& cause) {
+  Status s = cause;
+  if (fate == CrossShardFate::kCommitted) {
+    s = ApplyWriteGroup(w->logged, 1);
+  } else if (fate == CrossShardFate::kInDoubt) {
     MutexLock lock(&mu_);
-    s = MakeRoomForWrite(/*no_slowdown=*/false);
-    if (s.ok()) {
-      auto it = pending_prepares_.find(w->prepare_id);
-      if (it == pending_prepares_.end()) {
-        s = Status::InvalidArgument("commit of unprepared cross-shard id");
-      } else {
-        prepare_log = it->second;
-        count = batch->Count();
-        seq_start = versions_->last_sequence() + 1;
-        batch->SetSequence(seq_start);
-        log = log_.get();
-      }
-    }
+    RecordBackgroundError(cause, ErrorSeverity::kHard,
+                          ErrorSource::kCommitLog);
   }
-  if (!s.ok()) {
-    return s;
-  }
-
-  if (log != nullptr) {
-    // Deliberately unsynced: the facade's commit record is the durability
-    // point. A marker torn off by a crash is reconstructed at recovery
-    // from the synced prepare payload plus the facade's commit log.
-    std::string record;
-    PutFixed64(&record, w->prepare_id |
-                            (static_cast<uint64_t>(kCommitMarkerTag) << 56));
-    PutFixed64(&record, seq_start);
-    s = log->AddRecord(record);
-    if (s.ok()) {
-      stats_->wal_bytes_written.fetch_add(record.size(),
-                                         std::memory_order_relaxed);
-    } else {
-      MutexLock lock(&mu_);
-      RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kWal);
-      return s;
-    }
-  }
-
-  MutexLock lock(&mu_);
-  BatchInserter inserter(mem_.get(), seq_start);
-  s = batch->Iterate(&inserter);
-  if (s.ok()) {
-    versions_->SetLastSequence(seq_start + count - 1);
-    pending_prepares_.erase(w->prepare_id);
-    // log_file_number_ is the marker's log: MakeRoomForWrite may have
-    // rotated before the marker was appended, but nothing rotates between
-    // the append and here (we are still leader).
-    committed_prepares_[w->prepare_id] =
-        CommittedPrepare{prepare_log, log_file_number_};
-    stats_->writes.fetch_add(count, std::memory_order_relaxed);
-    stats_->write_groups.fetch_add(1, std::memory_order_relaxed);
-    stats_->RecordWriteGroupSize(1);
-  } else {
-    RecordBackgroundError(s, ErrorSeverity::kHard, ErrorSource::kMemtable);
-  }
+  HandOnLeadership(w, s);
   return s;
 }
 

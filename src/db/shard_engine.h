@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <deque>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -87,28 +86,28 @@ struct ShardResources {
 /// merged batch to the memtable. Lock ordering: `writer_queue_mu_` is
 /// acquired before `mu_`, never after it. Forward iteration only.
 ///
-/// Cross-shard atomicity (two-phase commit, driven by the facade):
-/// PrepareWrite appends a *synced* prepare record carrying the shard's
-/// slice of a cross-shard batch, without assigning sequences or touching
-/// the memtable. After the facade's commit record is durable,
-/// CommitPrepared assigns sequences, appends an (unsynced) commit marker,
-/// and applies the slice. Recovery stashes prepare payloads and replays
-/// them at their marker — or, for ids the facade's commit log proves
-/// committed, at end of replay when the marker was lost in a torn tail.
-/// WAL files referenced by an outstanding prepare are retained past the
-/// normal flush horizon until the marker's log is itself obsolete.
+/// A commit has two halves: the log half (make room, reserve the sequence
+/// range, separate values, append and sync the WAL record) and the apply
+/// half (insert into the memtable, publish the sequence). A group's leader
+/// runs both back to back. A batch that spans shards runs them through the
+/// same queue, driven by the facade (LogCrossShard / EndCrossShard): it
+/// leads every involved shard's queue, logs each slice as one synced WAL
+/// record tagged with the batch id, syncs its commit record, then applies
+/// every slice. Nothing else writes a shard while the facade leads it, so
+/// recovery replays a tagged record where it lies, iff the facade's commit
+/// log holds its id.
 class ShardEngine {
  public:
   /// Opens (creating if configured) the engine at `name`, borrowing the
   /// facade's shared `resources`. `cache_scope` (the shard index) names
-  /// the engine's tables in the shared block cache. `committed_prepares`
-  /// lists cross-shard batch ids whose facade commit record survived —
-  /// prepares for these ids are applied during recovery even when their
-  /// commit marker was lost; it is read only during Open. Assumes
+  /// the engine's tables in the shared block cache. `committed_batches`
+  /// lists the cross-shard batch ids whose commit record survived in the
+  /// facade's commit log (null at N = 1); recovery replays a tagged WAL
+  /// record only if its id is there. Read only during Open. Assumes
   /// `options` were already validated and normalized by the facade.
   static Status Open(const Options& options, const std::string& name,
                      uint64_t cache_scope, const ShardResources& resources,
-                     const std::set<uint64_t>* committed_prepares,
+                     const std::set<uint64_t>* committed_batches,
                      std::unique_ptr<ShardEngine>* dbptr);
 
   ~ShardEngine();
@@ -155,22 +154,64 @@ class ShardEngine {
   /// sequence-number range, all-or-nothing recovery.
   Status Write(const WriteOptions& options, WriteBatch* batch);
 
-  // --- Cross-shard two-phase commit (facade-driven) ------------------------
-  /// Phase 1: durably logs `batch` under cross-shard id `id` (synced
-  /// prepare record) without assigning sequences or touching the memtable.
-  /// The payload is retained (and its WAL protected from deletion) until
-  /// CommitPrepared or AbortPrepared resolves the id.
-  Status PrepareWrite(const WriteOptions& options, WriteBatch* batch,
-                      uint64_t id) EXCLUDES(writer_queue_mu_, mu_);
-  /// Phase 2: assigns sequences to the previously prepared `batch`, logs
-  /// an (unsynced) commit marker, and applies the batch to the memtable.
-  /// Only called after the facade's commit record for `id` is durable.
-  Status CommitPrepared(uint64_t id, WriteBatch* batch)
+  // --- Cross-shard commit (facade-driven) ----------------------------------
+  /// One queued write or memtable-seal request. A writer blocks on its own
+  /// condition variable until a leader commits its batch for it, or until
+  /// it reaches the queue front and leads a group itself. done and status
+  /// are written by the leader and read by the owner, both under
+  /// writer_queue_mu_ (not expressible as GUARDED_BY: the mutex is an
+  /// engine member, not ours). The facade makes one per shard that a
+  /// cross-shard batch involves.
+  struct Writer {
+    Writer(WriteBatch* b, bool s, bool ns)
+        : batch(b), sync(s), no_slowdown(ns) {}
+
+    WriteBatch* batch;  // nullptr marks a memtable-seal request (Flush()).
+    bool sync;
+    bool no_slowdown;
+    /// Non-zero for one shard's slice of a cross-shard batch: the batch id
+    /// its WAL record is tagged with. Such a writer leads alone.
+    uint64_t cross_shard_id = 0;
+    /// Seal requests only: rotate even if the memtable is empty or a hard
+    /// error is in force (Resume() swapping out a poisoned WAL).
+    bool force_seal = false;
+    /// Seal requests only: checkpoint WAL cut. Rotates even when the
+    /// memtable is empty, but unlike force_seal keeps the outgoing fsync
+    /// (the sealed log joins a checkpoint — it must be a durable prefix)
+    /// and still refuses to run under a hard error.
+    bool checkpoint_seal = false;
+    /// Cross-shard slices only: the batch the log half wrote (values
+    /// separated, sequence assigned), for the apply half.
+    WriteBatch* logged = nullptr;
+    bool done = false;
+    Status status;
+    CondVar cv;
+  };
+
+  /// What became of a cross-shard batch, for EndCrossShard.
+  enum class CrossShardFate {
+    /// The commit record is durable: apply the slice.
+    kCommitted,
+    /// No commit record was written: the slice stays unapplied, and
+    /// recovery skips its WAL record.
+    kAborted,
+    /// The commit record's append or sync failed, so it may or may not be
+    /// on disk: only a reopen can tell whether the batch committed.
+    kInDoubt,
+  };
+
+  /// Queues `w` (a slice with its cross_shard_id set and sync on), waits
+  /// for the write-queue leadership and runs the log half of a commit on
+  /// the slice: one WAL record tagged with the id, synced. The caller keeps
+  /// the leadership, whatever the status, until EndCrossShard.
+  Status LogCrossShard(Writer* w) EXCLUDES(writer_queue_mu_, mu_);
+  /// Ends `w`'s part of its cross-shard batch and hands the leadership on.
+  /// kCommitted runs the apply half and returns its status. kInDoubt puts
+  /// the shard into a hard error that Resume() refuses: a later write must
+  /// not land behind a WAL record whose fate is unknown. Otherwise returns
+  /// `cause`.
+  Status EndCrossShard(Writer* w, CrossShardFate fate, const Status& cause)
       EXCLUDES(writer_queue_mu_, mu_);
-  /// Drops a prepared id (another shard's prepare failed). The prepare
-  /// record stays in the WAL; recovery discards prepares whose id neither
-  /// has a marker nor appears in the facade's commit log.
-  void AbortPrepared(uint64_t id) EXCLUDES(mu_);
 
   /// Iterator over user keys (newest visible version of each, tombstones
   /// suppressed). Forward-only. Scan statistics (range_scans) are the
@@ -181,15 +222,6 @@ class ShardEngine {
   /// with sequence <= it, and compactions preserve what snapshots need.
   SequenceNumber GetSnapshot();
   void ReleaseSnapshot(SequenceNumber snapshot);
-
-  /// Highest cross-shard batch id seen in this shard's WALs during
-  /// recovery (0 if none). The facade starts its id counter above the
-  /// maximum across shards and the commit log, so a stale prepare record
-  /// lingering in a retained WAL can never collide with a fresh batch id
-  /// and be resurrected by a later recovery.
-  uint64_t max_recovered_prepare_id() const {
-    return max_recovered_prepare_id_;
-  }
 
   // --- Internal operations, exposed for control & experiments --------------
   /// Forces the current memtable to disk and waits for the flush.
@@ -273,10 +305,8 @@ class ShardEngine {
   ShardEngine(const Options& options, std::string dbname,
               uint64_t cache_scope, const ShardResources& resources);
 
-  struct Writer;
-
-  Status Initialize(const std::set<uint64_t>* committed_prepares);
-  Status Recover(const std::set<uint64_t>* committed_prepares);
+  Status Initialize(const std::set<uint64_t>* committed_batches);
+  Status Recover(const std::set<uint64_t>* committed_batches);
   /// Replays one WAL file into memtables and flushes each through
   /// WriteLevel0Table, adding the tables it writes to `edit`. Must be
   /// called *without* mu_ (the flush pins its output under it); recovery
@@ -284,18 +314,12 @@ class ShardEngine {
   /// `*stop_replay` is set when a corrupt record was tolerated under
   /// point-in-time recovery: replay must not continue into later logs
   /// (recovering past the corruption would break prefix consistency).
-  /// `prepare_stash` accumulates cross-shard prepare payloads (id → batch
-  /// rep) across log files; a commit-marker record applies and erases its
-  /// stash entry, and Recover resolves leftovers against the facade's
-  /// committed-id set. With `tagged_only` (logs below the manifest's log
-  /// number, retained only for a cross-shard prepare) normal records are
-  /// skipped — their data is already flushed — and a marker retires its
-  /// stash entry without re-applying it.
-  Status RecoverLogFile(uint64_t log_number, bool tagged_only,
-                        SequenceNumber* max_sequence,
-                        VersionEdit* edit, bool* stop_replay,
-                        std::map<uint64_t, std::string>* prepare_stash)
-      EXCLUDES(mu_);
+  /// A cross-shard slice replays where it lies iff `committed_batches`
+  /// holds its id.
+  Status RecoverLogFile(uint64_t log_number,
+                        const std::set<uint64_t>* committed_batches,
+                        SequenceNumber* max_sequence, VersionEdit* edit,
+                        bool* stop_replay) EXCLUDES(mu_);
   /// Creates a fresh WAL and memtable, and rolls the value log to the
   /// WAL's number.
   Status NewMemTableAndLog() REQUIRES(mu_);
@@ -318,22 +342,29 @@ class ShardEngine {
   /// Enqueues `w`, waits for a leader to commit it (or for leadership), and
   /// as leader commits the whole group and hands leadership on.
   Status EnqueueWriter(Writer* w) EXCLUDES(writer_queue_mu_, mu_);
+  /// Queues `w` and waits until a leader has committed it (returns false)
+  /// or it leads (returns true, with its group in write_group_).
+  bool AwaitLeadership(Writer* w) EXCLUDES(writer_queue_mu_);
+  /// Leader-only: delivers `s` to the group's followers, dequeues the group
+  /// and wakes the next writer, which then leads.
+  void HandOnLeadership(Writer* leader, const Status& s)
+      EXCLUDES(writer_queue_mu_);
   /// Collects the leader plus compatible followers from the front of
-  /// write_queue_ into `group`. Two-phase-commit writers never coalesce:
-  /// a prepare/commit leader runs solo, and group building stops at one.
+  /// write_queue_ into `group`. A cross-shard slice never coalesces: it
+  /// leads alone, and group building stops at one.
   void BuildWriteGroup(Writer* leader, std::vector<Writer*>* group)
       REQUIRES(writer_queue_mu_);
-  /// Leader-only: assigns the group's sequence range, writes one WAL
-  /// record (+ optional fsync) outside mu_, applies the merged batch to
-  /// the memtable, and publishes the new last_sequence.
-  Status CommitWriteGroup(Writer* leader, const std::vector<Writer*>& group)
+  /// Leader-only, the log half of a commit: makes room, reserves (without
+  /// publishing) the group's sequence range, separates its values, and
+  /// appends its batch as one WAL record outside mu_ — tagged when the
+  /// leader is a cross-shard slice — syncing it when the leader asks.
+  /// `*logged` is the batch the record holds.
+  Status LogWriteGroup(Writer* leader, const std::vector<Writer*>& group,
+                       WriteBatch** logged) EXCLUDES(mu_);
+  /// Leader-only, the apply half: inserts `logged` into the memtable and
+  /// publishes its sequence range.
+  Status ApplyWriteGroup(WriteBatch* logged, size_t group_size)
       EXCLUDES(mu_);
-  /// Leader-only: appends + syncs the prepare record for a kPrepare writer
-  /// and registers the id in pending_prepares_.
-  Status LeaderPrepare(Writer* w) EXCLUDES(mu_);
-  /// Leader-only: assigns sequences, appends the commit marker, applies
-  /// the batch, and moves the id to committed_prepares_.
-  Status LeaderCommitPrepared(Writer* w) EXCLUDES(mu_);
   /// Seals the active memtable via the writer queue (so the swap cannot
   /// race a leader's WAL write); used by Flush(). With `force`, seals even
   /// when the memtable is empty or a hard error is in force (Resume()'s WAL
@@ -413,26 +444,10 @@ class ShardEngine {
   Status ManualCompaction(uint64_t relocate_below) EXCLUDES(mu_);
 
   /// Deletes the files nothing needs any more: tables no live Version
-  /// holds, old manifests, WALs below the retention floor, and every value
-  /// log below the oldest one that a live Version's file or a live
-  /// memtable points into.
+  /// holds, old manifests, WALs below the oldest unflushed memtable's, and
+  /// every value log below the oldest one that a live Version's file or a
+  /// live memtable points into.
   void RemoveObsoleteFiles() REQUIRES(mu_);
-
-  /// The oldest WAL the engine may let go of, given `normal_min` (the
-  /// oldest log the memtable pipeline still needs). Prunes
-  /// committed_prepares_ entries whose marker log is itself below
-  /// normal_min, then clamps to the oldest log any outstanding prepare
-  /// still lives in — a prepared-but-unresolved id must survive a crash,
-  /// and a committed id's payload must survive until its marker's log is
-  /// obsolete (recovery then sees the marker — or neither record — and
-  /// never re-applies the flushed payload).
-  uint64_t ClampWalRetentionLocked(uint64_t normal_min) REQUIRES(mu_);
-
-  /// Deletes on-disk WALs below `keep_floor`, strictly oldest-first and
-  /// stopping at the first file that refuses to go. Ordered deletion keeps
-  /// the surviving logs a suffix of history, which recovery's
-  /// prepare/marker reasoning depends on.
-  void DeleteObsoleteWalsLocked(uint64_t keep_floor) REQUIRES(mu_);
 
   SequenceNumber OldestSnapshot() const REQUIRES(mu_);
 
@@ -552,23 +567,6 @@ class ShardEngine {
   /// Log numbers backing the immutable memtables (oldest first).
   std::deque<uint64_t> imm_log_numbers_ GUARDED_BY(mu_);
 
-  /// Cross-shard ids prepared in this engine but not yet committed or
-  /// aborted, mapped to the log file holding their prepare record (WAL
-  /// retention floor).
-  std::map<uint64_t, uint64_t> pending_prepares_ GUARDED_BY(mu_);
-  /// Committed cross-shard ids whose prepare payload must stay replayable:
-  /// maps id → {prepare log, marker log}. An entry prunes once the marker
-  /// log falls below the normal flush horizon (its applied data is then in
-  /// SSTables).
-  struct CommittedPrepare {
-    uint64_t prepare_log = 0;
-    uint64_t marker_log = 0;
-  };
-  std::map<uint64_t, CommittedPrepare> committed_prepares_ GUARDED_BY(mu_);
-  /// Highest cross-shard id seen in any WAL record during recovery; written
-  /// single-threaded before the engine goes live, read-only afterwards.
-  uint64_t max_recovered_prepare_id_ = 0;
-
   std::multiset<SequenceNumber> snapshots_ GUARDED_BY(mu_);
 
   bool flush_scheduled_ GUARDED_BY(mu_) = false;
@@ -622,7 +620,7 @@ class ShardEngine {
   /// Leader-only scratch batch holding a coalesced group (> 1 writer).
   /// Owned by whichever thread is leader — an exclusion the analysis cannot
   /// express, so it carries no GUARDED_BY; the leader protocol in
-  /// EnqueueWriter/CommitWriteGroup is its lock.
+  /// EnqueueWriter/LogWriteGroup is its lock.
   WriteBatch group_batch_;
   /// Leader-only, like group_batch_: the writers of the group being
   /// committed, reused from group to group so a write allocates no list.

@@ -144,11 +144,7 @@ void ShardEngine::BackgroundFlush() {
   if (s.ok() && meta.file_number != 0) {
     // Everything in logs older than the next immutable (or the active log)
     // is now durable in SSTables, so the manifest's log number — the "all
-    // normal records below this are flushed" watermark — advances to the
-    // true floor. WALs an outstanding cross-shard prepare still lives in
-    // are retained separately (the clamped deletion gates below and in
-    // RemoveObsoleteFiles); recovery rescans those pre-watermark logs for
-    // tagged records only, never re-applying flushed normal records.
+    // records below this are flushed" watermark — advances past them.
     uint64_t min_log = imm_log_numbers_.size() > 1 ? imm_log_numbers_[1]
                                                    : log_file_number_;
     edit.SetLogNumber(min_log);
@@ -171,11 +167,14 @@ void ShardEngine::BackgroundFlush() {
     // The flushed memtable left the view's membership (its data now lives
     // in the installed L0 file); readers holding the old view still pin it.
     PublishReadView();
+    if (options_.enable_wal) {
+      // Every record of the flushed memtable's WAL is in the table now, or
+      // was dropped by the flush. A WAL that fails to go is retried by the
+      // next RemoveObsoleteFiles.
+      (void)options_.env->RemoveFile(
+          LogFileName(dbname_, imm_log_numbers_.front()));
+    }
     imm_log_numbers_.pop_front();
-    uint64_t keep_floor = ClampWalRetentionLocked(
-        imm_log_numbers_.empty() ? log_file_number_
-                                 : imm_log_numbers_.front());
-    DeleteObsoleteWalsLocked(keep_floor);
     if (flush_retry_attempts_ > 0) {
       stats_->bg_retry_success.fetch_add(1, std::memory_order_relaxed);
       flush_retry_attempts_ = 0;
@@ -696,10 +695,12 @@ Status ShardEngine::Resume() {
     if (snapshot.ok()) {
       return Status::OK();  // Nothing to recover from.
     }
-    if (snapshot.source == ErrorSource::kMemtable) {
+    if (snapshot.needs_reopen()) {
       // A partially applied write group cannot be repaired in place —
-      // flushing the memtable would persist unacked writes. Only a reopen
-      // (which replays each WAL record atomically) is safe.
+      // flushing the memtable would persist unacked writes — and a
+      // cross-shard batch whose commit record may or may not be durable is
+      // settled only by the commit log a reopen reads. Only a reopen (which
+      // replays each WAL record atomically) is safe.
       return snapshot.status;
     }
   }
@@ -724,9 +725,10 @@ Status ShardEngine::Resume() {
       return s;
     }
   }
-  if (error_state_.source == ErrorSource::kMemtable) {
-    // A concurrent write failed mid-apply while we were recovering; that
-    // state is not resumable (see above).
+  if (error_state_.needs_reopen()) {
+    // A concurrent write failed mid-apply, or a cross-shard commit record
+    // failed, while we were recovering; that state is not resumable (see
+    // above).
     return error_state_.status;
   }
   if (error_state_.severity != snapshot.severity ||
@@ -765,63 +767,6 @@ Status ShardEngine::Resume() {
   return Status::OK();
 }
 
-uint64_t ShardEngine::ClampWalRetentionLocked(uint64_t normal_min) {
-  // A committed cross-shard prepare must stay replayable until the
-  // memtable that absorbed it (whose WAL is marker_log) has flushed; once
-  // the normal retention horizon passes the marker's log, the applied data
-  // is durable in SSTables and the entry — plus both its logs — may go.
-  for (auto it = committed_prepares_.begin();
-       it != committed_prepares_.end();) {
-    if (normal_min > it->second.marker_log) {
-      it = committed_prepares_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  uint64_t min_log = normal_min;
-  for (const auto& [id, prepare_log] : pending_prepares_) {
-    min_log = std::min(min_log, prepare_log);
-  }
-  for (const auto& [id, cp] : committed_prepares_) {
-    min_log = std::min(min_log, cp.prepare_log);
-  }
-  return min_log;
-}
-
-void ShardEngine::DeleteObsoleteWalsLocked(uint64_t keep_floor) {
-  if (!options_.enable_wal) {
-    return;
-  }
-  std::vector<std::string> children;
-  if (!options_.env->GetChildren(dbname_, &children).ok()) {
-    return;
-  }
-  std::vector<uint64_t> stale;
-  for (const auto& child : children) {
-    uint64_t number;
-    FileType type;
-    if (ParseFileName(child, &number, &type) && type == FileType::kLogFile &&
-        number < keep_floor) {
-      stale.push_back(number);
-    }
-  }
-  std::sort(stale.begin(), stale.end());
-  // WALs die strictly oldest-first. Recovery decides "this prepare's batch
-  // was already flushed" by seeing its commit marker in a retained log — or
-  // by the prepare record being gone altogether. If a newer log (holding
-  // the marker) were deleted while an older one (holding the prepare)
-  // lingered, reopen would find a committed prepare with no marker and
-  // re-apply flushed data above later writes. Stopping at the first
-  // surviving file keeps the on-disk logs a suffix of history.
-  for (uint64_t number : stale) {
-    const std::string fname = LogFileName(dbname_, number);
-    if (!options_.env->RemoveFile(fname).ok() &&
-        options_.env->FileExists(fname)) {
-      break;
-    }
-  }
-}
-
 void ShardEngine::RemoveObsoleteFiles() {
   std::set<uint64_t> live;
   // The active memtable's log is the newest value log; older ones stay
@@ -836,13 +781,15 @@ void ShardEngine::RemoveObsoleteFiles() {
     return mem == nullptr;
   });
 
+  // The oldest unflushed memtable's WAL; every record below it is in a
+  // table.
+  const uint64_t min_log =
+      imm_log_numbers_.empty() ? log_file_number_ : imm_log_numbers_.front();
+
   std::vector<std::string> children;
   if (!options_.env->GetChildren(dbname_, &children).ok()) {
     return;
   }
-  uint64_t min_log = ClampWalRetentionLocked(
-      imm_log_numbers_.empty() ? log_file_number_
-                               : imm_log_numbers_.front());
   for (const auto& child : children) {
     uint64_t number;
     FileType type;
@@ -857,7 +804,7 @@ void ShardEngine::RemoveObsoleteFiles() {
         keep = live.count(number) > 0 || pending_outputs_.count(number) > 0;
         break;
       case FileType::kLogFile:
-        keep = true;  // WALs are deleted oldest-first below, never inline.
+        keep = number >= min_log;
         break;
       case FileType::kManifestFile:
         keep = number >= versions_->manifest_file_number();
@@ -880,7 +827,6 @@ void ShardEngine::RemoveObsoleteFiles() {
       (void)options_.env->RemoveFile(dbname_ + "/" + child);
     }
   }
-  DeleteObsoleteWalsLocked(min_log);
 }
 
 }  // namespace lsmlab

@@ -114,14 +114,16 @@ namespace lsmlab {
   /* Sharded facade (DESIGN.md, "Sharding architecture"). Only the facade     \
      increments these; engines never touch them, so shared Statistics are     \
      never double-counted. */                                                 \
-  /* WriteBatches that spanned more than one shard (two-phase committed). */  \
+  /* WriteBatches that spanned more than one shard. */                        \
   TICKER(cross_shard_batches)                                                 \
-  /* Per-shard prepare records written for cross-shard batches. */            \
+  /* Per-shard slices of cross-shard batches logged: one synced, tagged WAL   \
+     record each, so a 4-shard batch adds 4. */                               \
   TICKER(shard_prepares)                                                      \
-  /* Cross-shard batches whose facade commit record reached the commit        \
-     log. */                                                                  \
+  /* Per-shard slices applied after their batch's commit record was synced;   \
+     a 4-shard batch adds 4. */                                               \
   TICKER(shard_commits)                                                       \
-  /* Cross-shard batches aborted after a prepare failure. */                  \
+  /* Cross-shard batches that did not commit: a slice failed to log, or the   \
+     commit record failed to append or sync. */                               \
   TICKER(shard_aborts)
 
 /// Engine-wide counters. Every experiment reads these to report the

@@ -129,9 +129,18 @@ Status VlogManager::ForEachRecord(
   while (!input.empty()) {
     Slice at_record = input;
     uint32_t key_len, value_len;
-    if (!GetVarint32(&input, &key_len) || !GetVarint32(&input, &value_len) ||
-        input.size() < key_len + value_len) {
-      return Status::Corruption("truncated vlog record");
+    if (!GetVarint32(&input, &key_len) || !GetVarint32(&input, &value_len)) {
+      if (at_record.size() >= 10) {
+        // Room for both lengths (two varint32s, 5 bytes at most each), yet
+        // they do not parse.
+        return Status::Corruption("bad vlog record header");
+      }
+      break;  // A header cut off by the end of the log: a torn tail.
+    }
+    if (input.size() < static_cast<uint64_t>(key_len) + value_len) {
+      // A record that runs past the end of the log is a torn tail, which
+      // ends the log as it ends WAL replay.
+      break;
     }
     Slice value(input.data(), value_len);
     Slice key(input.data() + value_len, key_len);

@@ -70,7 +70,9 @@ class VlogManager {
 
   /// Iterates every record of log `file_number` (the checksum scrub). The
   /// callback receives (key, value, pointer); returning false stops the
-  /// walk.
+  /// walk. A record that runs past the end of the log is a torn tail, the
+  /// one a crash or a failed append leaves, and ends the walk cleanly; a
+  /// header that cannot parse with room to spare is Corruption.
   Status ForEachRecord(
       uint64_t file_number,
       const std::function<bool(const Slice& key, const Slice& value,

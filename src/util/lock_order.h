@@ -36,13 +36,17 @@ namespace lsmlab {
 ///                         └─ Env-internal locks         (kIoEnv)
 ///                         └─ Logger locks               (kLogger)
 ///
-/// Cross-shard note: the 2PC commit path holds commit_mu_ while visiting
-/// the N shards *sequentially* (PrepareWrite / CommitPrepared each acquire
-/// and release one shard's writer_queue_mu_/mu_ before the next shard is
-/// touched). No thread ever holds two same-rank mutexes at once; the
-/// validator treats an equal-rank nested acquisition as a violation, which
-/// is exactly the invariant that makes the N-shard topology deadlock-free
-/// with unordered shard visits.
+/// Cross-shard note: a cross-shard commit holds commit_mu_ while it takes
+/// the write-queue *leadership* of each involved shard in ascending shard
+/// order (LogCrossShard), and keeps every one until the commit record is
+/// synced and each slice applied (EndCrossShard). Leadership is a protocol
+/// on top of writer_queue_mu_, not a held mutex: each shard's
+/// writer_queue_mu_/mu_ is acquired and released before the next shard is
+/// touched, so no thread ever holds two same-rank mutexes at once (the
+/// validator treats an equal-rank nested acquisition as a violation). The
+/// leaderships cannot deadlock: only the facade, under commit_mu_, leads
+/// more than one queue, and it takes them in a fixed order; every other
+/// leader leads one queue and waits for nothing a queue holder owns.
 enum class LockRank : uint16_t {
   /// Opted out of rank checking (generic/test code, short-lived local
   /// latches). Still participates in the learned acquired-after graph, so
@@ -50,10 +54,10 @@ enum class LockRank : uint16_t {
   kUnranked = 0,
 
   // --- Facade ---------------------------------------------------------
-  /// ShardedDB::commit_mu_: serializes cross-shard 2PC commits, snapshot
-  /// cuts, and COMMITLOG writes. Outermost lock of the system; explicitly
-  /// an I/O-covering lock (the COMMITLOG fsync under it IS the 2PC commit
-  /// point, and shard WAL prepare fsyncs happen inside its scope).
+  /// ShardedDB::commit_mu_: serializes cross-shard commits, snapshot cuts,
+  /// and COMMITLOG writes. Outermost lock of the system; explicitly an
+  /// I/O-covering lock (the COMMITLOG fsync under it IS the commit point,
+  /// and the shards' synced slice appends happen inside its scope).
   kCommitMu = 100,
 
   // --- Per-shard engine core ------------------------------------------
@@ -117,7 +121,7 @@ enum class LockRank : uint16_t {
 constexpr bool RankForbidsIo(LockRank rank) {
   switch (rank) {
     case LockRank::kUnranked:
-    case LockRank::kCommitMu:  // COMMITLOG fsync is the 2PC commit point.
+    case LockRank::kCommitMu:  // COMMITLOG fsync is the commit point.
     case LockRank::kVlog:      // Value-log appends serialize on this lock.
     case LockRank::kIoWrapperEnv:
     case LockRank::kIoEnv:

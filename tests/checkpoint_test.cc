@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -632,6 +633,49 @@ TEST(CheckpointTest, ScrubCoversVlogs) {
   // Tables AND vlogs counted: verified bytes exceed total sst bytes.
   EXPECT_GT(db->statistics()->scrub_bytes_verified.load() - before,
             db->TotalSstBytes());
+}
+
+// A crash can tear the last record of a value log, and recovery then ends
+// the write order before the write that pointed at it. The scrub ends its
+// walk of that log at the torn record in the same way, instead of calling
+// it corruption.
+TEST(CheckpointTest, ScrubEndsAValueLogAtItsTornTail) {
+  MemEnv env;
+  Options options = SmallDBOptions(&env);
+  options.kv_separation = true;
+  options.kv_separation_threshold = 32;
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "a", std::string(100, 'a')).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "b", std::string(100, 'b')).ok());
+  db.reset();
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(env.GetChildren("/db", &children).ok());
+  uint64_t newest = 0;
+  for (const auto& child : children) {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(child, &number, &type) &&
+        type == FileType::kVlogFile) {
+      newest = std::max(newest, number);
+    }
+  }
+  const std::string vlog = VlogFileName("/db", newest);
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(&env, vlog, &contents).ok());
+  ASSERT_FALSE(contents.empty());
+  contents.pop_back();
+  ASSERT_TRUE(WriteStringToFile(&env, contents, vlog).ok());
+
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  std::string got;
+  ASSERT_TRUE(db->Get(ReadOptions(), "a", &got).ok());
+  EXPECT_TRUE(db->Get(ReadOptions(), "b", &got).IsNotFound());
+  Status s = db->VerifyChecksums();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(0u, db->statistics()->scrub_corruptions.load());
 }
 
 }  // namespace

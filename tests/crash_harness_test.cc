@@ -5,7 +5,8 @@
 // (freeze filesystem -> close DB -> drop unsynced data, possibly leaving a
 // torn tail), reopens, and verifies:
 //
-//   1. every write acknowledged under sync=true survives the crash;
+//   1. every write acknowledged under sync=true survives the crash, and so
+//      does every acknowledged batch that spans shards (at N > 1);
 //   2. no write half-appears: each batch carries a monotone "!counter" put,
 //      so the recovered counter k proves the recovered state is exactly the
 //      batch prefix [0..k] — verified key-by-key against a replayed model;
@@ -45,7 +46,7 @@ int g_start = 0;  // First iteration index; --start=<i> reproduces one iter.
 // LSMLAB_TEST_SHARDS=N runs the randomized harness against the sharded
 // facade: the key universe key00..key39 is split {"key10","key20","key30"}
 // and every batch's "!counter" put lands in shard 0, so most batches span
-// shards and commit through the two-phase path.
+// shards and commit through the cross-shard path.
 int TestShards() {
   const char* value = std::getenv("LSMLAB_TEST_SHARDS");
   if (value == nullptr || value[0] == '\0') {
@@ -186,7 +187,9 @@ void RunIteration(uint64_t seed, int iter) {
       kvsep_axis ? static_cast<int>(rng.Uniform(crash_point + 1)) : -1;
 
   std::vector<std::vector<ModelOp>> history;
-  int durable = -1;  // Highest op index acked under sync=true.
+  // Highest op index acked under sync=true, or acked spanning shards: a
+  // cross-shard batch syncs every slice and its commit record.
+  int durable = -1;
   for (int op = 0; op < crash_point; ++op) {
     if (checkpoint_axis && op == cp_op) {
       cp_status = db->Checkpoint("/backup");
@@ -226,13 +229,21 @@ void RunIteration(uint64_t seed, int iter) {
     }
     batch.Put("!counter", CounterValue(op));
 
+    // The counter lands in shard 0, so the batch spans shards iff one of
+    // its keys lands past the first split.
+    const bool spans_shards =
+        options.num_shards > 1 &&
+        std::any_of(ops.begin(), ops.end(), [&](const ModelOp& mop) {
+          return mop.key >= options.shard_split_keys.front();
+        });
+
     WriteOptions wo;
     wo.sync = rng.OneIn(4);
     Status s = db->Write(wo, &batch);
     ASSERT_TRUE(s.ok()) << "iter " << iter << " op " << op << ": "
                         << s.ToString();
     history.push_back(std::move(ops));
-    if (wo.sync) {
+    if (wo.sync || spans_shards) {
       durable = op;
     }
     if (rng.OneIn(40)) {
@@ -478,11 +489,11 @@ TEST(CrashHarness, TransientFlushFailureRecoversWithoutReopen) {
   EXPECT_TRUE(db->ValidateTreeInvariants().ok());
 }
 
-// --- Cross-shard two-phase-commit atomicity (DESIGN.md, "Sharding
-// architecture"). Three scripted crash points around the commit record:
-// before it (prepares synced, commit append fails), after it (commit
-// synced, markers unsynced), and a torn commit record. A cross-shard batch
-// must recover all-or-nothing in every case.
+// --- Cross-shard commit atomicity (DESIGN.md, "Sharding architecture").
+// Scripted crash points around the commit record: before it (slices
+// synced, commit append fails), after it (commit synced, memtable applies
+// lost), a torn commit record, and one cut short after its header. A
+// cross-shard batch must recover all-or-nothing in every case.
 
 Options ShardedCrashOptions(FaultInjectionEnv* env) {
   Options options;
@@ -518,10 +529,10 @@ void ExpectAllOrNothing(DB* db, const std::string& value, bool present) {
   EXPECT_TRUE(db->ValidateTreeInvariants().ok());
 }
 
-// Crash between prepare and commit: every shard holds a synced prepare,
-// but the commit record never reaches the commit log. After reopen the
-// batch must be absent from every shard (prepares without a commit are
-// dropped), while earlier committed writes survive.
+// Crash between the slices and the commit record: every shard holds a
+// synced slice, but the commit record never reaches the commit log. After
+// reopen the batch must be absent from every shard (slices without a
+// commit record are skipped), while earlier committed writes survive.
 TEST(CrashHarness, CrossShardCrashBeforeCommitRecordAborts) {
   MemEnv base;
   FaultInjectionEnv env(&base, /*seed=*/11);
@@ -561,10 +572,9 @@ TEST(CrashHarness, CrossShardCrashBeforeCommitRecordAborts) {
   EXPECT_EQ("committed", got) << "aborted batch must not clobber old value";
 }
 
-// Crash between commit record and the per-shard commit markers: the write
-// was acknowledged, every marker and memtable apply is lost. Reopen must
-// replay the batch into every shard from the synced prepares plus the
-// commit-log record.
+// Crash after the commit record: the write was acknowledged, and every
+// memtable apply is lost. Reopen must replay the batch into every shard
+// from the synced slices plus the commit-log record.
 TEST(CrashHarness, CrossShardCrashAfterCommitRecordReplays) {
   MemEnv base;
   FaultInjectionEnv env(&base, /*seed=*/12);
@@ -574,7 +584,7 @@ TEST(CrashHarness, CrossShardCrashAfterCommitRecordReplays) {
   ASSERT_TRUE(DB::Open(options, "/2pc-commit", &db).ok());
   WriteBatch batch = CrossShardBatch("acked");
   WriteOptions wo;
-  wo.sync = false;  // 2PC must make the batch durable regardless.
+  wo.sync = false;  // A cross-shard commit is durable regardless.
   ASSERT_TRUE(db->Write(wo, &batch).ok());
 
   env.SetFilesystemActive(false);
@@ -626,6 +636,110 @@ TEST(CrashHarness, CrossShardTornCommitRecordAborts) {
 
   ASSERT_TRUE(DB::Open(options, "/2pc-torn", &db).ok());
   ExpectAllOrNothing(db.get(), "committed", /*present=*/true);
+}
+
+// A commit record cut short after its header leaves the commit log's end
+// unknown: a record appended behind the stub is lost to the reader with the
+// rest of its block, so an acknowledged batch would vanish in a crash. The
+// failure therefore closes the commit log and leaves the involved shards
+// in a hard error that only a reopen clears; the reopen settles the failed
+// batch everywhere and loses nothing that was acknowledged.
+TEST(CrashHarness, CrossShardCommitRecordCutShortFailsUntilReopen) {
+  MemEnv base;
+  FaultInjectionEnv env(&base, /*seed=*/14);
+  Options options = ShardedCrashOptions(&env);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/2pc-cut", &db).ok());
+  WriteBatch keep = CrossShardBatch("committed");
+  ASSERT_TRUE(db->Write(WriteOptions(), &keep).ok());
+
+  // The next commit record's header reaches the log, its payload does not.
+  FaultRule rule;
+  rule.file_kinds = kFaultCommitLog;
+  rule.ops = kFaultOpAppend;
+  rule.at_op_index = 1;
+  env.AddRule(rule);
+  WriteBatch doomed;  // Shards 0 and 1 only.
+  doomed.Put("key05", "doomed");
+  doomed.Put("key15", "doomed");
+  ASSERT_FALSE(db->Write(WriteOptions(), &doomed).ok());
+  EXPECT_EQ(1u, env.injected_faults());
+  env.ClearRules();
+
+  // Every later cross-shard batch fails: the commit log is closed.
+  std::string acked = "committed";  // The last batch acknowledged.
+  for (int i = 0; i < 5; ++i) {
+    const std::string value = "later" + std::to_string(i);
+    WriteBatch later = CrossShardBatch(value);
+    if (db->Write(WriteOptions(), &later).ok()) {
+      acked = value;
+    }
+  }
+  EXPECT_EQ("committed", acked) << "a batch committed behind the stub";
+  // The involved shards take no write, before or after a Resume().
+  EXPECT_FALSE(db->Put(WriteOptions(), "key05", "single").ok());
+  EXPECT_FALSE(db->Resume().ok());
+  EXPECT_FALSE(db->Put(WriteOptions(), "key15", "single").ok());
+  // An uninvolved shard does.
+  WriteOptions synced;
+  synced.sync = true;
+  ASSERT_TRUE(db->Put(synced, "key25", "single").ok());
+
+  env.SetFilesystemActive(false);
+  db.reset();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+  env.SetFilesystemActive(true);
+
+  ASSERT_TRUE(DB::Open(options, "/2pc-cut", &db).ok());
+  std::string got;
+  ASSERT_TRUE(db->Get(ReadOptions(), "key25", &got).ok());
+  EXPECT_EQ("single", got);
+  ASSERT_TRUE(db->Get(ReadOptions(), "key35", &got).ok());
+  EXPECT_EQ(acked, got);
+  // The failed batch: in both of its shards, or in neither.
+  std::string first, second;
+  ASSERT_TRUE(db->Get(ReadOptions(), "key05", &first).ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), "key15", &second).ok());
+  EXPECT_EQ(first, second);
+  EXPECT_TRUE(first == "doomed" || first == acked) << first;
+  EXPECT_TRUE(db->ValidateTreeInvariants().ok());
+
+  // The reopen starts a fresh commit log.
+  WriteBatch again = CrossShardBatch("again");
+  ASSERT_TRUE(db->Write(WriteOptions(), &again).ok());
+  ExpectAllOrNothing(db.get(), "again", /*present=*/true);
+}
+
+// A slice sits in its shard's WAL where the shard applied it, so a write
+// that follows it on that shard follows it in the log too: a synced
+// single-shard overwrite of one of a cross-shard batch's keys wins after a
+// crash.
+TEST(CrashHarness, SyncedOverwriteOfACrossShardKeySurvivesACrash) {
+  MemEnv base;
+  FaultInjectionEnv env(&base, /*seed=*/15);
+  Options options = ShardedCrashOptions(&env);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/2pc-order", &db).ok());
+  WriteBatch batch = CrossShardBatch("batch");
+  ASSERT_TRUE(db->Write(WriteOptions(), &batch).ok());
+  WriteOptions synced;
+  synced.sync = true;
+  ASSERT_TRUE(db->Put(synced, "key15", "overwrite").ok());
+
+  env.SetFilesystemActive(false);
+  db.reset();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+  env.SetFilesystemActive(true);
+
+  ASSERT_TRUE(DB::Open(options, "/2pc-order", &db).ok());
+  for (const char* key : {"key05", "key15", "key25", "key35"}) {
+    std::string got;
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
+    EXPECT_EQ(std::string(key) == "key15" ? "overwrite" : "batch", got)
+        << key;
+  }
 }
 
 }  // namespace

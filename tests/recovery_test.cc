@@ -14,6 +14,7 @@
 
 #include "db/db.h"
 #include "db/filename.h"
+#include "db/shard_directory.h"
 #include "io/env.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
@@ -660,9 +661,9 @@ TEST(RecoveryKvSeparationTest, FlushedSeparatedValuesSurviveACrash) {
   EXPECT_EQ(0, lost) << first_error;
 }
 
-// A cross-shard prepare fsyncs its shard's WAL, and with it the earlier
+// A cross-shard slice fsyncs its shard's WAL, and with it the earlier
 // records there; the value log their pointers lead into must be durable
-// first, or recovery meets a pointer to nothing ahead of the prepare.
+// first, or recovery meets a pointer to nothing ahead of the slice.
 TEST(RecoveryKvSeparationTest, CrossShardPrepareSyncsTheValueLog) {
   MemEnv base;
   FaultInjectionEnv env(&base);
@@ -677,7 +678,7 @@ TEST(RecoveryKvSeparationTest, CrossShardPrepareSyncsTheValueLog) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
   ASSERT_TRUE(db->Put(WriteOptions(), "a", value).ok());
-  WriteBatch batch;  // Spans both shards: a two-phase commit.
+  WriteBatch batch;  // Spans both shards: a cross-shard commit.
   batch.Put("b", "inline-b");
   batch.Put("z", "inline-z");
   ASSERT_TRUE(db->Write(WriteOptions(), &batch).ok());
@@ -695,6 +696,72 @@ TEST(RecoveryKvSeparationTest, CrossShardPrepareSyncsTheValueLog) {
     ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
     EXPECT_EQ(expected, got) << key;
   }
+}
+
+// A batch that spans shards separates its large values as any write group
+// does: each slice's WAL record holds pointers, and the values go to its
+// shard's value log. They read back after a reopen and after a crash.
+TEST(RecoveryKvSeparationTest, CrossShardBatchSeparatesItsValues) {
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  Options options;
+  options.env = &env;
+  options.kv_separation = true;
+  options.kv_separation_threshold = 100;
+  options.num_shards = 2;
+  options.shard_split_keys = {"m"};
+  auto vlog_bytes = [&env] {
+    uint64_t total = 0;
+    for (int k = 0; k < 2; ++k) {
+      const std::string dir = ShardDirectory::ShardDirName("/db", k);
+      std::vector<std::string> children;
+      EXPECT_TRUE(env.GetChildren(dir, &children).ok());
+      for (const auto& child : children) {
+        uint64_t number;
+        FileType type;
+        uint64_t size = 0;
+        if (ParseFileName(child, &number, &type) &&
+            type == FileType::kVlogFile &&
+            env.GetFileSize(dir + "/" + child, &size).ok()) {
+          total += size;
+        }
+      }
+    }
+    return total;
+  };
+  auto write_batch = [](DB* db, char fill) {
+    WriteBatch batch;
+    batch.Put("a", std::string(400, fill));
+    batch.Put("z", std::string(400, fill));
+    return db->Write(WriteOptions(), &batch);
+  };
+  auto expect_batch = [](DB* db, char fill) {
+    for (const char* key : {"a", "z"}) {
+      std::string got;
+      Status s = db->Get(ReadOptions(), key, &got);
+      ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+      EXPECT_EQ(std::string(400, fill), got) << key;
+    }
+  };
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ASSERT_TRUE(write_batch(db.get(), 'x').ok());
+  EXPECT_GE(vlog_bytes(), 800u);
+  db.reset();
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  expect_batch(db.get(), 'x');
+
+  const uint64_t before = vlog_bytes();
+  ASSERT_TRUE(write_batch(db.get(), 'y').ok());
+  EXPECT_GE(vlog_bytes() - before, 800u);
+  env.SetFilesystemActive(false);
+  db.reset();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+  env.SetFilesystemActive(true);
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  expect_batch(db.get(), 'y');
+  EXPECT_TRUE(db->ValidateTreeInvariants().ok());
 }
 
 // An unsynced write can keep its WAL record through a crash yet lose its

@@ -220,14 +220,84 @@ TEST_F(ShardedDBTest, CrossShardBatchIsAtomicAndDurable) {
   EXPECT_EQ("1", contents["apple"]);
   EXPECT_EQ("4", contents["zebra"]);
 
-  // Survives reopen: commit markers (or the commit log) replay the batch
-  // in every shard.
+  // Survives reopen: every shard replays its slice, whose id the commit
+  // log holds.
   db.reset();
   ASSERT_TRUE(DB::Open(ShardedOptions(4), "/batch", &db).ok());
   contents = Dump(db.get());
   EXPECT_EQ(4u, contents.size());
   EXPECT_EQ("2", contents["house"]);
   EXPECT_EQ("3", contents["queen"]);
+}
+
+// Without a WAL there is nothing to make durable: a cross-shard batch logs
+// no slice and writes no commit record, but still applies every slice
+// through the shards' writer queues under the commit lock.
+TEST_F(ShardedDBTest, CrossShardBatchWithoutAWalAppliesEverySlice) {
+  Options options = ShardedOptions(4, {"g", "n", "t"});
+  options.enable_wal = false;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/nowal", &db).ok());
+  WriteBatch batch;
+  batch.Put("apple", "1");
+  batch.Put("house", "2");
+  batch.Put("queen", "3");
+  batch.Put("zebra", "4");
+  ASSERT_TRUE(db->Write(WriteOptions(), &batch).ok());
+  EXPECT_EQ(4u, db->statistics()->shard_commits.load());
+  EXPECT_EQ(0u, db->statistics()->wal_syncs.load());
+  auto contents = Dump(db.get());
+  EXPECT_EQ(4u, contents.size());
+  EXPECT_EQ("3", contents["queen"]);
+}
+
+// A cross-shard commit leads every involved shard's write queue until its
+// slices are applied, so a single-shard writer on one of those shards
+// queues behind it. Writers on every shard run beside a cross-shard
+// committer: each of them finishes, and every write reads back.
+TEST_F(ShardedDBTest, SingleShardWritersBesideCrossShardCommitsAllFinish) {
+  Options options = ShardedOptions(4, {"g", "n", "t"});
+  options.background_threads = 2;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/beside", &db).ok());
+  constexpr int kPuts = 2000;
+  constexpr int kBatches = 500;
+  const std::vector<std::string> prefixes = {"a", "h", "o", "u"};  // Shards.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (const std::string& prefix : prefixes) {
+    threads.emplace_back([&, prefix] {
+      for (int i = 0; i < kPuts; ++i) {
+        if (!db->Put(WriteOptions(), prefix + Key(i), "single").ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kBatches; ++i) {
+      WriteBatch batch;
+      for (const std::string& prefix : prefixes) {
+        batch.Put(prefix + "-batch", std::to_string(i));
+      }
+      if (!db->Write(WriteOptions(), &batch).ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(0, failures.load());
+  EXPECT_EQ(static_cast<uint64_t>(kBatches),
+            db->statistics()->cross_shard_batches.load());
+
+  auto contents = Dump(db.get());
+  EXPECT_EQ(prefixes.size() * (kPuts + 1), contents.size());
+  for (const std::string& prefix : prefixes) {
+    EXPECT_EQ(std::to_string(kBatches - 1), contents[prefix + "-batch"]);
+    EXPECT_EQ("single", contents[prefix + Key(kPuts - 1)]);
+  }
 }
 
 TEST_F(ShardedDBTest, SingleShardBatchSkipsTwoPhaseCommit) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "db/filename.h"
 #include "io/counting_env.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
@@ -111,6 +112,41 @@ TEST_F(VlogTest, ForEachRecordEarlyStop) {
                                  })
                   .ok());
   EXPECT_EQ(3, count);
+}
+
+// The walk reads a torn tail as the end of the log, as WAL replay does,
+// but a header that cannot parse with room to spare is corruption.
+TEST_F(VlogTest, ForEachRecordEndsAtATornTailOnly) {
+  VlogPointer ptr;
+  ASSERT_TRUE(vlog_.Append("key1", "value-one", &ptr).ok());
+  ASSERT_TRUE(vlog_.Append("key2", "value-two", &ptr).ok());
+  ASSERT_TRUE(vlog_.Sync().ok());
+  std::string whole;
+  ASSERT_TRUE(ReadFileToString(&env_, VlogFileName("/db", 1), &whole).ok());
+  auto walk = [this](const std::string& contents, int* count) {
+    EXPECT_TRUE(WriteStringToFile(&env_, contents, VlogFileName("/db", 2)).ok());
+    *count = 0;
+    return vlog_.ForEachRecord(
+        2, [count](const Slice&, const Slice&, const VlogPointer&) {
+          ++*count;
+          return true;
+        });
+  };
+
+  // Cut anywhere inside the second record: the first one is all there is.
+  const size_t second = static_cast<size_t>(ptr.offset);
+  for (size_t cut = second + 1; cut < whole.size(); ++cut) {
+    int count = 0;
+    Status s = walk(whole.substr(0, cut), &count);
+    EXPECT_TRUE(s.ok()) << "cut at " << cut << ": " << s.ToString();
+    EXPECT_EQ(1, count) << "cut at " << cut;
+  }
+
+  // A second record whose header runs on past five bytes.
+  int count = 0;
+  Status s = walk(whole.substr(0, second) + std::string(12, '\xff'), &count);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(1, count);
 }
 
 TEST_F(VlogTest, RollToNewActiveLog) {
